@@ -11,10 +11,10 @@ from .generators import (GeneratorTuple, RelationResidual, c_coeff,
                          tuple_from_json, tuple_to_json)
 from .linalg import (DEFAULT_TOL, EigenDecomposition, MatrixFlags, adjoint,
                      as_matrix, classify, commutator, determinant,
-                     hermitian_eig, hs_norm, mat_op, matrix_from_json,
-                     matrix_to_json, spectral_projection)
-from .poly import (LinearForm, MultiPoly, divide_linear, poly_arith,
-                   poly_equal, poly_from_json, poly_to_json, var_degree)
+                     hermitian_eig, hs_norm, matrix_from_json, matrix_to_json,
+                     spectral_projection)
+from .poly import (LinearForm, MultiPoly, divide_linear, poly_equal,
+                   poly_from_json, poly_to_json)
 from .rigidity import (EQUIVALENT, HYPOTHESIS_FAILED, RECONSTRUCTION_FAILED,
                        RigidityReport, certify_equivalence, compression_check,
                        reconstruct_sl2, reconstruct_snu2, sl2_rigidity,

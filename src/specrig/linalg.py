@@ -18,8 +18,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-_MAT_OPS = ("add", "sub", "mul", "commutator")
-
 
 class DimensionMismatchError(ValueError):
     pass
@@ -62,24 +60,11 @@ def adjoint(a) -> np.ndarray:
 
 def commutator(a, b) -> np.ndarray:
     """ab - ba."""
-    return mat_op(a, b, "commutator")
-
-
-def mat_op(a, b, kind: str) -> np.ndarray:
-    """Binary matrix arithmetic: add, sub, mul or commutator."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"operands differ in size: {a.shape} vs {b.shape}")
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a @ b
-    if kind == "commutator":
-        return a @ b - b @ a
-    raise ValueError(f"unknown kind {kind!r}, expected one of {_MAT_OPS}")
+    return a @ b - b @ a
 
 
 def determinant(a) -> complex:

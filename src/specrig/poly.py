@@ -1,22 +1,25 @@
-"""Sparse multivariate polynomials over complex coefficients.
+"""Multivariate polynomials over complex coefficients, stored dense.
 
-The representation of determinantal hypersurfaces: a polynomial is a map
-from exponent vectors (one non-negative integer per variable) to complex
-coefficients.  Coefficients smaller than ``PRUNE_REL`` times the largest
-one are dropped, which keeps interpolation noise out of equality tests.
-Interpolated polynomials arrive as a dense coefficient array and are
-pruned on that array by ``MultiPoly.from_dense``, before any term dict
-exists; every other polynomial is pruned on its term dict in
-``MultiPoly.__init__``.  Both apply the same rule.
+The representation of determinantal hypersurfaces: a polynomial in k
+variables is a k-axis ``numpy.complex128`` array whose entry at index e
+multiplies x^e.  Coefficients of modulus at most ``PRUNE_REL`` times the
+largest one are set to zero, which keeps interpolation noise out of
+equality tests; ``_prune`` is the one place that rule lives, and every
+constructor and arithmetic result goes through it.  The array is never
+trimmed, so determinants of one pencil size share one shape and compare
+without padding.  ``terms`` lists the nonzero coefficients by exponent
+vector for output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 PRUNE_REL = 1e-14
+MAX_COEFFS = 1 << 22  # largest dense array built from an exponent list
 
 
 class VariableMismatchError(ValueError):
@@ -37,25 +40,50 @@ class LinearForm:
             raise ValueError("linear form is identically zero")
 
 
-class MultiPoly:
-    """Sparse polynomial with named variables and complex coefficients."""
+def _prune(coeffs):
+    """A copy of ``coeffs`` with every entry of modulus at most
+    ``PRUNE_REL`` times the largest set to zero (all of them when the
+    largest is 0); -0.0 parts become 0.0."""
+    mags = np.abs(coeffs)
+    out = coeffs + 0j
+    out[mags <= PRUNE_REL * mags.max(initial=0.0)] = 0
+    return out
 
-    __slots__ = ("vars", "terms")
+
+def _widen(coeffs, shape):
+    """``coeffs`` zero-extended to ``shape``."""
+    if coeffs.shape == shape:
+        return coeffs
+    out = np.zeros(shape, dtype=np.complex128)
+    out[tuple(slice(0, s) for s in coeffs.shape)] = coeffs
+    return out
+
+
+class MultiPoly:
+    """Polynomial with named variables and a dense complex coefficient
+    array ``coeffs`` (``coeffs[e]`` multiplies x^e)."""
+
+    __slots__ = ("vars", "coeffs")
 
     def __init__(self, vars, terms=None, prune=True):
+        """Polynomial from a map of exponent vectors to coefficients."""
         self.vars = tuple(vars)
         k = len(self.vars)
-        clean = {}
+        items = []
         for exp, c in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != k or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for {k} variables")
-            c = complex(c)
-            if c != 0:
-                clean[exp] = clean.get(exp, 0j) + c
-        self.terms = clean
-        if prune:
-            self._prune(PRUNE_REL)
+            items.append((exp, complex(c)))
+        shape = tuple(max(col) + 1 for col in zip(*(e for e, _ in items))) \
+            if items else (1,) * k
+        if math.prod(shape) > MAX_COEFFS:
+            raise ValueError(f"exponents need a {shape} coefficient array, "
+                             f"more than {MAX_COEFFS} entries")
+        coeffs = np.zeros(shape, dtype=np.complex128)
+        for exp, c in items:
+            coeffs[exp] += c
+        self.coeffs = _prune(coeffs) if prune else coeffs
 
     # -- constructors ------------------------------------------------------
 
@@ -69,29 +97,16 @@ class MultiPoly:
 
     @classmethod
     def from_dense(cls, vars, coeffs):
-        """Polynomial whose coefficient of x^e is ``coeffs[e]``.
-
-        ``coeffs`` has one axis per variable.  The ``PRUNE_REL`` rule of
-        ``__init__`` is applied to the array, so only the surviving terms
-        are turned into Python objects; the result equals
-        ``MultiPoly(vars, {e: coeffs[e] for every index e})``, terms in
-        the same (C index) order.
-        """
+        """Polynomial whose coefficient of x^e is ``coeffs[e]`` (one axis
+        per variable), pruned."""
         vars = tuple(vars)
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim != len(vars):
             raise ValueError(f"coefficient array has {coeffs.ndim} axes "
                              f"for {len(vars)} variables")
-        mags = np.abs(coeffs)
-        top = mags.max(initial=0.0)
         self = cls.__new__(cls)
         self.vars = vars
-        self.terms = {}
-        if top > 0.0:
-            keep = mags > PRUNE_REL * top
-            # + 0j turns -0.0 parts into 0.0, as the sum in __init__ does
-            values = (coeffs[keep] + 0j).tolist()
-            self.terms = dict(zip(map(tuple, np.argwhere(keep).tolist()), values))
+        self.coeffs = _prune(coeffs)
         return self
 
     @classmethod
@@ -99,36 +114,31 @@ class MultiPoly:
         vars = tuple(vars)
         if len(form.coeffs) != len(vars):
             raise VariableMismatchError("linear form arity does not match variables")
-        terms = {}
+        terms = {(0,) * len(vars): form.constant}
         for i, c in enumerate(form.coeffs):
-            exp = tuple(1 if j == i else 0 for j in range(len(vars)))
-            terms[exp] = c
-        terms[(0,) * len(vars)] = form.constant
+            terms[tuple(int(j == i) for j in range(len(vars)))] = c
         return cls(vars, terms)
 
     # -- basic queries ------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients keyed by exponent vector, in
+        lexicographic (C index) order."""
+        nz = self.coeffs != 0
+        return dict(zip(map(tuple, np.argwhere(nz).tolist()), self.coeffs[nz].tolist()))
+
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return float(np.abs(self.coeffs).max(initial=0.0))
 
     def degree_in(self, i: int) -> int:
         """Maximal exponent of variable ``i`` across terms (0 for the zero
         polynomial)."""
         if not 0 <= i < len(self.vars):
             raise IndexError(f"variable index {i} out of range")
-        return max((exp[i] for exp in self.terms), default=0)
-
-    def sorted_terms(self):
-        """Terms ordered lexicographically by exponent (reproducible output)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def _prune(self, rel):
-        top = self.max_abs_coeff()
-        if top == 0.0:
-            return
-        cut = rel * top
-        for exp in [e for e, c in self.terms.items() if abs(c) <= cut]:
-            del self.terms[exp]
+        others = tuple(j for j in range(len(self.vars)) if j != i)
+        used = np.flatnonzero(np.any(self.coeffs != 0, axis=others))
+        return int(used[-1]) if used.size else 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -136,84 +146,70 @@ class MultiPoly:
         if self.vars != other.vars:
             raise VariableMismatchError(f"{self.vars} vs {other.vars}")
 
-    def __add__(self, other):
+    def _aligned(self, other):
+        """Both coefficient arrays, zero-extended to one shape."""
         self._check_vars(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0j) + c
-        return MultiPoly(self.vars, terms)
+        a, b = self.coeffs, other.coeffs
+        if a.shape != b.shape:
+            shape = tuple(map(max, a.shape, b.shape))
+            a, b = _widen(a, shape), _widen(b, shape)
+        return a, b
+
+    def __add__(self, other):
+        a, b = self._aligned(other)
+        return MultiPoly.from_dense(self.vars, a + b)
 
     def __sub__(self, other):
-        return self + (-other)
+        a, b = self._aligned(other)
+        return MultiPoly.from_dense(self.vars, a - b)
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()}, prune=False)
+        return MultiPoly.from_dense(self.vars, -self.coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_vars(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, 0j) + c1 * c2
-        return MultiPoly(self.vars, terms)
+        a, b = self.coeffs, other.coeffs
+        if np.count_nonzero(b) > np.count_nonzero(a):
+            a, b = b, a
+        # convolution: one shifted copy of a per nonzero coefficient of b
+        out = np.zeros(tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape)),
+                       dtype=np.complex128)
+        for e in np.argwhere(b):
+            e = tuple(e.tolist())
+            out[tuple(slice(i, i + s) for i, s in zip(e, a.shape))] += b[e] * a
+        return MultiPoly.from_dense(self.vars, out)
 
     __rmul__ = __mul__
 
     def scale(self, s) -> "MultiPoly":
-        s = complex(s)
-        return MultiPoly(self.vars, {e: s * c for e, c in self.terms.items()})
+        return MultiPoly.from_dense(self.vars, complex(s) * self.coeffs)
 
     def eval(self, point) -> complex:
-        """Evaluate at ``point``, Horner-style one variable at a time."""
+        """Evaluate at ``point`` by Horner's rule, one variable at a time
+        from the last."""
         point = [complex(x) for x in point]
         if len(point) != len(self.vars):
             raise VariableMismatchError(
                 f"point has {len(point)} coordinates for {len(self.vars)} variables")
-        return _horner(self.terms, point, 0)
+        acc = self.coeffs
+        for x in reversed(point):
+            val = acc[..., -1]
+            for j in range(acc.shape[-1] - 2, -1, -1):
+                val = val * x + acc[..., j]
+            acc = val
+        return complex(acc)
 
     def __repr__(self):
-        body = " + ".join(f"{c}*{exp}" for exp, c in self.sorted_terms()) or "0"
+        body = " + ".join(f"{c}*{exp}" for exp, c in self.terms.items()) or "0"
         return f"MultiPoly({','.join(self.vars)}: {body})"
 
 
-def _horner(terms, point, axis):
-    if not terms:
-        return 0j
-    if axis == len(point):
-        # all exponents consumed; terms is {(): coeff}
-        return sum(terms.values())
-    by_deg = {}
-    for exp, c in terms.items():
-        by_deg.setdefault(exp[0], {})[exp[1:]] = c
-    acc = 0j
-    x = point[axis]
-    for d in range(max(by_deg), -1, -1):
-        acc = acc * x
-        if d in by_deg:
-            acc += _horner(by_deg[d], point, axis + 1)
-    return acc
-
-
-def poly_arith(p: MultiPoly, q, kind: str) -> MultiPoly:
-    """Named arithmetic entry point: add, mul (both MultiPoly operands)
-    or scale (q a scalar)."""
-    if kind == "add":
-        return p + q
-    if kind == "mul":
-        return p * q
-    if kind == "scale":
-        return p.scale(q)
-    raise ValueError(f"unknown kind {kind!r}, expected add, mul or scale")
-
-
 def poly_distance(p: MultiPoly, q: MultiPoly) -> float:
-    """Max coefficient difference over the union of supports."""
-    p._check_vars(q)
-    keys = set(p.terms) | set(q.terms)
-    return max((abs(p.terms.get(e, 0j) - q.terms.get(e, 0j)) for e in keys), default=0.0)
+    """Max coefficient difference."""
+    a, b = p._aligned(q)
+    return float(np.abs(a - b).max(initial=0.0))
 
 
 def poly_equal(p: MultiPoly, q: MultiPoly, tol: float = 1e-9) -> bool:
@@ -237,30 +233,22 @@ def divide_linear(p: MultiPoly, f: LinearForm):
     a = f.coeffs[piv]
     if a == 0:
         raise ValueError("linear form has no variable part to divide by")
-    work = dict(p.terms)
-    quot = {}
-    maxdeg = max((e[piv] for e in work), default=0)
-    for d in range(maxdeg, 0, -1):
-        level = [(e, c) for e, c in work.items() if e[piv] == d]
-        for exp, c in level:
-            del work[exp]  # leading term cancels exactly
-            if c == 0:
-                continue
-            qexp = exp[:piv] + (d - 1,) + exp[piv + 1:]
-            qc = c / a
-            quot[qexp] = quot.get(qexp, 0j) + qc
-            for v, fc in enumerate(f.coeffs):
-                if v == piv or fc == 0:
-                    continue
-                texp = qexp[:v] + (qexp[v] + 1,) + qexp[v + 1:]
-                work[texp] = work.get(texp, 0j) - qc * fc
-            if f.constant != 0:
-                work[qexp] = work.get(qexp, 0j) - qc * f.constant
-    return MultiPoly(p.vars, quot), MultiPoly(p.vars, work)
-
-
-def var_degree(p: MultiPoly, i: int) -> int:
-    return p.degree_in(i)
+    # pivot axis first; the other axes grow by one per division step
+    c = np.moveaxis(p.coeffs, piv, 0)
+    deg = c.shape[0] - 1
+    work = _widen(c, (deg + 1,) + tuple(s + deg for s in c.shape[1:])).copy()
+    quot = np.zeros((max(deg, 1),) + work.shape[1:], dtype=np.complex128)
+    others = [(v - (v > piv), fc) for v, fc in enumerate(f.coeffs) if v != piv and fc != 0]
+    for d in range(deg, 0, -1):
+        qc = quot[d - 1] = work[d] / a
+        work[d] = 0  # the leading coefficient cancels exactly
+        for ax, fc in others:
+            lead = (slice(None),) * ax
+            work[d - 1][lead + (slice(1, None),)] -= fc * qc[lead + (slice(0, -1),)]
+        if f.constant != 0:
+            work[d - 1] -= f.constant * qc
+    return (MultiPoly.from_dense(p.vars, np.moveaxis(quot, 0, piv)),
+            MultiPoly.from_dense(p.vars, np.moveaxis(work, 0, piv)))
 
 
 # --- Poly JSON: {"vars": [...], "terms": [{"exp": [...], "re": r, "im": i}]} ---
@@ -268,8 +256,8 @@ def var_degree(p: MultiPoly, i: int) -> int:
 def poly_to_json(p: MultiPoly) -> dict:
     return {
         "vars": list(p.vars),
-        "terms": [{"exp": list(exp), "re": float(c.real), "im": float(c.imag)}
-                  for exp, c in p.sorted_terms()],
+        "terms": [{"exp": list(exp), "re": c.real, "im": c.imag}
+                  for exp, c in p.terms.items()],
     }
 
 

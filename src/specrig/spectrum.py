@@ -115,13 +115,6 @@ def evaluate_expr(expr, mats):
     raise TypeError(f"not a pencil expression: {expr!r}")
 
 
-def _slot_matrices(t):
-    """Accept a GeneratorTuple or any 3-sequence of matrices."""
-    if hasattr(t, "matrices"):
-        return t.matrices
-    return tuple(t)
-
-
 _node_cache = {}
 
 
@@ -276,6 +269,7 @@ def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
     ``slot_scales``) determinant polynomials at the given tolerance; the
     residual is the max coefficient gap relative to the largest one.
     """
+    from .rigidity import _slot_matrices
     m1 = _slot_matrices(t1)
     m2 = _slot_matrices(t2)
     out = []
@@ -302,6 +296,5 @@ def x2_dependence(a1, a2, prune: float = 1e-10) -> bool:
     """
     s1, s2 = slot_scales((as_matrix(a1), as_matrix(a2)))
     p = det_pencil([s1 * as_matrix(a1), s2 * as_matrix(a2)], ("x1", "x2"))
-    top = p.max_abs_coeff()
-    cut = prune * max(1.0, top)
-    return any(exp[1] > 0 and abs(c) > cut for exp, c in p.terms.items())
+    cut = prune * max(1.0, p.max_abs_coeff())
+    return bool(np.any(np.abs(p.coeffs[:, 1:]) > cut))

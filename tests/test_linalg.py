@@ -5,7 +5,7 @@ from specrig.generators import h_coeff, sl2_generators, snu2_generators, structu
 from specrig.linalg import (DimensionMismatchError, EigenvalueNotFoundError,
                             NotHermitianError, adjoint, as_matrix, classify,
                             commutator, determinant, hermitian_eig, hs_norm,
-                            mat_op, matrix_from_json, matrix_to_json,
+                            matrix_from_json, matrix_to_json,
                             spectral_projection)
 
 from conftest import cofactor_det, random_complex, random_hermitian
@@ -25,11 +25,13 @@ class TestMatOp:
 
     def test_mul_e3_f3(self):
         t = sl2_generators(3)
-        assert np.array_equal(mat_op(t.e, t.f, "mul"), np.diag([2.0, 2.0, 0.0]))
+        assert np.array_equal(t.e @ t.f, np.diag([2.0, 2.0, 0.0]))
+        # [E, F] = H for the sl(2) ladder
+        assert np.array_equal(commutator(t.e, t.f), t.h)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            mat_op(np.eye(2), np.eye(3), "add")
+            commutator(np.eye(2), np.eye(3))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

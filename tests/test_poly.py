@@ -3,7 +3,7 @@ import pytest
 
 from specrig.poly import (LinearForm, MultiPoly, VariableMismatchError,
                           divide_linear, poly_distance, poly_equal,
-                          poly_from_json, poly_to_json, var_degree)
+                          poly_from_json, poly_to_json)
 
 
 def x_poly():
@@ -61,6 +61,16 @@ class TestArithmetic:
             lhs = (p * q).eval(pt)
             rhs = p.eval(pt) * q.eval(pt)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+
+    def test_add_mul_scale(self):
+        p = MultiPoly(("x",), {(1,): 1.0, (0,): 1.0})
+        q = MultiPoly(("x",), {(1,): 1.0, (0,): -1.0})
+        assert poly_equal(p * q, MultiPoly(("x",), {(2,): 1.0, (0,): -1.0}), 1e-14)
+        assert poly_equal(p + q, MultiPoly(("x",), {(1,): 2.0}), 1e-14)
+        assert p.scale(2.0).terms[(1,)] == 2.0
+        assert (2.0 * p).terms == (p * 2.0).terms == p.scale(2.0).terms
+        with pytest.raises(TypeError):
+            p / q  # no operator beyond +, -, * and scaling
 
     def test_variable_mismatch(self):
         with pytest.raises(VariableMismatchError):
@@ -156,7 +166,7 @@ class TestFromDense:
 class TestVarDegree:
     def test_monomial(self):
         p = MultiPoly(("x", "y"), {(2, 1): 1.0})
-        assert var_degree(p, 1) == 1
+        assert p.degree_in(1) == 1
 
     def test_triangular_pencil_is_x2_free(self):
         # det(x1 H + x2 E - I) for the sl2 triple is a product of the
@@ -165,14 +175,14 @@ class TestVarDegree:
         from specrig.spectrum import det_pencil
         t = sl2_generators(4)
         p = det_pencil([t.h, t.e])
-        assert var_degree(p, 1) == 0
+        assert p.degree_in(1) == 0
 
     def test_showcase_t_degree(self):
-        assert var_degree(showcase_poly(), 3) == 3
+        assert showcase_poly().degree_in(3) == 3
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            var_degree(x_poly(), 3)
+            x_poly().degree_in(3)
 
 
 class TestJson:
@@ -182,17 +192,3 @@ class TestJson:
         exps = [tuple(t["exp"]) for t in blob["terms"]]
         assert exps == sorted(exps)
         assert poly_equal(poly_from_json(blob), p, 1e-15)
-
-
-class TestPolyArith:
-    def test_named_kinds(self):
-        p = MultiPoly(("x",), {(1,): 1.0, (0,): 1.0})
-        q = MultiPoly(("x",), {(1,): 1.0, (0,): -1.0})
-        from specrig.poly import poly_arith
-        assert poly_equal(poly_arith(p, q, "mul"),
-                          MultiPoly(("x",), {(2,): 1.0, (0,): -1.0}), 1e-14)
-        assert poly_equal(poly_arith(p, q, "add"),
-                          MultiPoly(("x",), {(1,): 2.0}), 1e-14)
-        assert poly_arith(p, 2.0, "scale").terms[(1,)] == 2.0
-        with pytest.raises(ValueError):
-            poly_arith(p, q, "pow")
