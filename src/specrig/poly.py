@@ -149,11 +149,8 @@ class MultiPoly:
     def _aligned(self, other):
         """Both coefficient arrays, zero-extended to one shape."""
         self._check_vars(other)
-        a, b = self.coeffs, other.coeffs
-        if a.shape != b.shape:
-            shape = tuple(map(max, a.shape, b.shape))
-            a, b = _widen(a, shape), _widen(b, shape)
-        return a, b
+        shape = tuple(map(max, self.coeffs.shape, other.coeffs.shape))
+        return _widen(self.coeffs, shape), _widen(other.coeffs, shape)
 
     def __add__(self, other):
         a, b = self._aligned(other)

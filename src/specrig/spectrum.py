@@ -5,10 +5,13 @@ The proper joint spectrum of matrices (M1, ..., Mk) is the zero set of
     p(x) = det(x1 M1 + ... + xk Mk - I),
 
 computed here as an exact multivariate polynomial by evaluating the
-determinant on a tensor grid of Chebyshev nodes (degree is at most n in
-each variable, so n+1 nodes per axis determine p) and inverting the
-one-dimensional Vandermonde map along each axis.  Node order is fixed,
-so results are bit-stable across runs.
+determinant on the tensor grid of (n+1)-th roots of unity (degree is at
+most n in each variable, so n+1 nodes per axis determine p).  On that
+grid the values are the discrete Fourier transform of the coefficient
+array, so one inverse DFT recovers the coefficients; the DFT is unitary,
+so interpolation adds no error growth with n, unlike a monomial
+Vandermonde solve at real nodes.  Node order is fixed, so results are
+bit-stable across runs.
 
 A pencil expression grammar selects the slot matrices, e.g.
 ``"A1, A2 A2^H"`` denotes the pair (A1, A2 adjoint(A2)).  Atoms A1/A2/A3
@@ -115,20 +118,6 @@ def evaluate_expr(expr, mats):
     raise TypeError(f"not a pencil expression: {expr!r}")
 
 
-_node_cache = {}
-
-
-def _cheb_basis(m: int):
-    """m Chebyshev nodes on (-1, 1) and the transposed inverse of the
-    monomial Vandermonde at those nodes."""
-    if m not in _node_cache:
-        nodes = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
-        v = nodes[:, None] ** np.arange(m)[None, :]
-        vinv_t = np.linalg.inv(v).T
-        _node_cache[m] = (nodes, vinv_t)
-    return _node_cache[m]
-
-
 def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
     """Determinant polynomial of a matrix pencil.
 
@@ -153,21 +142,15 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
     if len(var_names) != k:
         raise ValueError("need one variable name per pencil matrix")
 
-    m_nodes = n + 1
-    nodes, vinv_t = _cheb_basis(m_nodes)
-    grids = np.meshgrid(*([nodes] * k), indexing="ij")
-    stack = np.zeros(grids[0].shape + (n, n), dtype=np.complex128)
-    for g, mat in zip(grids, mats):
-        stack += g[..., None, None] * mat
-    if affine:
-        stack -= np.eye(n)
-    values = np.linalg.det(stack.reshape(-1, n, n)).reshape((m_nodes,) * k)
-
-    coeffs = values
-    for _ in range(k):
-        # contract the leading node axis into power coefficients; the
-        # converted axis cycles to the end, restoring order after k passes
-        coeffs = np.tensordot(coeffs, vinv_t, axes=([0], [0]))
+    # p has degree <= n in each variable: its values on the grid of
+    # (n+1)-th roots of unity are the DFT of its coefficient array
+    m = n + 1
+    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    stack = -np.eye(n) if affine else np.zeros((n, n))
+    for i, mat in enumerate(mats):
+        stack = stack + nodes.reshape((m,) + (1,) * (k - 1 - i) + (1, 1)) * mat
+    values = np.linalg.det(stack)
+    coeffs = np.fft.fftn(values) / values.size
     return MultiPoly.from_dense(var_names, coeffs)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specrig.poly import (LinearForm, MultiPoly, VariableMismatchError,
+from specrig.poly import (MAX_COEFFS, LinearForm, MultiPoly, VariableMismatchError,
                           divide_linear, poly_distance, poly_equal,
                           poly_from_json, poly_to_json)
 
@@ -75,6 +75,25 @@ class TestArithmetic:
     def test_variable_mismatch(self):
         with pytest.raises(VariableMismatchError):
             x_poly() + MultiPoly(("y",), {(1,): 1.0})
+
+    def test_product_and_eval_match_term_loops(self, rng):
+        # reference: the product and the value summed term by term
+        vars = ("x", "y", "z")
+        for _ in range(10):
+            p, q = (MultiPoly(vars, {tuple(int(e) for e in rng.integers(0, 4, size=3)):
+                                     complex(rng.normal(), rng.normal()) for _ in range(6)})
+                    for _ in range(2))
+            want = {}
+            for e1, c1 in p.terms.items():
+                for e2, c2 in q.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    want[e] = want.get(e, 0j) + c1 * c2
+            got = (p * q).terms
+            assert set(got) == set(want)
+            assert all(abs(got[e] - want[e]) <= 1e-14 * max(1.0, abs(want[e])) for e in want)
+            pt = rng.uniform(-1, 1, size=3)
+            value = sum(c * np.prod(pt ** np.array(e)) for e, c in p.terms.items())
+            assert abs(p.eval(pt) - value) <= 1e-13 * max(1.0, abs(value))
 
 
 class TestEval:
@@ -157,6 +176,13 @@ class TestFromDense:
 
     def test_zero_array(self):
         assert MultiPoly.from_dense(("x", "y"), np.zeros((3, 2))).terms == {}
+
+    def test_exponent_bound(self):
+        # the dense array must stay bounded whatever the exponents say
+        with pytest.raises(ValueError):
+            poly_from_json({"vars": ["x"], "terms": [{"exp": [10**12], "re": 1.0, "im": 0.0}]})
+        with pytest.raises(ValueError):
+            MultiPoly(("x", "y"), {(MAX_COEFFS, 0): 1.0})
 
     def test_axis_count_must_match_variables(self):
         with pytest.raises(ValueError):

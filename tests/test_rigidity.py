@@ -284,3 +284,47 @@ class TestReportInvariants:
         rep = snu2_rigidity(t.matrices, 1, 0.5)
         assert rep.verdict == EQUIVALENT
         assert np.array_equal(rep.witness, np.eye(1))
+
+
+LARGE_REFS = [("snu2", nu) for nu in (0.3, 0.5, 0.9, 1.0, -1.0)] + [("sl2", None)]
+
+
+def _rigidity(family, cand, n, nu, tol):
+    if family == "sl2":
+        return sl2_rigidity(cand, n, tol)
+    return snu2_rigidity(cand, n, nu, tol)
+
+
+def _reference(family, n, nu):
+    return sl2_generators(n) if family == "sl2" else snu2_generators(n, nu)
+
+
+class TestLargeDimension:
+    """Beyond the n <= 10 acceptance grid the determinant interpolation
+    has to stay exact to ~eps: a monomial Vandermonde solve at real nodes
+    loses about one digit per dimension and rejected the reference triple
+    itself from n = 13."""
+
+    @pytest.mark.parametrize("family,nu", LARGE_REFS)
+    @pytest.mark.parametrize("n", [13, 14, 16, 24, 32])
+    def test_reference_is_self_rigid(self, n, family, nu):
+        ref = _reference(family, n, nu)
+        rep = _rigidity(family, ref.matrices, n, nu, 1e-9)
+        assert rep.verdict == EQUIVALENT, rep.diagnostics
+        assert max(rep.condition_residuals.values()) <= 1e-12
+
+    @pytest.mark.parametrize("family,nu", LARGE_REFS)
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_conjugate_accepted_and_tamper_rejected(self, rng, n, family, nu):
+        ref = _reference(family, n, nu)
+        w = random_unitary(rng, n)
+        cand = conjugated(ref, w)
+        rep = _rigidity(family, cand, n, nu, 1e-8)
+        assert rep.verdict == EQUIVALENT, rep.diagnostics
+        assert certify_equivalence(cand, ref, rep.global_witness, 1e-8) <= 1e-8
+        slot = int(rng.integers(3))
+        i, j = (int(x) for x in rng.integers(n, size=2))
+        tampered = [m.copy() for m in cand]
+        tampered[slot][i, j] += 1e-6 * max(1.0, hs_norm(cand[slot])) \
+            * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        assert _rigidity(family, tuple(tampered), n, nu, 1e-8).verdict != EQUIVALENT

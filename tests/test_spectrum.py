@@ -7,7 +7,8 @@ from specrig.linalg import NotNormalError, adjoint
 from specrig.poly import MultiPoly, poly_equal
 from specrig.spectrum import (Adjoint, Atom, PencilSyntaxError, Product,
                               det_pencil, evaluate_expr, lines_of_pair,
-                              parse_pencil, spectra_equal, x2_dependence)
+                              parse_pencil, slot_scales, spectra_equal,
+                              x2_dependence)
 
 from conftest import cofactor_det, random_complex, random_hermitian, random_unitary
 
@@ -132,6 +133,34 @@ class TestDetPencil:
             assert p.terms == {}
 
 
+    def test_conjugated_ladder_pair_against_mpmath(self, rng):
+        # the scaled (A1, A2 A2^H) pencil of a unitary conjugate of the
+        # n = 24 ladder is a product of 24 lines; expand that product at
+        # 50 digits and compare every coefficient
+        mpmath = pytest.importorskip("mpmath")
+        n, nu = 24, 0.5
+        t = snu2_generators(n, nu)
+        b = t.e @ adjoint(t.e)
+        s1, s2 = slot_scales((t.h, b))
+        w = random_unitary(rng, n)
+        p = det_pencil([s1 * (w @ t.h @ w.conj().T), s2 * (w @ b @ w.conj().T)])
+        with mpmath.workdps(50):
+            exact = {(0, 0): mpmath.mpf(1)}
+            for hj, bj in zip(np.diag(t.h).real, np.diag(b).real):
+                line = {(1, 0): mpmath.mpf(s1) * mpmath.mpf(hj),
+                        (0, 1): mpmath.mpf(s2) * mpmath.mpf(bj), (0, 0): mpmath.mpf(-1)}
+                prod = {}
+                for (i, j), c in exact.items():
+                    for (di, dj), d in line.items():
+                        prod[i + di, j + dj] = prod.get((i + di, j + dj), 0) + c * d
+                exact = prod
+            top = float(max(abs(c) for c in exact.values()))
+            got = p.terms
+            err = max(abs(got.get(e, 0j) - complex(exact.get(e, 0)))
+                      for e in set(got) | set(exact))
+        assert err <= 1e-12 * top, f"coefficient error {err:.3g} of {top:.3g}"
+
+
 class TestLinesOfPair:
     @pytest.mark.parametrize("nu", [0.3, 0.5, -0.7])
     @pytest.mark.parametrize("n", [2, 4, 7, 10])
@@ -201,6 +230,11 @@ class TestSpectraEqual:
         results = spectra_equal(t, conj,
                                 ["A1, A2 A2^H", "A1, A2^H A2", "A1, A2 A3"])
         assert all(r.equal for r in results)
+
+    def test_pair_is_not_a_triple(self):
+        a = np.eye(2)
+        with pytest.raises(ValueError, match="expected a triple"):
+            spectra_equal((a, a), (a, a), ["A1, A3"])
 
     def test_scaled_slot_detected(self):
         t = snu2_generators(4, 0.5)
