@@ -11,19 +11,34 @@ rule of signs that polynomial has at most one positive root, and it
 changes sign on (0, 1), so bisection isolates the unique root z_ij.
 The exceptional set is S = {+-sqrt(z_ij)} together with {+-1}, where the
 |nu| = 1 collisions follow the pairing i + j = n instead.
+
+All R ~ n^2/4 pairs of a dimension are bisected at once, as arrays.  A
+step is the scalar one for every pair: mid = 0.5 (lo + hi), Horner
+acc = acc * mid + c over the degrees n-1 .. 0, then keep the half where
+acc > 0.  So each root is the same float, bit for bit, as one pair's
+bisection gives.  The coefficients are built for a block of pairs at a
+time, which bounds the working memory to about ``_BLOCK`` floats however
+large n is.  Bisection stops at the first step that moves no interval
+end: from there mid rounds to an end and every later step repeats it, so
+``BISECT_ITERATIONS`` is only a cap (about 53 steps are taken).
+``z_root`` takes the same steps for one pair on Python floats: there a
+numpy call per degree would cost 5-10 times the arithmetic it does.
+
+``corollary_check`` sorts the roots once and scans the sorted order for
+neighbours within ``tol``, instead of testing every pair and triple.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .generators import c_coeff
-from .linalg import DEFAULT_TOL, cluster_values
+from .linalg import DEFAULT_TOL
 
 BISECT_ITERATIONS = 200
+_BLOCK = 2 ** 18  # coefficient floats per block of pairs (2 MB)
 
 
 @dataclass(frozen=True)
@@ -52,17 +67,33 @@ def root_polynomial(n: int, i: int, j: int) -> np.ndarray:
     return coeffs
 
 
-def descartes_sign_changes(coeffs) -> int:
-    """Number of sign alternations among nonzero coefficients."""
-    signs = [c for c in np.sign(coeffs) if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _polyval(coeffs, z: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return float(acc)
+def _bisect(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Roots z of the pairs (i[k], j[k]) of dimension n, bisected together
+    a block of pairs at a time (see the module docstring)."""
+    rows = max(1, _BLOCK // n)
+    degrees = np.arange(n - 1, -1, -1)[:, None]
+    out = np.empty(i.size)
+    for start in range(0, i.size, rows):
+        bi, bj = i[start:start + rows], j[start:start + rows]
+        # coeffs[k] multiplies z^(n-1-k): Horner order
+        coeffs = np.zeros((n, bi.size))
+        coeffs[degrees < n - bj] = 1.0
+        coeffs[degrees >= n - bi] = -1.0
+        lo, hi = np.zeros(bi.size), np.ones(bi.size)
+        acc = np.empty(bi.size)
+        for _ in range(BISECT_ITERATIONS):
+            mid = 0.5 * (lo + hi)
+            acc.fill(0.0)
+            for c in coeffs:
+                acc *= mid
+                acc += c
+            pos = acc > 0.0
+            new_lo, new_hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
+        out[start:start + rows] = 0.5 * (lo + hi)
+    return out
 
 
 def z_root(n: int, i: int, j: int) -> ExceptionalRoot:
@@ -72,13 +103,20 @@ def z_root(n: int, i: int, j: int) -> ExceptionalRoot:
     z=1 since i + j > n); unconditionally convergent, final interval far
     below 1e-16.
     """
-    coeffs = root_polynomial(n, i, j)
+    coeffs = root_polynomial(n, i, j)[::-1].tolist()
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if _polyval(coeffs, mid) > 0.0:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * mid + c
+        if acc > 0.0:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     z = 0.5 * (lo + hi)
     return ExceptionalRoot(n=n, i=i, j=j, z=z, nu=float(np.sqrt(z)))
@@ -90,11 +128,12 @@ def exceptional_set(n: int):
     are tagged separately (see ``exceptional_nus``)."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    roots = []
-    for i, j in itertools.combinations(range(n), 2):
-        if i + j > n:
-            roots.append(z_root(n, i, j))
-    return roots
+    i, j = np.triu_indices(n, 1)
+    keep = i + j > n
+    i, j = i[keep], j[keep]
+    z = _bisect(n, i, j)
+    return [ExceptionalRoot(n=n, i=a, j=b, z=c, nu=d)
+            for a, b, c, d in zip(i.tolist(), j.tolist(), z.tolist(), np.sqrt(z).tolist())]
 
 
 def exceptional_nus(n: int):
@@ -113,9 +152,17 @@ def is_exceptional(n: int, nu: float, tol: float = DEFAULT_TOL) -> bool:
 def multiplicity_profile(n: int, nu: float, tol: float = DEFAULT_TOL):
     """Clustered eigenvalue multiplicities of E E* (the values
     nu^2 c_(k+1)(nu)^2 for k = 0..n-1), as (eigenvalue, multiplicity)
-    pairs sorted ascending."""
-    vals = np.array([(nu * c_coeff(n, k + 1, nu)) ** 2 for k in range(n)])
-    return [(rep, len(idxs)) for rep, idxs in cluster_values(vals, tol)]
+    pairs sorted ascending.
+
+    Consecutive sorted values a, b fall into one cluster unless
+    |a - b| > tol * max(1, |a|, |b|); the representative is the cluster
+    mean."""
+    vals = np.sort([(nu * c_coeff(n, k + 1, nu)) ** 2 for k in range(n)])
+    mags = np.abs(vals)
+    split = np.abs(np.diff(vals)) > tol * np.maximum(1.0, np.maximum(mags[:-1], mags[1:]))
+    starts = np.concatenate(([0], np.flatnonzero(split) + 1))
+    counts = np.diff(np.append(starts, vals.size))
+    return list(zip((np.add.reduceat(vals, starts) / counts).tolist(), counts.tolist()))
 
 
 @dataclass
@@ -136,17 +183,30 @@ def corollary_check(n: int, tol: float = 1e-10) -> CorollaryCheck:
     result; on failure ``violations`` lists the offending pair groups.
     """
     roots = exceptional_set(n)
+    z = np.array([r.z for r in roots])
+    order = np.argsort(z).tolist()
+    zs = z[order]
+    # every root lies in (1/2, 1) (the polynomial is positive at 1/2), so
+    # z_q - z_p is exact and z_q <= fl(z_p + tol) whenever it is <= tol;
+    # the test below drops the roots that the rounding of z_p + tol admits
+    ends = np.searchsorted(zs, zs + tol, side="right").tolist()
+    close = sorted((min(p, q), max(p, q))
+                   for k, p in enumerate(order) for q in order[k + 1:ends[k]]
+                   if abs(roots[p].z - roots[q].z) <= tol)
     res = CorollaryCheck(ok=True)
-    for r1, r2 in itertools.combinations(roots, 2):
-        if abs(r1.z - r2.z) > tol:
-            continue
-        a, b = (r1, r2) if r1.i < r2.i else (r2, r1)
+    above, below = {}, {}
+    for p, q in close:
+        a, b = (roots[p], roots[q]) if roots[p].i < roots[q].i else (roots[q], roots[p])
         if not (a.j > b.j and (b.i - a.i) > (a.j - b.j)):
-            res.ok = False
             res.violations.append(("ordering", (a.i, a.j), (b.i, b.j), a.z))
-    for r1, r2, r3 in itertools.combinations(roots, 3):
-        if abs(r1.z - r2.z) <= tol and abs(r2.z - r3.z) <= tol:
-            res.ok = False
-            res.violations.append(("triple", (r1.i, r1.j), (r2.i, r2.j),
-                                   (r3.i, r3.j), r1.z))
+        above.setdefault(p, []).append(q)
+        below.setdefault(q, []).append(p)
+    # closeness is not transitive: a triple is two close pairs that share
+    # their middle root, as in the (first, middle, last) index order
+    for l, m, u in sorted((l, m, u) for m, us in above.items()
+                          for l in below.get(m, ()) for u in us):
+        r1, r2, r3 = roots[l], roots[m], roots[u]
+        res.violations.append(("triple", (r1.i, r1.j), (r2.i, r2.j),
+                               (r3.i, r3.j), r1.z))
+    res.ok = not res.violations
     return res

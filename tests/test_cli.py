@@ -158,6 +158,18 @@ class TestExceptional:
         assert lines[0] == "i,j,z,nu"
         assert len(lines) == 3  # header + two pairs
 
+    def test_csv_n200_roots(self, capsys):
+        n = 200
+        code, out, _ = run(capsys, "exceptional", "--n", str(n), "--csv")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "i,j,z,nu"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 9801
+        worst = max(abs(1.0 + z**n - z ** (n - int(j)) - z ** (n - int(i)))
+                    for i, j, z in ((i, j, float(z)) for i, j, z, _ in rows))
+        assert worst <= 1e-11
+
 
 class TestRelations:
     def test_snu2_swapped(self, capsys):

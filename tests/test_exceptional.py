@@ -1,13 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from specrig.exceptional import (corollary_check, descartes_sign_changes,
-                                 exceptional_nus, exceptional_set,
-                                 is_exceptional, multiplicity_profile,
-                                 root_polynomial, z_root)
+from specrig.exceptional import (corollary_check, exceptional_nus,
+                                 exceptional_set, is_exceptional,
+                                 multiplicity_profile, root_polynomial,
+                                 z_root)
 from specrig.generators import c_coeff
 
 # unique real root of z^3 + z^2 = 1 (cross-checked symbolically)
@@ -16,6 +17,12 @@ PLASTIC_ROOT = 0.7548776662466927
 
 def poly_value(coeffs, z):
     return sum(c * z**d for d, c in enumerate(coeffs))
+
+
+def sign_changes(coeffs):
+    """Number of sign alternations among nonzero coefficients."""
+    signs = [c for c in np.sign(coeffs) if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 class TestRootPolynomial:
@@ -62,7 +69,7 @@ class TestZRoot:
         for n in range(4, 13):
             for i, j in itertools.combinations(range(n), 2):
                 if i + j > n:
-                    assert descartes_sign_changes(root_polynomial(n, i, j)) == 1
+                    assert sign_changes(root_polynomial(n, i, j)) == 1
 
 
 class TestExceptionalSet:
@@ -82,6 +89,18 @@ class TestExceptionalSet:
         assert len(exceptional_set(n)) == len(pairs)
         # S~ is symmetric under nu -> -nu and excludes +-1 counting
         assert len(exceptional_nus(n)) == 2 * len(pairs) + 2
+
+    def test_n200_memory_is_bounded(self):
+        # the pairs are bisected a block at a time, so no (R, n) array of
+        # all 9801 pairs' coefficients (15.7 MB) is ever built
+        tracemalloc.start()
+        try:
+            roots = exceptional_set(200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(roots) == 9801
+        assert peak <= 8e6
 
     def test_original_multiplicity_equation(self):
         # 1 + z^n - z^(n-j) - z^(n-i) = 0 at every root
@@ -120,6 +139,14 @@ class TestMultiplicityProfile:
         profile = multiplicity_profile(n, 1.0)
         expected_doubles = sum(1 for m in range(1, n) if m < n - m)
         assert sum(1 for _, mult in profile if mult == 2) == expected_doubles
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_exactly_one_double_at_every_root(self, n):
+        # the small values need a gap relative to their own size: one
+        # scaled by max|vals| merges them, e.g. at (n, i, j) = (48, 46, 47)
+        for r in exceptional_set(n):
+            profile = multiplicity_profile(n, r.nu)
+            assert sorted(m for _, m in profile) == [1] * (n - 2) + [2], (r.i, r.j)
 
     def test_is_exceptional_iff_doubled(self):
         n = 6

@@ -7,7 +7,7 @@ from specrig.linalg import adjoint, hs_norm
 from specrig.rigidity import (EQUIVALENT, HYPOTHESIS_FAILED,
                               RECONSTRUCTION_FAILED, LineNotInSpectrumError,
                               MultiplicityError, NotUnitaryError,
-                              certify_equivalence, compression_check,
+                              _superdiagonal_support, certify_equivalence, compression_check,
                               reconstruct_sl2, reconstruct_snu2, sl2_rigidity,
                               snu2_rigidity, verify_conditions_sl2,
                               verify_conditions_snu2)
@@ -93,6 +93,25 @@ class TestReconstructSnu2:
         rep = reconstruct_snu2((t.h, a2, t.f), n, nu, tol)
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert rep.diagnostics[0].startswith("step3")
+
+    def test_spread_off_superdiagonal_mass_names_entries(self):
+        # 16 entries of half the threshold each: no entry exceeds it, the
+        # HS norm (twice the threshold) does
+        n, nu, tol = 8, 0.5, 1e-9
+        t = snu2_generators(n, nu)
+        s = max(1.0, hs_norm(t.e))
+        spots = [(i, j) for i in range(n - 1) for j in range(1, n) if j != i + 1][:16]
+        a2 = t.e.copy()
+        for i, j in spots:
+            a2[i, j] = 0.5 * tol * s
+        msg, sd = _superdiagonal_support("A2", a2, np.abs(np.diag(t.e, 1)), tol)
+        assert sd is None
+        assert msg == ("A2: A2 support off the superdiagonal at (0,2), (0,3), (0,4), "
+                       f"(0,5) (HS norm {2 * tol * s:.3g} > {tol * s:.3g})")
+        rep = reconstruct_snu2((t.h, a2, t.f), n, nu, tol)
+        assert rep.verdict == RECONSTRUCTION_FAILED
+        assert rep.diagnostics[0].startswith("step3")
+        assert "A2 support off the superdiagonal at (" in rep.diagnostics[0]
 
     def test_off_ladder_mass_flags_x2_diagnostic(self):
         n, nu = 4, 0.5
