@@ -132,10 +132,8 @@ def _build_base(args) -> GeneratorTuple:
 
 def _cmd_gen(args) -> int:
     if args.family == "random-conjugate":
-        inner = argparse.Namespace(family=args.base, n=args.n, nu=args.nu, c=args.c,
-                                   alpha=args.alpha, beta=args.beta,
-                                   gamma=args.gamma, delta=args.delta)
-        t = _random_conjugate(_build_base(inner), args.mode, args.seed)
+        args.family = args.base
+        t = _random_conjugate(_build_base(args), args.mode, args.seed)
     else:
         t = _build_base(args)
     _dump(tuple_to_json(t), args.output)
@@ -221,13 +219,7 @@ def _cmd_exceptional(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    if args.family == "fundamental":
-        t = fundamental_generators(args.nu)
-    else:
-        nu = 1.0 if (args.family == "limit" and args.nu is None) else args.nu
-        if args.n is None or nu is None:
-            raise UsageError("--family snu2 requires --n and --nu")
-        t = snu2_generators(args.n, nu)
+    t = _build_base(args)
     res = relation_residuals(t, args.orientation)
     _dump({
         "family": t.family, "n": t.n, "nu": t.nu,
@@ -240,8 +232,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    t = counterexample_tuple(_parse_complex(args.alpha), _parse_complex(args.beta),
-                             _parse_complex(args.gamma), _parse_complex(args.delta))
+    t = _build_base(args)
     ref = sl2_generators(3)
     comm = commutator(t.e, t.f)
     same = spectra_equal(t, ref, ["A1, A2, A3"], args.tol)[0]
@@ -323,6 +314,7 @@ def _build_parser() -> _Parser:
     add_common(p)
 
     p = sub.add_parser("counterexample", help="the 3x3 non-rigidity family demo")
+    p.set_defaults(family="counterexample")
     p.add_argument("--alpha", default="1")
     p.add_argument("--beta", default="2")
     p.add_argument("--gamma", default="2")

@@ -7,14 +7,29 @@ and assemble the diagonal unitary witness
 
     W_tilde = diag(1, e^(-i t1), e^(-i (t1+t2)), ...)
 
-that conjugates the reference triple onto the candidate.  The functions
-here run that construction step by step and report either the witness or
-the first step that fails, with diagnostics.
+that conjugates the reference triple onto the candidate.
 
-Verification (the pencil-equality hypotheses) and reconstruction are
-separate entry points; ``snu2_rigidity`` / ``sl2_rigidity`` chain them
-and map the outcome onto the verdicts ``equivalent``,
-``hypothesis_failed`` and ``reconstruction_failed``.
+Verification compares the family's pencils (``SNU2_PENCILS``,
+``SL2_PENCILS``) with the reference; the second slot of every pencil is
+read from one product table, ``_PRODUCTS``.  Reconstruction is one
+pipeline, ``_reconstruct``, for both families.  It checks the dimension,
+runs step 1 (diagonalize A1 and order the eigenbasis as the reference
+diagonal is ordered: ascending for snu2, descending for sl2), then the
+family's ordered list of named steps, and returns the certified witness
+or the first step that fails, with diagnostics:
+
+  snu2  step3 A2 support, step3 A3^H support, step2 adjoint products,
+        step4 phases, step5 certification;
+  sl2   step3 A2 support, step2 adjoint products, step4 compressions
+        and unimodular A3 subdiagonal, step4 phases, step5 HS budget,
+        step6 certification.
+
+The sl2 hypothesis set has no (A1, A3* A3) pencil, so A3 is pinned by
+the compressions on the (A1, A2 A3) lines and the Hilbert-Schmidt budget
+instead of its own support check.  ``snu2_rigidity`` / ``sl2_rigidity``
+chain verification and reconstruction and map the outcome onto the
+verdicts ``equivalent``, ``hypothesis_failed`` and
+``reconstruction_failed``.
 """
 
 from __future__ import annotations
@@ -25,9 +40,10 @@ import numpy as np
 
 from .generators import GeneratorTuple, sl2_generators, snu2_generators
 from .linalg import (DEFAULT_TOL, NotHermitianError, as_matrix, classify,
-                     hermitian_eig, hs_norm)
-from .poly import LinearForm, MultiPoly, divide_linear, poly_distance
-from .spectrum import det_pencil, x2_dependence
+                     hermitian_eig, hs_norm, matrix_to_json, spectral_projection)
+from .poly import LinearForm, divide_linear
+from .spectrum import (_PAIR_VARS, _compare, _product_of_lines, _slot_matrices,
+                       det_pencil, x2_dependence)
 
 EQUIVALENT = "equivalent"
 HYPOTHESIS_FAILED = "hypothesis_failed"
@@ -37,7 +53,14 @@ SNU2_PENCILS = ("A1, A2 A2^H", "A1, A2^H A2", "A1, A3 A3^H", "A1, A3^H A3",
                 "A1, A2 A3")
 SL2_PENCILS = ("A1, A2 A2^H", "A1, A2^H A2", "A1, A3 A3^H", "A1, A2 A3")
 
-_PAIR_VARS = ("x1", "x2")
+# the second slot of each pencil, as a product of A2, A3 and adjoints
+_PRODUCTS = {
+    "A1, A2 A2^H": lambda a2, a3: a2 @ a2.conj().T,
+    "A1, A2^H A2": lambda a2, a3: a2.conj().T @ a2,
+    "A1, A3 A3^H": lambda a2, a3: a3 @ a3.conj().T,
+    "A1, A3^H A3": lambda a2, a3: a3.conj().T @ a3,
+    "A1, A2 A3": lambda a2, a3: a2 @ a3,
+}
 
 
 class LineNotInSpectrumError(ValueError):
@@ -50,13 +73,6 @@ class MultiplicityError(ValueError):
 
 class NotUnitaryError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PencilCheck:
-    pencil: str
-    equal: bool
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -96,7 +112,6 @@ class RigidityReport:
         return self.basis @ self.witness
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
         return {
             "verdict": self.verdict,
             "witness": None if self.witness is None else matrix_to_json(self.witness),
@@ -107,25 +122,7 @@ class RigidityReport:
         }
 
 
-def _slot_matrices(t):
-    if hasattr(t, "matrices"):
-        return tuple(as_matrix(m) for m in t.matrices)
-    mats = tuple(as_matrix(m) for m in t)
-    if len(mats) != 3:
-        raise ValueError("expected a triple (A1, A2, A3)")
-    return mats
-
-
-# --- reference pencil polynomials --------------------------------------------
-
-def _diagonal_pair_poly(hdiag, bdiag) -> MultiPoly:
-    """Expanded product of the lines h_j x1 + b_j x2 - 1 (the pair
-    spectrum of two commuting diagonal matrices)."""
-    p = MultiPoly.constant(_PAIR_VARS, 1.0)
-    for hj, bj in zip(hdiag, bdiag):
-        p = p * MultiPoly(_PAIR_VARS, {(1, 0): hj, (0, 1): bj, (0, 0): -1.0})
-    return p
-
+# --- verification ---------------------------------------------------------------
 
 _ref_cache = {}
 
@@ -145,38 +142,17 @@ def reference_pencil_polys(ref: GeneratorTuple, pencils) -> dict:
     key = (ref.family, ref.n, ref.nu, tuple(pencils))
     if key in _ref_cache:
         return _ref_cache[key]
-    h, e, f = ref.matrices
-    ea, fa = e.conj().T, f.conj().T
-    products = {
-        "A1, A2 A2^H": e @ ea,
-        "A1, A2^H A2": ea @ e,
-        "A1, A3 A3^H": f @ fa,
-        "A1, A3^H A3": fa @ f,
-        "A1, A2 A3": e @ f,
-    }
-    hdiag = np.diag(h)
+    h = ref.h
     out = {}
     for name in pencils:
-        b = products[name]
-        off = b - np.diag(np.diag(b))
-        if hs_norm(off) != 0.0:
+        b = _PRODUCTS[name](ref.e, ref.f)
+        if hs_norm(b - np.diag(np.diag(b))) != 0.0:
             raise AssertionError(f"reference product for {name} is not diagonal")
         scales = (1.0 / max(1.0, hs_norm(h)), 1.0 / max(1.0, hs_norm(b)))
-        out[name] = (_diagonal_pair_poly(hdiag * scales[0], np.diag(b) * scales[1]),
-                     scales)
+        out[name] = (_product_of_lines(zip(np.diag(h) * scales[0],
+                                           np.diag(b) * scales[1])), scales)
     _ref_cache[key] = out
     return out
-
-
-def _candidate_products(a1, a2, a3):
-    a2h, a3h = a2.conj().T, a3.conj().T
-    return {
-        "A1, A2 A2^H": a2 @ a2h,
-        "A1, A2^H A2": a2h @ a2,
-        "A1, A3 A3^H": a3 @ a3h,
-        "A1, A3^H A3": a3h @ a3,
-        "A1, A2 A3": a2 @ a3,
-    }
 
 
 def _verify_conditions(t, ref, pencils, tol):
@@ -184,15 +160,11 @@ def _verify_conditions(t, ref, pencils, tol):
     if not classify(a1, tol).normal:
         return ConditionReport(a1_normal=False, checks=())
     refs = reference_pencil_polys(ref, pencils)
-    prods = _candidate_products(a1, a2, a3)
     checks = []
     for name in pencils:
         q, (s1, s2) = refs[name]
-        p = det_pencil([s1 * a1, s2 * prods[name]], _PAIR_VARS)
-        scale = max(1.0, p.max_abs_coeff(), q.max_abs_coeff())
-        dist = poly_distance(p, q)
-        checks.append(PencilCheck(pencil=name, equal=dist <= tol * scale,
-                                  residual=dist / scale))
+        p = det_pencil([s1 * a1, s2 * _PRODUCTS[name](a2, a3)], _PAIR_VARS)
+        checks.append(_compare(name, p, q, tol))
     return ConditionReport(a1_normal=True, checks=tuple(checks))
 
 
@@ -219,10 +191,9 @@ def _fail(step, message, diagnostics=None, residuals=None):
     return rep
 
 
-def _eigenbasis_matched(a1, ref_diag, tol, descending=False,
-                        disambiguator=None, ref_disamb=None):
-    """Diagonalize A1 and order its eigenbasis against the reference
-    diagonal (nearest-value matching is just index order once both lists
+def _eigenbasis_matched(a1, a2, ref, tol):
+    """Diagonalize A1 and order its eigenbasis as the reference diagonal
+    is ordered (nearest-value matching is just index order once both lists
     are sorted the same way; the reference spectra are simple).
 
     The ladder diagonal has exponentially clustering entries at small
@@ -230,15 +201,16 @@ def _eigenbasis_matched(a1, ref_diag, tol, descending=False,
     near-degenerate cluster even though the exact spectrum is simple.
     Where consecutive eigenvalues lie closer than
     max(tol, eps/tol) * max(1, ||A1||), the basis inside the cluster is
-    fixed by diagonalizing the compression of ``disambiguator``
-    (in practice A2 A2*, whose reference values separate exactly where
-    H's collide) and matching the refined columns to ``ref_disamb``.
-    Every downstream structural check still has to pass, so the
-    refinement cannot manufacture a witness that is not there.
+    fixed by diagonalizing the compression of A2 A2*, whose reference
+    values separate exactly where H's collide, and matching the refined
+    columns to the reference values.  Every downstream structural check
+    still has to pass, so the refinement cannot manufacture a witness
+    that is not there.
     """
+    ref_diag = np.diag(ref.h).real
     dec = hermitian_eig(a1, tol)
     values, vectors = dec.values, dec.vectors.copy()
-    if descending:
+    if ref_diag[0] > ref_diag[-1]:
         values = values[::-1]
         vectors = vectors[:, ::-1]
     scale = max(1.0, float(np.max(np.abs(ref_diag))))
@@ -246,54 +218,75 @@ def _eigenbasis_matched(a1, ref_diag, tol, descending=False,
     if gap > tol * scale:
         return values, vectors, gap, False
 
-    if disambiguator is not None:
-        eps = float(np.finfo(np.float64).eps)
-        theta = max(tol, eps / tol) * max(1.0, hs_norm(a1))
-        n = len(values)
-        start = 0
-        while start < n:
-            stop = start + 1
-            while stop < n and abs(values[stop] - values[stop - 1]) <= theta:
-                stop += 1
-            if stop - start > 1:
-                idxs = np.arange(start, stop)
-                q = vectors[:, idxs]
-                block = q.conj().T @ disambiguator @ q
-                wb, ub = np.linalg.eigh((block + block.conj().T) / 2.0)
-                # refined columns ascending in wb; place them where the
-                # reference disambiguator values sit in ascending order
-                order = np.argsort(ref_disamb[idxs])
-                cols = np.empty_like(ub)
-                cols[:, order] = ub
-                vectors[:, idxs] = q @ cols
-            start = stop
+    disambiguator = a2 @ a2.conj().T
+    ref_disamb = np.diag(ref.e @ ref.e.conj().T).real
+    eps = float(np.finfo(np.float64).eps)
+    theta = max(tol, eps / tol) * max(1.0, hs_norm(a1))
+    bounds = [0, *(np.flatnonzero(np.abs(np.diff(values)) > theta) + 1).tolist(), len(values)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            idxs = np.arange(start, stop)
+            q = vectors[:, idxs]
+            block = q.conj().T @ disambiguator @ q
+            wb, ub = np.linalg.eigh((block + block.conj().T) / 2.0)
+            # refined columns ascending in wb; place them where the
+            # reference disambiguator values sit in ascending order
+            order = np.argsort(ref_disamb[idxs])
+            cols = np.empty_like(ub)
+            cols[:, order] = ub
+            vectors[:, idxs] = q @ cols
     return values, vectors, gap, True
 
 
-def _diagonal_product_check(name, prod, expected, tol):
-    """Product must be diagonal with the expected entries."""
-    s = max(1.0, hs_norm(prod))
-    off = prod - np.diag(np.diag(prod))
-    if hs_norm(off) > tol * s:
-        return f"{name} is not diagonal in the A1 eigenbasis"
-    gaps = np.abs(np.diag(prod) - expected)
-    if float(np.max(gaps)) > tol * s:
-        j = int(np.argmax(gaps))
-        return (f"{name} diagonal mismatch at index {j}: "
-                f"{complex(prod[j, j]):.6g} vs expected {expected[j]:.6g}")
-    return None
+@dataclass
+class _Frame:
+    """What the reconstruction steps read and write: the candidate in
+    A1's matched eigenbasis (``ahat``, ``basis``, ``values``), the
+    phases read off A2 and the final report."""
+
+    ref: GeneratorTuple
+    tol: float
+    values: np.ndarray
+    basis: np.ndarray
+    ahat: tuple
+    phases: np.ndarray | None = None
+    report: RigidityReport | None = None
 
 
-def _superdiagonal_support(name, mat, ref_moduli, tol):
+def _reconstruct(t, ref, tol, steps) -> RigidityReport:
+    """The dimension check and step 1, then each (name, step) of
+    ``steps`` in order.  A step returns None when it passes, else the
+    arguments of ``_fail`` after the step name; the last step stores the
+    report."""
+    n = ref.n
+    a1, a2, a3 = _slot_matrices(t)
+    if a1.shape != (n, n):
+        return _fail("step1", f"candidate dimension {a1.shape[0]} != n={n}")
+    try:
+        values, v, gap, ok = _eigenbasis_matched(a1, a2, ref, tol)
+    except NotHermitianError:
+        return _fail("step1", "A1 is not Hermitian/normal within tolerance")
+    if not ok:
+        return _fail("step1", f"spectrum of A1 does not match the reference "
+                              f"diagonal (max gap {gap:.3g})")
+    frame = _Frame(ref, tol, values, v, tuple(v.conj().T @ a @ v for a in (a1, a2, a3)))
+    for name, step in steps:
+        failure = step(frame)
+        if failure:
+            return _fail(name, *failure)
+    return frame.report
+
+
+def _superdiagonal_support(label, mat, ref_moduli, tol):
     """First column and last row must vanish and all mass must sit on the
-    superdiagonal with the reference moduli."""
+    superdiagonal with the reference moduli.  Returns the failure message
+    about ``label``, or None."""
     n = mat.shape[0]
     s = max(1.0, hs_norm(mat))
-    off = mat.copy()
-    idx = np.arange(n - 1)
-    off[idx, idx + 1] = 0.0
+    sd = mat.diagonal(1)
+    off = mat - np.diag(sd, 1)
     if hs_norm(off[:, 0]) > tol * s or hs_norm(off[n - 1, :]) > tol * s:
-        return f"{name}: first column or last row of A2 is not zero", None
+        return f"{label}: first column or last row of {label} is not zero"
     norm = hs_norm(off)
     if norm > tol * s:
         # name the largest entries: the norm can exceed the threshold when
@@ -301,15 +294,56 @@ def _superdiagonal_support(name, mat, ref_moduli, tol):
         mags = np.abs(off).ravel()
         where = ", ".join(f"({k // n},{k % n})" for k in np.argsort(-mags, kind="stable")[:4]
                           if mags[k] > 0)
-        return (f"{name}: A2 support off the superdiagonal at {where} "
-                f"(HS norm {norm:.3g} > {tol * s:.3g})"), None
-    sd = mat[idx, idx + 1]
+        return (f"{label}: {label} support off the superdiagonal at {where} "
+                f"(HS norm {norm:.3g} > {tol * s:.3g})")
     gaps = np.abs(np.abs(sd) - ref_moduli)
     if gaps.size and float(np.max(gaps)) > tol * s:
         j = int(np.argmax(gaps))
-        return (f"{name}: superdiagonal modulus mismatch at ({j},{j + 1}): "
-                f"|{complex(sd[j]):.6g}| vs {ref_moduli[j]:.6g}"), None
-    return None, sd
+        return (f"{label}: superdiagonal modulus mismatch at ({j},{j + 1}): "
+                f"|{complex(sd[j]):.6g}| vs {ref_moduli[j]:.6g}")
+    return None
+
+
+def _a2_support(fr):
+    """A2 is supported on the superdiagonal with the reference moduli;
+    off-diagonal mass triggers the x2-dependence diagnostic.  The
+    entrywise support checks run before the coarser product checks, so a
+    bumped modulus is reported as the support violation it is."""
+    msg = _superdiagonal_support("A2", fr.ahat[1], np.abs(fr.ref.e.diagonal(1)), fr.tol)
+    if msg:
+        dep = x2_dependence(np.diag(fr.values).astype(np.complex128), fr.ahat[1])
+        return msg, [f"x2_dependence detected: {dep}"]
+    return None
+
+
+def _a3_adjoint_support(fr):
+    """Mirror of ``_a2_support`` for A3 and its subdiagonal (snu2)."""
+    msg = _superdiagonal_support("A3^H", fr.ahat[2].conj().T,
+                                 np.abs(fr.ref.f.diagonal(-1)), fr.tol)
+    return (msg,) if msg else None
+
+
+def _adjoint_products(pencils):
+    """The step checking that the products of the pencils other than
+    (A1, A2 A3) are diagonal in A1's eigenbasis with the reference
+    values."""
+    names = [p for p in pencils if p != "A1, A2 A3"]
+
+    def step(fr):
+        for name in names:
+            prod = _PRODUCTS[name](fr.ahat[1], fr.ahat[2])
+            expected = np.diag(_PRODUCTS[name](fr.ref.e, fr.ref.f)).real
+            s = max(1.0, hs_norm(prod))
+            label = name.removeprefix("A1, ")
+            if hs_norm(prod - np.diag(np.diag(prod))) > fr.tol * s:
+                return (f"{label} is not diagonal in the A1 eigenbasis",)
+            gaps = np.abs(np.diag(prod) - expected)
+            if float(np.max(gaps)) > fr.tol * s:
+                j = int(np.argmax(gaps))
+                return (f"{label} diagonal mismatch at index {j}: "
+                        f"{complex(prod[j, j]):.6g} vs expected {expected[j]:.6g}",)
+        return None
+    return step
 
 
 def _unit_phases(entries, ref_entries):
@@ -319,207 +353,92 @@ def _unit_phases(entries, ref_entries):
     return ratios / mods
 
 
-def _witness_from_phases(phases):
-    """diag(1, conj(p0), conj(p0 p1), ...): the canonical diagonal
-    unitary with first entry 1 built from the superdiagonal phases."""
-    lam = np.concatenate([[1.0 + 0j], np.conj(np.cumprod(phases))])
-    return np.diag(lam)
+def _phases(fr):
+    """The phases read off A2's superdiagonal and A3's subdiagonal
+    agree."""
+    ahat, e_sd, f_sd = fr.ahat, fr.ref.e.diagonal(1), fr.ref.f.diagonal(-1)
+    fr.phases = _unit_phases(ahat[1].diagonal(1), e_sd)
+    if not fr.phases.size:
+        return None
+    sigma = np.conj(_unit_phases(ahat[2].diagonal(-1), f_sd))
+    phase_tol = fr.tol * max(1.0, hs_norm(ahat[1]) / float(np.min(np.abs(e_sd))),
+                             hs_norm(ahat[2]) / float(np.min(np.abs(f_sd))))
+    phase_gap = float(np.max(np.abs(fr.phases - sigma)))
+    if phase_gap > phase_tol:
+        return (f"phase mismatch between A2 and A3 "
+                f"(Lambda != Sigma, max gap {phase_gap:.3g})",)
+    return None
 
 
-def _certify(ahat, ref_mats, w):
-    resid = 0.0
-    per_slot = {}
-    for name, a, r in zip(("A1", "A2", "A3"), ahat, ref_mats):
-        rr = hs_norm(a - w @ r @ w.conj().T) / max(1.0, hs_norm(r))
-        per_slot[f"certify {name}"] = rr
-        resid = max(resid, rr)
-    return resid, per_slot
+def _compressions(fr):
+    """sl2: the spectral compressions on the lines
+    (n-1-2j) x1 + (j+1)(n-1-j) x2 = 1 of (A1, A2 A3) pin the subdiagonal
+    of A3, whose entries must then be unimodular."""
+    n, ahat, tol = fr.ref.n, fr.ahat, fr.tol
+    prod23 = ahat[1] @ ahat[2]
+    mus = np.array([(j + 1) * (n - 1 - j) for j in range(n - 1)], dtype=float)
+    comp_gap = np.abs(np.diag(prod23)[:-1] - mus)
+    if float(np.max(comp_gap)) > tol * max(1.0, hs_norm(prod23)):
+        j = int(np.argmax(comp_gap))
+        return (f"compression mismatch on line {j}: "
+                f"(A2 A3)_{j}{j} = {complex(prod23[j, j]):.6g} vs {mus[j]:.6g}",)
+    mod_gap = np.abs(np.abs(ahat[2].diagonal(-1)) - 1.0)
+    if float(np.max(mod_gap)) > tol * max(1.0, hs_norm(ahat[2])):
+        j = int(np.argmax(mod_gap))
+        return (f"A3 subdiagonal entry ({j + 1},{j}) is not unimodular",)
+    return None
+
+
+def _hs_budget(fr):
+    """sl2: the Hilbert-Schmidt budget trace(A3 A3*) = n-1 forces every
+    entry of A3 off the subdiagonal to zero."""
+    total = hs_norm(fr.ahat[2]) ** 2
+    sub_mass = float(np.sum(np.abs(fr.ahat[2].diagonal(-1)) ** 2))
+    if total - sub_mass > fr.tol * max(1.0, total):
+        return (f"hs-budget violation: trace(A3 A3*) = {total:.6g} "
+                f"carries {total - sub_mass:.3g} off the subdiagonal",)
+    return None
+
+
+def _certified(fr):
+    """Certify all three slots with the witness diag(1, conj(p0),
+    conj(p0 p1), ...), the canonical diagonal unitary with first entry 1
+    built from the superdiagonal phases p."""
+    w = np.diag(np.concatenate([[1.0 + 0j], np.conj(np.cumprod(fr.phases))]))
+    per_slot = {f"certify {name}": hs_norm(a - w @ r @ w.conj().T) / max(1.0, hs_norm(r))
+                for name, a, r in zip(("A1", "A2", "A3"), fr.ahat, fr.ref.matrices)}
+    resid = max(per_slot.values())
+    if resid > fr.tol:
+        return f"certification residual {resid:.3g} exceeds tolerance", None, per_slot
+    fr.report = RigidityReport(verdict=EQUIVALENT, witness=w, basis=fr.basis,
+                               condition_residuals=per_slot, residual=resid)
+    return None
+
+
+_SNU2_STEPS = (("step3", _a2_support), ("step3", _a3_adjoint_support),
+               ("step2", _adjoint_products(SNU2_PENCILS)), ("step4", _phases),
+               ("step5", _certified))
+_SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products(SL2_PENCILS)),
+              ("step4", _compressions), ("step4", _phases), ("step5", _hs_budget),
+              ("step6", _certified))
 
 
 def reconstruct_snu2(t, n: int, nu: float, tol: float = DEFAULT_TOL) -> RigidityReport:
     """Reconstruct the diagonal unitary witness for a candidate triple
-    against the deformed ladder reference.
+    against the deformed ladder reference, through ``_SNU2_STEPS``.
 
     Assumes the pair-spectrum hypotheses have been verified (see
     ``verify_conditions_snu2`` / ``snu2_rigidity``); every step still
-    guards itself and fails with the step name on violation:
-
-      1. diagonalize A1 and match its spectrum to the reference diagonal;
-      2. the four adjoint products must be diagonal in that eigenbasis
-         with the reference ladder values;
-      3. A2 (and mirror-wise A3) must be supported on the super-(sub-)
-         diagonal with the reference moduli; off-diagonal mass triggers
-         the x2-dependence diagnostic;
-      4. the phases read off A2 and A3 must agree;
-      5. the assembled witness must certify all three slots.
+    guards itself and fails with the step name on violation.
     """
-    ref = snu2_generators(n, nu)
-    a1, a2, a3 = _slot_matrices(t)
-    if a1.shape != (n, n):
-        return _fail("step1", f"candidate dimension {a1.shape[0]} != n={n}")
-
-    # step 1: eigenbasis of A1, ordered to the reference diagonal
-    e, f = ref.e, ref.f
-    try:
-        values, v, gap, ok = _eigenbasis_matched(
-            a1, np.diag(ref.h).real, tol,
-            disambiguator=a2 @ a2.conj().T,
-            ref_disamb=np.diag(e @ e.conj().T).real)
-    except NotHermitianError:
-        return _fail("step1", "A1 is not Hermitian/normal within tolerance")
-    if not ok:
-        return _fail("step1", f"spectrum of A1 does not match the reference "
-                              f"diagonal (max gap {gap:.3g})")
-    ahat = tuple(v.conj().T @ a @ v for a in (a1, a2, a3))
-
-    # step 3 first: the entrywise ladder-support checks are the sharpest
-    # witnesses of a tampered entry, so they run before the coarser
-    # product checks (a bumped superdiagonal modulus is reported as the
-    # support violation it is, not as the product mismatch it implies)
-    idx = np.arange(n - 1)
-    msg, sd2 = _superdiagonal_support("A2", ahat[1], np.abs(e[idx, idx + 1]) if n > 1
-                                      else np.zeros(0), tol)
-    if msg:
-        dep = x2_dependence(np.diag(values).astype(np.complex128), ahat[1])
-        return _fail("step3", msg, [f"x2_dependence detected: {dep}"])
-    msg, sd3 = _superdiagonal_support("A3", ahat[2].conj().T,
-                                      np.abs(f[idx + 1, idx]) if n > 1 else np.zeros(0), tol)
-    if msg:
-        return _fail("step3", msg.replace("A2", "A3_adjoint"))
-
-    # step 2: adjoint products diagonal with the ladder values
-    expected = {
-        "A2 A2^H": np.diag(e @ e.conj().T).real,
-        "A2^H A2": np.diag(e.conj().T @ e).real,
-        "A3 A3^H": np.diag(f @ f.conj().T).real,
-        "A3^H A3": np.diag(f.conj().T @ f).real,
-    }
-    prods = {
-        "A2 A2^H": ahat[1] @ ahat[1].conj().T,
-        "A2^H A2": ahat[1].conj().T @ ahat[1],
-        "A3 A3^H": ahat[2] @ ahat[2].conj().T,
-        "A3^H A3": ahat[2].conj().T @ ahat[2],
-    }
-    for name in expected:
-        msg = _diagonal_product_check(name, prods[name], expected[name], tol)
-        if msg:
-            return _fail("step2", msg)
-
-    # step 4: phases from A2's superdiagonal and A3's subdiagonal agree
-    if n > 1:
-        p_hat = _unit_phases(ahat[1][idx, idx + 1], e[idx, idx + 1])
-        sigma_hat = np.conj(_unit_phases(ahat[2][idx + 1, idx], f[idx + 1, idx]))
-        phase_tol = tol * max(1.0,
-                              hs_norm(ahat[1]) / float(np.min(np.abs(e[idx, idx + 1]))),
-                              hs_norm(ahat[2]) / float(np.min(np.abs(f[idx + 1, idx]))))
-        phase_gap = float(np.max(np.abs(p_hat - sigma_hat)))
-        if phase_gap > phase_tol:
-            return _fail("step4", f"phase mismatch between A2 and A3 "
-                                  f"(Lambda != Sigma, max gap {phase_gap:.3g})")
-    else:
-        p_hat = np.zeros(0, dtype=np.complex128)
-
-    # step 5: assemble the witness and certify
-    w = _witness_from_phases(p_hat)
-    resid, per_slot = _certify(ahat, ref.matrices, w)
-    rep = RigidityReport(verdict=EQUIVALENT, witness=w, basis=v, residual=resid)
-    rep.condition_residuals.update(per_slot)
-    if resid > tol:
-        return _fail("step5", f"certification residual {resid:.3g} exceeds tolerance",
-                     residuals=per_slot)
-    return rep
+    return _reconstruct(t, snu2_generators(n, nu), tol, _SNU2_STEPS)
 
 
 def reconstruct_sl2(t, n: int, tol: float = DEFAULT_TOL) -> RigidityReport:
-    """Witness reconstruction against the sl(2) reference.
-
-    Same pipeline as the deformed case, with two differences forced by
-    the weaker hypothesis set (no (A1, A3* A3) pencil): the subdiagonal
-    entries of A3 are pinned through the spectral compressions of the
-    (A1, A2 A3) lines, and the Hilbert-Schmidt budget
-    trace(A3 A3*) = n-1 then forces every other entry of A3 to zero.
-    """
-    ref = sl2_generators(n)
-    a1, a2, a3 = _slot_matrices(t)
-    if a1.shape != (n, n):
-        return _fail("step1", f"candidate dimension {a1.shape[0]} != n={n}")
-
-    e, f = ref.e, ref.f
-    try:
-        values, v, gap, ok = _eigenbasis_matched(
-            a1, np.diag(ref.h).real, tol, descending=True,
-            disambiguator=a2 @ a2.conj().T,
-            ref_disamb=np.diag(e @ e.conj().T).real)
-    except NotHermitianError:
-        return _fail("step1", "A1 is not Hermitian/normal within tolerance")
-    if not ok:
-        return _fail("step1", f"spectrum of A1 does not match the reference "
-                              f"diagonal (max gap {gap:.3g})")
-    ahat = tuple(v.conj().T @ a @ v for a in (a1, a2, a3))
-
-    # entrywise A2 support first (see reconstruct_snu2), then products
-    idx = np.arange(n - 1)
-    msg, sd2 = _superdiagonal_support("A2", ahat[1], np.abs(e[idx, idx + 1]), tol)
-    if msg:
-        dep = x2_dependence(np.diag(values).astype(np.complex128), ahat[1])
-        return _fail("step3", msg, [f"x2_dependence detected: {dep}"])
-    p_hat = _unit_phases(ahat[1][idx, idx + 1], e[idx, idx + 1])
-
-    expected = {
-        "A2 A2^H": np.diag(e @ e.conj().T).real,
-        "A2^H A2": np.diag(e.conj().T @ e).real,
-        "A3 A3^H": np.diag(f @ f.conj().T).real,
-    }
-    prods = {
-        "A2 A2^H": ahat[1] @ ahat[1].conj().T,
-        "A2^H A2": ahat[1].conj().T @ ahat[1],
-        "A3 A3^H": ahat[2] @ ahat[2].conj().T,
-    }
-    for name in expected:
-        msg = _diagonal_product_check(name, prods[name], expected[name], tol)
-        if msg:
-            return _fail("step2", msg)
-
-    # step 4: spectral compressions on the lines
-    # (n-1-2j) x1 + (j+1)(n-1-j) x2 = 1 pin the subdiagonal of A3
-    prod23 = ahat[1] @ ahat[2]
-    s23 = max(1.0, hs_norm(prod23))
-    mus = np.array([(j + 1) * (n - 1 - j) for j in range(n - 1)], dtype=float)
-    comp_gap = np.abs(np.diag(prod23)[:-1] - mus)
-    if comp_gap.size and float(np.max(comp_gap)) > tol * s23:
-        j = int(np.argmax(comp_gap))
-        return _fail("step4", f"compression mismatch on line {j}: "
-                              f"(A2 A3)_{j}{j} = {complex(prod23[j, j]):.6g} "
-                              f"vs {mus[j]:.6g}")
-    sub3 = ahat[2][idx + 1, idx]
-    s3 = max(1.0, hs_norm(ahat[2]))
-    mod_gap = np.abs(np.abs(sub3) - 1.0)
-    if mod_gap.size and float(np.max(mod_gap)) > tol * s3:
-        j = int(np.argmax(mod_gap))
-        return _fail("step4", f"A3 subdiagonal entry ({j + 1},{j}) is not unimodular")
-    sigma_hat = np.conj(_unit_phases(sub3, np.ones(n - 1)))
-    phase_tol = tol * max(1.0, hs_norm(ahat[1]) / float(np.min(np.abs(e[idx, idx + 1]))),
-                          hs_norm(ahat[2]))
-    phase_gap = float(np.max(np.abs(p_hat - sigma_hat))) if n > 1 else 0.0
-    if phase_gap > phase_tol:
-        return _fail("step4", f"phase mismatch between A2 and A3 "
-                              f"(Lambda != Sigma, max gap {phase_gap:.3g})")
-
-    # step 5: Hilbert-Schmidt budget n-1 forces the rest of A3 to zero
-    total = hs_norm(ahat[2]) ** 2
-    sub_mass = float(np.sum(np.abs(sub3) ** 2))
-    if total - sub_mass > tol * max(1.0, total):
-        return _fail("step5", f"hs-budget violation: trace(A3 A3*) = {total:.6g} "
-                              f"carries {total - sub_mass:.3g} off the subdiagonal")
-
-    w = _witness_from_phases(p_hat)
-    resid, per_slot = _certify(ahat, ref.matrices, w)
-    rep = RigidityReport(verdict=EQUIVALENT, witness=w, basis=v, residual=resid)
-    rep.condition_residuals.update(per_slot)
-    if resid > tol:
-        return _fail("step6", f"certification residual {resid:.3g} exceeds tolerance",
-                     residuals=per_slot)
-    return rep
+    """Witness reconstruction against the sl(2) reference, through
+    ``_SL2_STEPS``: A3 is pinned by the compressions and the
+    Hilbert-Schmidt budget in place of its own support check."""
+    return _reconstruct(t, sl2_generators(n), tol, _SL2_STEPS)
 
 
 # --- drivers ------------------------------------------------------------------
@@ -559,7 +478,6 @@ def compression_check(a1, b, lam, mu, tol: float = DEFAULT_TOL) -> bool:
     (a1, b) with multiplicity 1: the determinant polynomial must be
     divisible by the line exactly once (checked by synthetic division).
     """
-    from .linalg import spectral_projection
     a1 = as_matrix(a1)
     b = as_matrix(b)
     p = det_pencil([a1, b], _PAIR_VARS)

@@ -33,6 +33,8 @@ from .poly import MultiPoly, poly_distance, poly_equal
 
 MAX_PENCIL_VARS = 4
 
+_PAIR_VARS = ("x1", "x2")
+
 _SLOT_OF_ATOM = {"A1": 0, "H": 0, "A2": 1, "E": 1, "A3": 2, "F": 2}
 
 _TOKEN_RE = re.compile(r"A[123]|\^H|[HEF]|,|\s+")
@@ -104,6 +106,16 @@ def parse_pencil(src: str):
     return exprs
 
 
+def _slot_matrices(t):
+    """The three validated slot matrices of a tuple or a triple."""
+    if hasattr(t, "matrices"):
+        return tuple(as_matrix(m) for m in t.matrices)
+    mats = tuple(as_matrix(m) for m in t)
+    if len(mats) != 3:
+        raise ValueError("expected a triple (A1, A2, A3)")
+    return mats
+
+
 def evaluate_expr(expr, mats):
     """Evaluate a pencil expression against the three slot matrices."""
     if isinstance(expr, Atom):
@@ -170,6 +182,15 @@ class LineArrangement:
         return sum(l.mult for l in self.lines)
 
 
+def _product_of_lines(coeffs) -> MultiPoly:
+    """Expanded product of the lines a x1 + b x2 - 1, one per (a, b) in
+    ``coeffs``, multiplied in order."""
+    p = MultiPoly.constant(_PAIR_VARS, 1.0)
+    for a, b in coeffs:
+        p = p * MultiPoly(_PAIR_VARS, {(1, 0): a, (0, 1): b, (0, 0): -1.0})
+    return p
+
+
 def slot_scales(*mat_groups):
     """Positive per-slot scale factors 1 / max(1, ||M_i||_HS) taken over
     the matrices occupying slot i in every group.
@@ -224,16 +245,10 @@ def lines_of_pair(a, b, tol: float = DEFAULT_TOL):
                 mult += 1
         lines.append(Line(coeffs=(complex(w[i]), complex(mu[i])), mult=mult))
 
-    vars = ("x1", "x2")
     s1, s2 = slot_scales((a, b))
-    product = MultiPoly.constant(vars, 1.0)
-    for line in lines:
-        factor = MultiPoly(vars, {(1, 0): line.coeffs[0] * s1,
-                                  (0, 1): line.coeffs[1] * s2,
-                                  (0, 0): -1.0})
-        for _ in range(line.mult):
-            product = product * factor
-    certified = poly_equal(product, det_pencil([s1 * a, s2 * b], vars), tol)
+    product = _product_of_lines((l.coeffs[0] * s1, l.coeffs[1] * s2)
+                                for l in lines for _ in range(l.mult))
+    certified = poly_equal(product, det_pencil([s1 * a, s2 * b], _PAIR_VARS), tol)
     return LineArrangement(lines=tuple(lines)), certified
 
 
@@ -244,6 +259,15 @@ class PencilComparison:
     residual: float
 
 
+def _compare(pencil, p, q, tol) -> PencilComparison:
+    """Coefficient-wise comparison of two determinant polynomials: the
+    residual is the max coefficient gap over max(1, largest coefficient)."""
+    scale = max(1.0, p.max_abs_coeff(), q.max_abs_coeff())
+    dist = poly_distance(p, q)
+    return PencilComparison(pencil=pencil, equal=dist <= tol * scale,
+                            residual=dist / scale)
+
+
 def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
     """Compare the proper joint spectra of two tuples on a list of
     pencils (each pencil a comma-separated slot expression string).
@@ -252,7 +276,6 @@ def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
     ``slot_scales``) determinant polynomials at the given tolerance; the
     residual is the max coefficient gap relative to the largest one.
     """
-    from .rigidity import _slot_matrices
     m1 = _slot_matrices(t1)
     m2 = _slot_matrices(t2)
     out = []
@@ -261,12 +284,8 @@ def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
         g1 = [evaluate_expr(e, m1) for e in exprs]
         g2 = [evaluate_expr(e, m2) for e in exprs]
         ss = slot_scales(g1, g2)
-        p1 = det_pencil([s * m for s, m in zip(ss, g1)])
-        p2 = det_pencil([s * m for s, m in zip(ss, g2)])
-        scale = max(1.0, p1.max_abs_coeff(), p2.max_abs_coeff())
-        dist = poly_distance(p1, p2)
-        out.append(PencilComparison(pencil=src, equal=dist <= tol * scale,
-                                    residual=dist / scale))
+        out.append(_compare(src, det_pencil([s * m for s, m in zip(ss, g1)]),
+                            det_pencil([s * m for s, m in zip(ss, g2)]), tol))
     return out
 
 
@@ -278,6 +297,6 @@ def x2_dependence(a1, a2, prune: float = 1e-10) -> bool:
     are discarded before reading off the x2-degree.
     """
     s1, s2 = slot_scales((as_matrix(a1), as_matrix(a2)))
-    p = det_pencil([s1 * as_matrix(a1), s2 * as_matrix(a2)], ("x1", "x2"))
+    p = det_pencil([s1 * as_matrix(a1), s2 * as_matrix(a2)], _PAIR_VARS)
     cut = prune * max(1.0, p.max_abs_coeff())
     return bool(np.any(np.abs(p.coeffs[:, 1:]) > cut))

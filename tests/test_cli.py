@@ -185,6 +185,23 @@ class TestRelations:
         blob = json.loads(out)
         assert max(blob["r1"], blob["r2"], blob["r3"]) <= 1e-12
 
+    @pytest.mark.parametrize("family,argv,message", [
+        ("fundamental", (), "error: --family fundamental requires --nu\n"),
+        ("limit", (), "error: --family limit requires --n\n"),
+        ("snu2", ("--nu", "0.5"), "error: --family snu2 requires --n\n"),
+        ("snu2", ("--n", "4"), "error: --family snu2 requires --nu\n"),
+    ], ids=["fundamental", "limit", "snu2-no-n", "snu2-no-nu"])
+    def test_missing_parameter_exits_one(self, capsys, family, argv, message):
+        code, out, err = run(capsys, "relations", "--family", family, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == message
+
+    def test_limit_defaults_to_nu_one(self, capsys):
+        code, out, _ = run(capsys, "relations", "--family", "limit", "--n", "4")
+        assert code == 0
+        assert json.loads(out)["nu"] == 1.0
+
 
 class TestCounterexampleCommand:
     def test_demo_payload(self, capsys):

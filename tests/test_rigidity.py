@@ -104,8 +104,7 @@ class TestReconstructSnu2:
         a2 = t.e.copy()
         for i, j in spots:
             a2[i, j] = 0.5 * tol * s
-        msg, sd = _superdiagonal_support("A2", a2, np.abs(np.diag(t.e, 1)), tol)
-        assert sd is None
+        msg = _superdiagonal_support("A2", a2, np.abs(np.diag(t.e, 1)), tol)
         assert msg == ("A2: A2 support off the superdiagonal at (0,2), (0,3), (0,4), "
                        f"(0,5) (HS norm {2 * tol * s:.3g} > {tol * s:.3g})")
         rep = reconstruct_snu2((t.h, a2, t.f), n, nu, tol)
@@ -137,6 +136,69 @@ class TestReconstructSnu2:
         rep = reconstruct_snu2((2.0 * t.h, t.e, t.f), n, nu)
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert rep.diagnostics[0].startswith("step1")
+
+
+def _a3_off_subdiagonal(h, e, f):
+    f = f.copy()
+    f[3, 1] = 0.5
+    return h, e, f
+
+
+def _a3_modulus(h, e, f):
+    f = f.copy()
+    f[2, 1] *= 1.5
+    return h, e, f
+
+
+def _a2_off_superdiagonal(h, e, f):
+    e = e.copy()
+    e[1, 3] = 0.5
+    return h, e, f
+
+
+def _a3_phase(h, e, f):
+    f = f.copy()
+    f[2, 1] *= np.exp(0.4j)
+    return h, e, f
+
+
+def _double_a1(h, e, f):
+    return 2.0 * h, e, f
+
+
+# tamper of the n = 5 reference -> first diagnostic, snu2 (nu = 0.5) / sl2
+FAILING_STEPS = [
+    (_a3_off_subdiagonal,
+     "step3: A3^H: A3^H support off the superdiagonal at (1,3)",
+     "step2: A3 A3^H is not diagonal in the A1 eigenbasis"),
+    (_a3_modulus,
+     "step3: A3^H: superdiagonal modulus mismatch at (1,2)",
+     "step2: A3 A3^H diagonal mismatch at index 2"),
+    (_a2_off_superdiagonal,
+     "step3: A2: A2 support off the superdiagonal at (1,3)",
+     "step3: A2: A2 support off the superdiagonal at (1,3)"),
+    (_a3_phase,
+     "step4: phase mismatch between A2 and A3",
+     "step4: compression mismatch on line 1"),
+    (_double_a1,
+     "step1: spectrum of A1 does not match the reference diagonal",
+     "step1: spectrum of A1 does not match the reference diagonal"),
+]
+
+
+@pytest.mark.parametrize("family", ["snu2", "sl2"])
+@pytest.mark.parametrize("tamper,snu2_msg,sl2_msg", FAILING_STEPS,
+                         ids=[case[0].__name__.lstrip("_") for case in FAILING_STEPS])
+def test_failing_step_names(family, tamper, snu2_msg, sl2_msg):
+    n = 5
+    if family == "snu2":
+        rep = reconstruct_snu2(tamper(*snu2_generators(n, 0.5).matrices), n, 0.5)
+        expected = snu2_msg
+    else:
+        rep = reconstruct_sl2(tamper(*sl2_generators(n).matrices), n)
+        expected = sl2_msg
+    assert rep.verdict == RECONSTRUCTION_FAILED
+    assert rep.diagnostics[0].startswith(expected), rep.diagnostics
 
 
 class TestGaugeInvariance:
