@@ -12,6 +12,7 @@ square for products like A A*).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,17 @@ def as_matrix(a) -> np.ndarray:
 
 
 def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Hilbert-Schmidt (Frobenius) norm, with ``np.linalg.norm``'s sum of
+    squares and bits.  Where that sum overflows, the entries are divided
+    by the largest modulus first; ``np.vdot`` raises no warning."""
+    x = np.asarray(a)
+    x = (x if x.dtype.kind in "fc" else x.astype(np.float64)).ravel(order="K")
+    sq = float(np.vdot(x.real, x.real))
+    if x.dtype.kind == "c":
+        sq += float(np.vdot(x.imag, x.imag))
+    if sq == math.inf and (big := float(np.max(np.abs(x)))) < math.inf:
+        return big * hs_norm(x / big)
+    return math.sqrt(sq)
 
 
 def adjoint(a) -> np.ndarray:
@@ -94,13 +104,9 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     if hs_norm(a - a.conj().T) > tol * scale:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        i = int(np.argmax(np.abs(col)))
-        ph = col[i]
-        if ph != 0:
-            v[:, j] = col * (abs(ph) / ph)
-    return EigenDecomposition(values=w, vectors=v)
+    ph = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return EigenDecomposition(values=w, vectors=v * np.array(
+        [abs(p) / p if p != 0 else 1.0 for p in ph]))
 
 
 def cluster_values(values, tol: float, scale: float | None = None):

@@ -9,14 +9,14 @@ and assemble the diagonal unitary witness
 
 that conjugates the reference triple onto the candidate.
 
-Verification compares the family's pencils (``SNU2_PENCILS``,
-``SL2_PENCILS``) with the reference; the second slot of every pencil is
-read from one product table, ``_PRODUCTS``.  Reconstruction is one
-pipeline, ``_reconstruct``, for both families.  It checks the dimension,
-runs step 1 (diagonalize A1 and order the eigenbasis as the reference
-diagonal is ordered: ascending for snu2, descending for sl2), then the
-family's ordered list of named steps, and returns the certified witness
-or the first step that fails, with diagnostics:
+Each reference (family, n, nu) is built once and cached read-only with
+its pencil polynomials and product diagonals.  Verification tests A1's
+normality, then evaluates the family's pencils (``SNU2_PENCILS``,
+``SL2_PENCILS``; second slots from ``_PRODUCTS``) in one stacked
+determinant pass.  Reconstruction, ``_reconstruct``, checks the
+dimension, runs step 1 (diagonalize A1, eigenbasis ordered as the
+reference diagonal), then the family's named steps, and returns the
+certified witness or the first failing step with diagnostics:
 
   snu2  step3 A2 support, step3 A3^H support, step2 adjoint products,
         step4 phases, step5 certification;
@@ -24,26 +24,25 @@ or the first step that fails, with diagnostics:
         and unimodular A3 subdiagonal, step4 phases, step5 HS budget,
         step6 certification.
 
-The sl2 hypothesis set has no (A1, A3* A3) pencil, so A3 is pinned by
-the compressions on the (A1, A2 A3) lines and the Hilbert-Schmidt budget
-instead of its own support check.  ``snu2_rigidity`` / ``sl2_rigidity``
-chain verification and reconstruction and map the outcome onto the
-verdicts ``equivalent``, ``hypothesis_failed`` and
-``reconstruction_failed``.
+sl2 has no (A1, A3* A3) pencil, so the compressions on the (A1, A2 A3)
+lines and the Hilbert-Schmidt budget pin A3.  ``snu2_rigidity`` /
+``sl2_rigidity`` chain both stages into the verdicts ``equivalent``,
+``hypothesis_failed`` and ``reconstruction_failed``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .generators import GeneratorTuple, sl2_generators, snu2_generators
-from .linalg import (DEFAULT_TOL, NotHermitianError, as_matrix, classify,
-                     hermitian_eig, hs_norm, matrix_to_json, spectral_projection)
+from .linalg import (DEFAULT_TOL, NotHermitianError, as_matrix, hermitian_eig,
+                     hs_norm, matrix_to_json, spectral_projection)
 from .poly import LinearForm, divide_linear
-from .spectrum import (_PAIR_VARS, _compare, _product_of_lines, _slot_matrices,
-                       det_pencil, x2_dependence)
+from .spectrum import (_PAIR_VARS, _compare, _det_polys, _product_of_lines,
+                       _slot_matrices, det_pencil, x2_dependence)
 
 EQUIVALENT = "equivalent"
 HYPOTHESIS_FAILED = "hypothesis_failed"
@@ -124,24 +123,30 @@ class RigidityReport:
 
 # --- verification ---------------------------------------------------------------
 
-_ref_cache = {}
+# a cached reference: read-only triple, pencil polynomials, product diagonals
+_Reference = namedtuple("_Reference", "ref polys expected")
+_references = {}
+
+
+def _reference(family, n, nu=None) -> _Reference:
+    """The reference of ``family`` at (n, nu), built on first use."""
+    key = (family, n, nu)
+    if key not in _references:
+        ref, pencils = ((snu2_generators(n, nu), SNU2_PENCILS) if family == "snu2"
+                        else (sl2_generators(n), SL2_PENCILS))
+        for m in ref.matrices:
+            m.flags.writeable = False
+        _references[key] = _Reference(ref, reference_pencil_polys(ref, pencils), {
+            name: np.diag(_PRODUCTS[name](ref.e, ref.f)).real.copy()
+            for name in pencils if name != "A1, A2 A3"})
+    return _references[key]
 
 
 def reference_pencil_polys(ref: GeneratorTuple, pencils) -> dict:
-    """Pair-spectrum polynomials of the reference triple, with the
-    per-slot norm scales they were computed at.
-
-    Every reference pencil pairs the diagonal H with a product of ladder
-    matrices that is itself exactly diagonal, so each polynomial is an
-    exact product of lines (no interpolation on the reference side).
-    The pencil slots are scaled by 1 / max(1, ||slot||_HS), a spectra
-    bijection that keeps candidate-side determinant evaluations well
-    conditioned even when the ladder norms reach 1e8.  Returns
-    {pencil: (poly, (s1, s2))}.
-    """
-    key = (ref.family, ref.n, ref.nu, tuple(pencils))
-    if key in _ref_cache:
-        return _ref_cache[key]
+    """{pencil: (poly, (s1, s2))}: the reference pair-spectrum polynomials
+    at the slot scales 1 / max(1, ||slot||_HS) (see ``slot_scales``).
+    Each pencil pairs the diagonal H with an exactly diagonal product of
+    ladder matrices, so each polynomial is an exact product of lines."""
     h = ref.h
     out = {}
     for name in pencils:
@@ -151,34 +156,33 @@ def reference_pencil_polys(ref: GeneratorTuple, pencils) -> dict:
         scales = (1.0 / max(1.0, hs_norm(h)), 1.0 / max(1.0, hs_norm(b)))
         out[name] = (_product_of_lines(zip(np.diag(h) * scales[0],
                                            np.diag(b) * scales[1])), scales)
-    _ref_cache[key] = out
     return out
 
 
-def _verify_conditions(t, ref, pencils, tol):
+def _verify_conditions(t, entry, tol):
+    """A1's normality, then all the family's pencils in one stacked pass."""
     a1, a2, a3 = _slot_matrices(t)
-    if not classify(a1, tol).normal:
+    if hs_norm(a1 @ a1.conj().T - a1.conj().T @ a1) > tol * max(1.0, hs_norm(a1) ** 2):
         return ConditionReport(a1_normal=False, checks=())
-    refs = reference_pencil_polys(ref, pencils)
-    checks = []
-    for name in pencils:
-        q, (s1, s2) = refs[name]
-        p = det_pencil([s1 * a1, s2 * _PRODUCTS[name](a2, a3)], _PAIR_VARS)
-        checks.append(_compare(name, p, q, tol))
-    return ConditionReport(a1_normal=True, checks=tuple(checks))
+    refs = entry.polys
+    first = next(iter(refs.values()))[1][0] * a1  # H's scale is every pencil's s1
+    polys = _det_polys([(first, s2 * _PRODUCTS[name](a2, a3))
+                        for name, (_, (_, s2)) in refs.items()], _PAIR_VARS)
+    return ConditionReport(a1_normal=True, checks=tuple(
+        _compare(name, p, q, tol) for (name, (q, _)), p in zip(refs.items(), polys)))
 
 
 def verify_conditions_snu2(t, n: int, nu: float, tol: float = DEFAULT_TOL) -> ConditionReport:
     """The five pair-spectrum equalities against the deformed ladder
     reference: (A1, A2 A2*), (A1, A2* A2), (A1, A3 A3*), (A1, A3* A3)
     and (A1, A2 A3).  A non-normal A1 fails immediately."""
-    return _verify_conditions(t, snu2_generators(n, nu), SNU2_PENCILS, tol)
+    return _verify_conditions(t, _reference("snu2", n, nu), tol)
 
 
 def verify_conditions_sl2(t, n: int, tol: float = DEFAULT_TOL) -> ConditionReport:
     """The four pair-spectrum equalities against the sl(2) reference:
     (A1, A2 A2*), (A1, A2* A2), (A1, A3 A3*) and (A1, A2 A3)."""
-    return _verify_conditions(t, sl2_generators(n), SL2_PENCILS, tol)
+    return _verify_conditions(t, _reference("sl2", n), tol)
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -191,7 +195,7 @@ def _fail(step, message, diagnostics=None, residuals=None):
     return rep
 
 
-def _eigenbasis_matched(a1, a2, ref, tol):
+def _eigenbasis_matched(a1, a2, entry, tol):
     """Diagonalize A1 and order its eigenbasis as the reference diagonal
     is ordered (nearest-value matching is just index order once both lists
     are sorted the same way; the reference spectra are simple).
@@ -207,7 +211,7 @@ def _eigenbasis_matched(a1, a2, ref, tol):
     still has to pass, so the refinement cannot manufacture a witness
     that is not there.
     """
-    ref_diag = np.diag(ref.h).real
+    ref_diag = np.diag(entry.ref.h).real
     dec = hermitian_eig(a1, tol)
     values, vectors = dec.values, dec.vectors.copy()
     if ref_diag[0] > ref_diag[-1]:
@@ -219,7 +223,6 @@ def _eigenbasis_matched(a1, a2, ref, tol):
         return values, vectors, gap, False
 
     disambiguator = a2 @ a2.conj().T
-    ref_disamb = np.diag(ref.e @ ref.e.conj().T).real
     eps = float(np.finfo(np.float64).eps)
     theta = max(tol, eps / tol) * max(1.0, hs_norm(a1))
     bounds = [0, *(np.flatnonzero(np.abs(np.diff(values)) > theta) + 1).tolist(), len(values)]
@@ -231,7 +234,7 @@ def _eigenbasis_matched(a1, a2, ref, tol):
             wb, ub = np.linalg.eigh((block + block.conj().T) / 2.0)
             # refined columns ascending in wb; place them where the
             # reference disambiguator values sit in ascending order
-            order = np.argsort(ref_disamb[idxs])
+            order = np.argsort(entry.expected["A1, A2 A2^H"][idxs])
             cols = np.empty_like(ub)
             cols[:, order] = ub
             vectors[:, idxs] = q @ cols
@@ -245,6 +248,7 @@ class _Frame:
     phases read off A2 and the final report."""
 
     ref: GeneratorTuple
+    expected: dict
     tol: float
     values: np.ndarray
     basis: np.ndarray
@@ -253,23 +257,24 @@ class _Frame:
     report: RigidityReport | None = None
 
 
-def _reconstruct(t, ref, tol, steps) -> RigidityReport:
+def _reconstruct(t, entry, tol, steps) -> RigidityReport:
     """The dimension check and step 1, then each (name, step) of
     ``steps`` in order.  A step returns None when it passes, else the
     arguments of ``_fail`` after the step name; the last step stores the
     report."""
-    n = ref.n
+    n = entry.ref.n
     a1, a2, a3 = _slot_matrices(t)
     if a1.shape != (n, n):
         return _fail("step1", f"candidate dimension {a1.shape[0]} != n={n}")
     try:
-        values, v, gap, ok = _eigenbasis_matched(a1, a2, ref, tol)
+        values, v, gap, ok = _eigenbasis_matched(a1, a2, entry, tol)
     except NotHermitianError:
         return _fail("step1", "A1 is not Hermitian/normal within tolerance")
     if not ok:
         return _fail("step1", f"spectrum of A1 does not match the reference "
                               f"diagonal (max gap {gap:.3g})")
-    frame = _Frame(ref, tol, values, v, tuple(v.conj().T @ a @ v for a in (a1, a2, a3)))
+    frame = _Frame(entry.ref, entry.expected, tol, values, v,
+                   tuple(v.conj().T @ a @ v for a in (a1, a2, a3)))
     for name, step in steps:
         failure = step(frame)
         if failure:
@@ -323,27 +328,21 @@ def _a3_adjoint_support(fr):
     return (msg,) if msg else None
 
 
-def _adjoint_products(pencils):
-    """The step checking that the products of the pencils other than
-    (A1, A2 A3) are diagonal in A1's eigenbasis with the reference
-    values."""
-    names = [p for p in pencils if p != "A1, A2 A3"]
-
-    def step(fr):
-        for name in names:
-            prod = _PRODUCTS[name](fr.ahat[1], fr.ahat[2])
-            expected = np.diag(_PRODUCTS[name](fr.ref.e, fr.ref.f)).real
-            s = max(1.0, hs_norm(prod))
-            label = name.removeprefix("A1, ")
-            if hs_norm(prod - np.diag(np.diag(prod))) > fr.tol * s:
-                return (f"{label} is not diagonal in the A1 eigenbasis",)
-            gaps = np.abs(np.diag(prod) - expected)
-            if float(np.max(gaps)) > fr.tol * s:
-                j = int(np.argmax(gaps))
-                return (f"{label} diagonal mismatch at index {j}: "
-                        f"{complex(prod[j, j]):.6g} vs expected {expected[j]:.6g}",)
-        return None
-    return step
+def _adjoint_products(fr):
+    """The products of the pencils other than (A1, A2 A3) are diagonal in
+    A1's eigenbasis with the reference values."""
+    for name, expected in fr.expected.items():
+        prod = _PRODUCTS[name](fr.ahat[1], fr.ahat[2])
+        s = max(1.0, hs_norm(prod))
+        label = name.removeprefix("A1, ")
+        if hs_norm(prod - np.diag(np.diag(prod))) > fr.tol * s:
+            return (f"{label} is not diagonal in the A1 eigenbasis",)
+        gaps = np.abs(np.diag(prod) - expected)
+        if float(np.max(gaps)) > fr.tol * s:
+            j = int(np.argmax(gaps))
+            return (f"{label} diagonal mismatch at index {j}: "
+                    f"{complex(prod[j, j]):.6g} vs expected {expected[j]:.6g}",)
+    return None
 
 
 def _unit_phases(entries, ref_entries):
@@ -416,9 +415,9 @@ def _certified(fr):
 
 
 _SNU2_STEPS = (("step3", _a2_support), ("step3", _a3_adjoint_support),
-               ("step2", _adjoint_products(SNU2_PENCILS)), ("step4", _phases),
+               ("step2", _adjoint_products), ("step4", _phases),
                ("step5", _certified))
-_SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products(SL2_PENCILS)),
+_SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products),
               ("step4", _compressions), ("step4", _phases), ("step5", _hs_budget),
               ("step6", _certified))
 
@@ -431,14 +430,14 @@ def reconstruct_snu2(t, n: int, nu: float, tol: float = DEFAULT_TOL) -> Rigidity
     ``verify_conditions_snu2`` / ``snu2_rigidity``); every step still
     guards itself and fails with the step name on violation.
     """
-    return _reconstruct(t, snu2_generators(n, nu), tol, _SNU2_STEPS)
+    return _reconstruct(t, _reference("snu2", n, nu), tol, _SNU2_STEPS)
 
 
 def reconstruct_sl2(t, n: int, tol: float = DEFAULT_TOL) -> RigidityReport:
     """Witness reconstruction against the sl(2) reference, through
     ``_SL2_STEPS``: A3 is pinned by the compressions and the
     Hilbert-Schmidt budget in place of its own support check."""
-    return _reconstruct(t, sl2_generators(n), tol, _SL2_STEPS)
+    return _reconstruct(t, _reference("sl2", n), tol, _SL2_STEPS)
 
 
 # --- drivers ------------------------------------------------------------------

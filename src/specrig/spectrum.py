@@ -11,7 +11,9 @@ grid the values are the discrete Fourier transform of the coefficient
 array, so one inverse DFT recovers the coefficients; the DFT is unitary,
 so interpolation adds no error growth with n, unlike a monomial
 Vandermonde solve at real nodes.  Node order is fixed, so results are
-bit-stable across runs.
+bit-stable across runs.  One kernel stacks the grids of all pencils that
+share k and n, hands LAPACK ``_BLOCK`` matrix entries at a time (memory
+stays bounded at large n) and interpolates with one FFT.
 
 A pencil expression grammar selects the slot matrices, e.g.
 ``"A1, A2 A2^H"`` denotes the pair (A1, A2 adjoint(A2)).  Atoms A1/A2/A3
@@ -27,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, NotNormalError, as_matrix, classify,
-                     cluster_values, hs_norm, normal_eig)
+from .linalg import DEFAULT_TOL, NotNormalError, as_matrix, hs_norm, normal_eig
 from .poly import MultiPoly, poly_distance, poly_equal
 
 MAX_PENCIL_VARS = 4
+
+_BLOCK = 2 ** 18  # matrix entries per batch of determinants (4 MB)
 
 _PAIR_VARS = ("x1", "x2")
 
@@ -138,19 +141,21 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
     drops the -I and yields the homogeneous pencil determinant.
     At most 4 variables are supported.
     """
-    mats = [as_matrix(m) for m in mats]
-    k = len(mats)
+    return _det_polys([mats], var_names, affine)[0]
+
+
+def _det_polys(pencils, var_names=None, affine=True):
+    """``det_pencil`` of pencils sharing k and n, bit for bit, in one pass."""
+    pencils = [[as_matrix(m) for m in mats] for mats in pencils]
+    k = len(pencils[0])
     if k == 0:
         raise ValueError("pencil needs at least one matrix")
     if k > MAX_PENCIL_VARS:
         raise ValueError(f"pencils in more than {MAX_PENCIL_VARS} variables are unsupported")
-    n = mats[0].shape[0]
-    for m in mats[1:]:
-        if m.shape != (n, n):
-            raise ValueError("pencil matrices must share one dimension")
-    if var_names is None:
-        var_names = tuple(f"x{i + 1}" for i in range(k))
-    var_names = tuple(var_names)
+    n = pencils[0][0].shape[0]
+    if any(len(mats) != k or any(m.shape != (n, n) for m in mats) for mats in pencils):
+        raise ValueError("pencil matrices must share one dimension")
+    var_names = tuple(var_names) if var_names is not None else tuple(f"x{i + 1}" for i in range(k))
     if len(var_names) != k:
         raise ValueError("need one variable name per pencil matrix")
 
@@ -158,12 +163,25 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
     # (n+1)-th roots of unity are the DFT of its coefficient array
     m = n + 1
     nodes = np.exp(2j * np.pi * np.arange(m) / m)
-    stack = -np.eye(n) if affine else np.zeros((n, n))
-    for i, mat in enumerate(mats):
-        stack = stack + nodes.reshape((m,) + (1,) * (k - 1 - i) + (1, 1)) * mat
-    values = np.linalg.det(stack)
-    coeffs = np.fft.fftn(values) / values.size
-    return MultiPoly.from_dense(var_names, coeffs)
+    axes = [nodes.reshape((m,) + (1,) * (k - 1 - i) + (1, 1)) for i in range(k)]
+    rows = len(pencils) * m  # one row per (pencil, first node)
+    values = np.empty((rows,) + (m,) * (k - 1), dtype=np.complex128)
+    step = max(1, _BLOCK // (values[0].size * n * n))
+    stack = np.empty((min(step, rows),) + values.shape[1:] + (n, n), dtype=np.complex128)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        for p in range(start // m, (stop - 1) // m + 1):
+            lo, hi = max(start, p * m), min(stop, (p + 1) * m)
+            xs = [axes[0][lo - p * m:hi - p * m]] + axes[1:]
+            acc = -np.eye(n) if affine else np.zeros((n, n))
+            for x, mat in zip(xs[:-1], pencils[p]):
+                acc = acc + x * mat
+            np.add(acc, xs[-1] * pencils[p][-1], out=stack[lo - start:hi - start])
+        values[start:stop] = np.linalg.det(stack[:stop - start])
+    values = values.reshape((len(pencils),) + (m,) * k)
+    for axis in range(k, 0, -1):  # fftn's order, without its axes handling
+        values = np.fft.fft(values, axis=axis)
+    return [MultiPoly.from_dense(var_names, c) for c in values / m ** k]
 
 
 @dataclass(frozen=True)
@@ -223,27 +241,23 @@ def lines_of_pair(a, b, tol: float = DEFAULT_TOL):
     b = as_matrix(b)
     if a.shape != b.shape:
         raise ValueError("pair matrices must share one dimension")
-    if not classify(a, tol).normal:
-        raise NotNormalError("first matrix of the pair must be normal")
-    w, v = normal_eig(a, tol)
-    bhat = v.conj().T @ b @ v
-    mu = np.diag(bhat)
+    try:
+        w, v = normal_eig(a, tol)
+    except NotNormalError:
+        raise NotNormalError("first matrix of the pair must be normal") from None
+    mu = np.diag(v.conj().T @ b @ v)
     pairs = np.stack([w, mu], axis=1)
 
     # group coincident (lam, mu) pairs: multiplicity of a line
     scale = max(1.0, float(np.max(np.abs(pairs))))
-    used = [False] * len(w)
+    near = np.max(np.abs(pairs[:, None] - pairs[None]), axis=2) <= tol * scale
+    free = np.ones(len(w), dtype=bool)
     lines = []
     for i in range(len(w)):
-        if used[i]:
-            continue
-        mult = 1
-        used[i] = True
-        for j in range(i + 1, len(w)):
-            if not used[j] and np.max(np.abs(pairs[i] - pairs[j])) <= tol * scale:
-                used[j] = True
-                mult += 1
-        lines.append(Line(coeffs=(complex(w[i]), complex(mu[i])), mult=mult))
+        if free[i]:
+            group = free & near[i] & (np.arange(len(w)) >= i)
+            free &= ~group
+            lines.append(Line(coeffs=(complex(w[i]), complex(mu[i])), mult=int(group.sum())))
 
     s1, s2 = slot_scales((a, b))
     product = _product_of_lines((l.coeffs[0] * s1, l.coeffs[1] * s2)

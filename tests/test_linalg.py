@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,30 @@ class TestSpectralProjection:
     def test_not_an_eigenvalue(self):
         with pytest.raises(EigenvalueNotFoundError):
             spectral_projection(np.diag([1.0, 2.0]).astype(complex), 5.0)
+
+
+class TestHsNorm:
+    def test_bit_identical_to_numpy_norm(self, rng):
+        for n in (1, 2, 5, 10, 17, 40):
+            for scale in (1e-8, 1.0, 1e8, 1e60):
+                a = scale * random_complex(rng, n)
+                for view in (a, a.conj().T, a.real, a[:, 0], a[1:, ::2]):
+                    assert hs_norm(view) == float(np.linalg.norm(view))
+
+    def test_overflowing_sum_of_squares_is_rescaled(self, rng):
+        a = 1e200 * random_complex(rng, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norm = hs_norm(a)
+        assert np.isfinite(norm)
+        assert norm == pytest.approx(1e200 * hs_norm(a / 1e200), rel=1e-15)
+
+    def test_zero_matrix(self):
+        assert hs_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+
+    def test_real_and_integer_input(self):
+        assert hs_norm(np.array([[3.0, 0.0], [0.0, -4.0]])) == 5.0
+        assert hs_norm([[3, 0], [0, 4]]) == 5.0
 
 
 class TestClassify:

@@ -1,6 +1,11 @@
+import json
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from specrig import rigidity, spectrum
 from specrig.generators import (counterexample_tuple, sl2_generators,
                                 snu2_generators)
 from specrig.linalg import adjoint, hs_norm
@@ -11,7 +16,8 @@ from specrig.rigidity import (EQUIVALENT, HYPOTHESIS_FAILED,
                               reconstruct_sl2, reconstruct_snu2, sl2_rigidity,
                               snu2_rigidity, verify_conditions_sl2,
                               verify_conditions_snu2)
-from specrig.spectrum import spectra_equal
+from specrig.poly import poly_to_json
+from specrig.spectrum import det_pencil, spectra_equal
 
 from conftest import random_complex, random_phases, random_unitary
 
@@ -409,3 +415,83 @@ class TestLargeDimension:
         tampered[slot][i, j] += 1e-6 * max(1.0, hs_norm(cand[slot])) \
             * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         assert _rigidity(family, tuple(tampered), n, nu, 1e-8).verdict != EQUIVALENT
+
+
+def _verify(family, cand, n, nu, tol=1e-9):
+    if family == "sl2":
+        return verify_conditions_sl2(cand, n, tol)
+    return verify_conditions_snu2(cand, n, nu, tol)
+
+
+class TestStackedVerification:
+    """Verification evaluates all pencils of the family in one stacked
+    determinant pass, a block of matrices at a time."""
+
+    @pytest.mark.parametrize("family,nu", [("snu2", 0.5), ("sl2", None)])
+    @pytest.mark.parametrize("n", [*range(2, 11), 16, 24, 40])
+    def test_polynomials_match_det_pencil(self, monkeypatch, rng, n, family, nu):
+        if n in (24, 40):  # one pencil's node grid spans several blocks
+            assert (n + 1) ** 2 * n * n > spectrum._BLOCK
+        cand = conjugated(_reference(family, n, nu), random_unitary(rng, n))
+        compared, compare = [], rigidity._compare
+
+        def spy(name, p, q, tol):
+            compared.append((name, p))
+            return compare(name, p, q, tol)
+        monkeypatch.setattr(rigidity, "_compare", spy)
+        cond = _verify(family, cand, n, nu)
+        assert cond.a1_normal
+        polys = rigidity._reference(family, n, nu).polys
+        assert [name for name, _ in compared] == list(polys)
+        a1, a2, a3 = cand
+        for name, p in compared:
+            s1, s2 = polys[name][1]
+            alone = det_pencil([s1 * a1, s2 * rigidity._PRODUCTS[name](a2, a3)], ("x1", "x2"))
+            assert json.dumps(poly_to_json(p)) == json.dumps(poly_to_json(alone))
+
+    def test_memory_stays_within_blocks(self, monkeypatch, rng):
+        n, nu = 40, 0.9
+        cand = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
+        monkeypatch.setattr(rigidity, "_references", {})
+        tracemalloc.start()
+        try:
+            cond = verify_conditions_snu2(cand, n, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cond.all_passed
+        assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestOverflowSafeScales:
+    def test_small_nu_conjugate_is_normal_without_warnings(self, rng):
+        # ||A1|| is about 7.6e98 here: the sum of squares of A1 A1* - A1* A1
+        # overflows float64 unless it is rescaled
+        n, nu = 40, 0.05
+        cand = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cond = verify_conditions_snu2(cand, n, nu)
+        assert cond.a1_normal
+        assert cond.all_passed
+
+
+class TestReferenceCache:
+    def test_reference_built_once_and_read_only(self, monkeypatch, rng):
+        monkeypatch.setattr(rigidity, "_references", {})
+        builds = []
+
+        def counted(n, nu):
+            builds.append((n, nu))
+            return snu2_generators(n, nu)
+        monkeypatch.setattr(rigidity, "snu2_generators", counted)
+        n, nu = 6, 0.35
+        cand = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
+        assert snu2_rigidity(cand, n, nu).verdict == EQUIVALENT
+        assert len(builds) == 1
+        assert snu2_rigidity(cand, n, nu).verdict == EQUIVALENT
+        assert len(builds) == 1
+        for m in rigidity._reference("snu2", n, nu).ref.matrices:
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+        assert all(m.flags.writeable for m in snu2_generators(n, nu).matrices)

@@ -49,6 +49,21 @@ class TestParsePencil:
 
 
 class TestDetPencil:
+    @pytest.mark.parametrize("k,n", [(1, 3), (1, 40), (2, 2), (2, 7), (2, 24), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_blocked_grid_matches_one_broadcast_grid(self, rng, k, n, affine):
+        # the whole node grid as one broadcast stack and one det call: the
+        # blocked evaluation must give the same bits
+        mats = [random_complex(rng, n) for _ in range(k)]
+        m = n + 1
+        nodes = np.exp(2j * np.pi * np.arange(m) / m)
+        stack = -np.eye(n) if affine else np.zeros((n, n))
+        for i, mat in enumerate(mats):
+            stack = stack + nodes.reshape((m,) + (1,) * (k - 1 - i) + (1, 1)) * mat
+        values = np.linalg.det(stack)
+        expected = MultiPoly.from_dense(det_pencil(mats).vars, np.fft.fftn(values) / values.size)
+        assert np.array_equal(det_pencil(mats, affine=affine).coeffs, expected.coeffs)
+
     def test_diagonal_pencil(self):
         lams = [1.5, -2.0, 0.5]
         p = det_pencil([np.diag(lams).astype(complex)])
@@ -207,7 +222,7 @@ class TestLinesOfPair:
         assert certified
 
     def test_first_matrix_must_be_normal(self, rng):
-        with pytest.raises(NotNormalError):
+        with pytest.raises(NotNormalError, match="^first matrix of the pair must be normal$"):
             lines_of_pair(random_complex(rng, 3), np.eye(3))
 
 
