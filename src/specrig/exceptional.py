@@ -24,12 +24,30 @@ end: from there mid rounds to an end and every later step repeats it, so
 ``z_root`` takes the same steps for one pair on Python floats: there a
 numpy call per degree would cost 5-10 times the arithmetic it does.
 
-``corollary_check`` sorts the roots once and scans the sorted order for
-neighbours within ``tol``, instead of testing every pair and triple.
+``is_exceptional`` and ``corollary_check`` read only the roots near their
+question, so they step the pairs in lockstep and drop a pair once its
+bracket [lo, hi] rules it out.  The final root stays inside the bracket,
+so the answers are those of the full bisection, bit for bit:
+
+- ``is_exceptional``: np.sqrt and float subtraction are monotone under
+  rounding, so fl(nu - sqrt(hi)) > tol or fl(nu - sqrt(lo)) < -tol
+  rules out |nu - sqrt(z)| <= tol, and likewise for -sqrt(z).
+- ``corollary_check``: after the first step all brackets lie in [1/2, 1]
+  with dyadic ends, so lo_q - hi_p is exact and bounds |z_q - z_p| from
+  below.  In lo order, a pair with brackets more than tol away on both
+  sides (the largest hi before it, the next lo after it) can join no
+  close pair.  The survivors' roots are sorted once and scanned for
+  neighbours within ``tol``, instead of testing every pair and triple.
+
+The last ``_SCALAR_FINISH`` pairs finish on ``z_root``'s loop from their
+brackets.  Above one block, each block runs ``_ROUND`` steps per build
+of its coefficients, so memory stays within ``_BLOCK`` floats plus a
+bracket per pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +57,8 @@ from .linalg import DEFAULT_TOL
 
 BISECT_ITERATIONS = 200
 _BLOCK = 2 ** 18  # coefficient floats per block of pairs (2 MB)
+_SCALAR_FINISH = 4  # pruned bisection finishes this many pairs on Python floats
+_ROUND = 4  # pruned bisection steps per coefficient build, above one block
 
 
 @dataclass(frozen=True)
@@ -67,44 +87,82 @@ def root_polynomial(n: int, i: int, j: int) -> np.ndarray:
     return coeffs
 
 
-def _bisect(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Roots z of the pairs (i[k], j[k]) of dimension n, bisected together
-    a block of pairs at a time (see the module docstring)."""
-    rows = max(1, _BLOCK // n)
+def _coefficients(n, i, j):
+    """(n, pairs) array; row k multiplies z^(n-1-k), Horner order."""
     degrees = np.arange(n - 1, -1, -1)[:, None]
-    out = np.empty(i.size)
-    for start in range(0, i.size, rows):
-        bi, bj = i[start:start + rows], j[start:start + rows]
-        # coeffs[k] multiplies z^(n-1-k): Horner order
-        coeffs = np.zeros((n, bi.size))
-        coeffs[degrees < n - bj] = 1.0
-        coeffs[degrees >= n - bi] = -1.0
-        lo, hi = np.zeros(bi.size), np.ones(bi.size)
-        acc = np.empty(bi.size)
-        for _ in range(BISECT_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            acc.fill(0.0)
-            for c in coeffs:
-                acc *= mid
-                acc += c
-            pos = acc > 0.0
-            new_lo, new_hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
-            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-                break
-            lo, hi = new_lo, new_hi
-        out[start:start + rows] = 0.5 * (lo + hi)
+    coeffs = np.zeros((n, i.size))
+    coeffs[degrees < n - j] = 1.0
+    coeffs[degrees >= n - i] = -1.0
+    return coeffs
+
+
+def _step(coeffs, lo, hi):
+    """One bisection step of every column of ``coeffs``: the new (lo, hi)."""
+    mid = 0.5 * (lo + hi)
+    acc = np.zeros(mid.size)
+    for c in coeffs:
+        acc *= mid
+        acc += c
+    pos = acc > 0.0
+    return np.where(pos, mid, lo), np.where(pos, hi, mid)
+
+
+def _steps(coeffs, lo, hi, count):
+    """Up to ``count`` steps, stopping at the first that moves no end."""
+    for _ in range(count):
+        new_lo, new_hi = _step(coeffs, lo, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    return lo, hi
+
+
+def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
+    """Roots z of the pairs (i[k], j[k]) of dimension n, bisected together
+    (see the module docstring).
+
+    Without ``needed``, each block of pairs runs to its fixed point.  With
+    it, the pairs step in lockstep, and after each step only those whose
+    brackets pass ``needed(lo, hi)`` (a boolean mask) go on; the others
+    come back as NaN.  The last ``_SCALAR_FINISH`` or fewer finish on
+    Python floats from their brackets."""
+    rows = max(1, _BLOCK // n)
+    lo, hi = np.zeros(i.size), np.ones(i.size)
+    if needed is None:
+        for b in (slice(s, s + rows) for s in range(0, i.size, rows)):
+            lo[b], hi[b] = _steps(_coefficients(n, i[b], j[b]), lo[b], hi[b],
+                                  BISECT_ITERATIONS)
+        return 0.5 * (lo + hi)
+    live, coeffs = np.arange(i.size), None
+    for _ in range(BISECT_ITERATIONS):
+        if live.size <= _SCALAR_FINISH:
+            break
+        if coeffs is None and live.size <= rows:
+            coeffs = _coefficients(n, i[live], j[live])
+        if coeffs is not None:
+            new_lo, new_hi = _step(coeffs, lo, hi)
+        else:  # above one block: _ROUND steps per coefficient build
+            new_lo, new_hi = lo.copy(), hi.copy()
+            for b in (slice(s, s + rows) for s in range(0, live.size, rows)):
+                new_lo[b], new_hi[b] = _steps(_coefficients(n, i[live[b]], j[live[b]]),
+                                              lo[b], hi[b], _ROUND)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        keep = needed(new_lo, new_hi)
+        live, lo, hi = live[keep], new_lo[keep], new_hi[keep]
+        if coeffs is not None and not keep.all():
+            coeffs = coeffs[:, keep]
+    out = np.full(i.size, np.nan)
+    out[live] = ([_scalar_root(n, int(i[k]), int(j[k]), a, b)
+                  for k, a, b in zip(live, lo.tolist(), hi.tolist())]
+                 if live.size <= _SCALAR_FINISH else 0.5 * (lo + hi))
     return out
 
 
-def z_root(n: int, i: int, j: int) -> ExceptionalRoot:
-    """The unique root of the sign-change polynomial in (0, 1).
-
-    Bisection on the guaranteed sign change (value 1 at z=0, negative at
-    z=1 since i + j > n); unconditionally convergent, final interval far
-    below 1e-16.
-    """
+def _scalar_root(n, i, j, lo=0.0, hi=1.0):
+    """One pair's root, bisected on Python floats from [lo, hi] with the
+    array kernel's steps, so the same float."""
     coeffs = root_polynomial(n, i, j)[::-1].tolist()
-    lo, hi = 0.0, 1.0
     for _ in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         acc = 0.0
@@ -118,22 +176,40 @@ def z_root(n: int, i: int, j: int) -> ExceptionalRoot:
             if mid == hi:
                 break
             hi = mid
-    z = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def z_root(n: int, i: int, j: int) -> ExceptionalRoot:
+    """The unique root of the sign-change polynomial in (0, 1).
+
+    Bisection on the guaranteed sign change (value 1 at z=0, negative at
+    z=1 since i + j > n); unconditionally convergent, final interval far
+    below 1e-16.
+    """
+    z = _scalar_root(n, i, j)
     return ExceptionalRoot(n=n, i=i, j=j, z=z, nu=float(np.sqrt(z)))
+
+
+def _index_pairs(n):
+    """The index pairs i < j with i + j > n, in lexicographic order."""
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    i, j = np.triu_indices(n, 1)
+    keep = i + j > n
+    return i[keep], j[keep]
+
+
+def _roots(n, i, j, z):
+    return [ExceptionalRoot(n=n, i=a, j=b, z=c, nu=d)
+            for a, b, c, d in zip(i.tolist(), j.tolist(), z.tolist(), np.sqrt(z).tolist())]
 
 
 def exceptional_set(n: int):
     """All interior exceptional roots for dimension n, in lexicographic
     (i, j) order.  The parameters +-1 are always exceptional as well but
     are tagged separately (see ``exceptional_nus``)."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    i, j = np.triu_indices(n, 1)
-    keep = i + j > n
-    i, j = i[keep], j[keep]
-    z = _bisect(n, i, j)
-    return [ExceptionalRoot(n=n, i=a, j=b, z=c, nu=d)
-            for a, b, c, d in zip(i.tolist(), j.tolist(), z.tolist(), np.sqrt(z).tolist())]
+    i, j = _index_pairs(n)
+    return _roots(n, i, j, _bisect(n, i, j))
 
 
 def exceptional_nus(n: int):
@@ -146,7 +222,20 @@ def exceptional_nus(n: int):
 
 
 def is_exceptional(n: int, nu: float, tol: float = DEFAULT_TOL) -> bool:
-    return any(abs(nu - s) <= tol for s in exceptional_nus(n))
+    """Whether nu lies within tol of one of ``exceptional_nus(n)``;
+    pairs are bisected only while their root may (see the module
+    docstring).  A NaN nu is never exceptional."""
+    i, j = _index_pairs(n)
+    if abs(nu - 1.0) <= tol or abs(nu + 1.0) <= tol:
+        return True
+    if math.isnan(nu):
+        return False
+
+    def needed(lo, hi):
+        a, b = np.sqrt(lo), np.sqrt(hi)
+        return ~(((nu - b > tol) | (nu - a < -tol)) & ((nu + a > tol) | (nu + b < -tol)))
+    s = np.sqrt(_bisect(n, i, j, needed))
+    return bool(np.any(np.abs(nu - s) <= tol) or np.any(np.abs(nu + s) <= tol))
 
 
 def multiplicity_profile(n: int, nu: float, tol: float = DEFAULT_TOL):
@@ -182,8 +271,21 @@ def corollary_check(n: int, tol: float = 1e-10) -> CorollaryCheck:
     j-gap.  No root may be shared by three pairs.  Returns a truthy
     result; on failure ``violations`` lists the offending pair groups.
     """
-    roots = exceptional_set(n)
-    z = np.array([r.z for r in roots])
+    i, j = _index_pairs(n)
+
+    def needed(lo, hi):
+        # in lo order, near[k] says a bracket before gap k may come within
+        # tol of one after it; a pair stays while a gap beside it is near
+        order = np.argsort(lo)
+        near = np.zeros(lo.size + 1, dtype=bool)
+        near[1:-1] = lo[order[1:]] - np.maximum.accumulate(hi[order[:-1]]) <= tol
+        keep = np.empty(lo.size, dtype=bool)
+        keep[order] = near[:-1] | near[1:]
+        return keep
+    z = _bisect(n, i, j, needed)
+    kept = ~np.isnan(z)  # the survivors, still in lexicographic order
+    roots = _roots(n, i[kept], j[kept], z[kept])
+    z = z[kept]
     order = np.argsort(z).tolist()
     zs = z[order]
     # every root lies in (1/2, 1) (the polynomial is positive at 1/2), so

@@ -63,6 +63,13 @@ def hs_norm(a) -> float:
     return math.sqrt(sq)
 
 
+def _is_normal(a, tol: float) -> bool:
+    """||a a* - a* a|| <= tol * max(1, ||a||)^2, tested on a / max(1, ||a||)
+    so that neither the products nor the squared norm can overflow."""
+    b = a / max(1.0, hs_norm(a))
+    return hs_norm(b @ b.conj().T - b.conj().T @ b) <= tol
+
+
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T.copy()
@@ -146,9 +153,9 @@ def normal_eig(a, tol: float = DEFAULT_TOL):
     already orthogonal).  Values are ordered by (real, imag).
     """
     a = as_matrix(a)
-    scale = max(1.0, hs_norm(a))
-    if hs_norm(a @ a.conj().T - a.conj().T @ a) > tol * scale * scale:
+    if not _is_normal(a, tol):
         raise NotNormalError("matrix is not normal within tolerance")
+    scale = max(1.0, hs_norm(a))
     if hs_norm(a - a.conj().T) <= tol * scale:
         dec = hermitian_eig(a, tol)
         return dec.values.astype(np.complex128), dec.vectors
@@ -193,10 +200,10 @@ def classify(a, tol: float = DEFAULT_TOL) -> MatrixFlags:
     a = as_matrix(a)
     n = a.shape[0]
     s = max(1.0, hs_norm(a))
-    s2 = max(1.0, hs_norm(a) ** 2)
-    normal = hs_norm(a @ a.conj().T - a.conj().T @ a) <= tol * s2
+    normal = _is_normal(a, tol)
     hermitian = hs_norm(a - a.conj().T) <= tol * s
-    unitary = hs_norm(a @ a.conj().T - np.eye(n)) <= tol * s2
+    u = a / s  # ||a a* - 1|| <= tol * s^2, without overflow
+    unitary = hs_norm(u @ u.conj().T - np.eye(n) / (s * s)) <= tol
     diagonal = hs_norm(a - np.diag(np.diag(a))) <= tol * s
     simple = False
     if normal:

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import GeneratorTuple, sl2_generators, snu2_generators
-from .linalg import (DEFAULT_TOL, NotHermitianError, as_matrix, hermitian_eig,
-                     hs_norm, matrix_to_json, spectral_projection)
+from .linalg import (DEFAULT_TOL, NotHermitianError, _is_normal, as_matrix,
+                     hermitian_eig, hs_norm, matrix_to_json, spectral_projection)
 from .poly import LinearForm, divide_linear
 from .spectrum import (_PAIR_VARS, _compare, _det_polys, _product_of_lines,
                        _slot_matrices, det_pencil, x2_dependence)
@@ -123,23 +123,29 @@ class RigidityReport:
 
 # --- verification ---------------------------------------------------------------
 
-# a cached reference: read-only triple, pencil polynomials, product diagonals
+# a cached reference: read-only triple, pencil polynomials, product diagonals;
+# the cache keeps the _REFERENCES_KEPT most recently used, in dict order
 _Reference = namedtuple("_Reference", "ref polys expected")
 _references = {}
+_REFERENCES_KEPT = 64
 
 
 def _reference(family, n, nu=None) -> _Reference:
     """The reference of ``family`` at (n, nu), built on first use."""
     key = (family, n, nu)
-    if key not in _references:
+    entry = _references.pop(key, None)
+    if entry is None:
         ref, pencils = ((snu2_generators(n, nu), SNU2_PENCILS) if family == "snu2"
                         else (sl2_generators(n), SL2_PENCILS))
         for m in ref.matrices:
             m.flags.writeable = False
-        _references[key] = _Reference(ref, reference_pencil_polys(ref, pencils), {
+        entry = _Reference(ref, reference_pencil_polys(ref, pencils), {
             name: np.diag(_PRODUCTS[name](ref.e, ref.f)).real.copy()
             for name in pencils if name != "A1, A2 A3"})
-    return _references[key]
+        if len(_references) >= _REFERENCES_KEPT:
+            del _references[next(iter(_references))]
+    _references[key] = entry
+    return entry
 
 
 def reference_pencil_polys(ref: GeneratorTuple, pencils) -> dict:
@@ -162,7 +168,7 @@ def reference_pencil_polys(ref: GeneratorTuple, pencils) -> dict:
 def _verify_conditions(t, entry, tol):
     """A1's normality, then all the family's pencils in one stacked pass."""
     a1, a2, a3 = _slot_matrices(t)
-    if hs_norm(a1 @ a1.conj().T - a1.conj().T @ a1) > tol * max(1.0, hs_norm(a1) ** 2):
+    if not _is_normal(a1, tol):
         return ConditionReport(a1_normal=False, checks=())
     refs = entry.polys
     first = next(iter(refs.values()))[1][0] * a1  # H's scale is every pencil's s1

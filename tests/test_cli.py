@@ -140,6 +140,19 @@ class TestRigidity:
         assert code in (2, 3)
 
 
+    def test_small_nu_n64_reference_exit_zero(self, capsys, tmp_path):
+        # ||H|| is about 2.1e161: its square overflowed into a traceback
+        path = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", "snu2", "--n", "64", "--nu", "0.05",
+            "-o", str(path))
+        code, out, err = run(capsys, "rigidity", "--tuple", str(path),
+                             "--family", "snu2", "--n", "64", "--nu", "0.05", "--json")
+        assert code == 0, err
+        blob = json.loads(out)
+        assert blob["verdict"] == "equivalent"
+        assert blob["residual"] == 0.0
+
+
 class TestExceptional:
     def test_n4_row(self, capsys):
         code, out, _ = run(capsys, "exceptional", "--n", "4", "--json")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from specrig import exceptional
 from specrig.exceptional import (corollary_check, exceptional_nus,
                                  exceptional_set, is_exceptional,
                                  multiplicity_profile, root_polynomial,
@@ -175,3 +176,54 @@ class TestCorollary:
 
     def test_vacuous_for_n3(self):
         assert corollary_check(3)
+
+
+TOLS = (1e-9, 1e-6, 0.8)
+
+
+def _within_full_scan(nus, nu, tol):
+    return any(abs(nu - s) <= tol for s in nus)
+
+
+class TestIsExceptionalPruned:
+    """is_exceptional bisects a pair only while its root may lie within tol
+    of nu; the answer must be the full scan's over exceptional_nus."""
+
+    @pytest.mark.parametrize("n", [*range(2, 41), 64])
+    def test_matches_full_scan(self, n):
+        # every parameter up to n = 10, then six seeded ones and +-1
+        nus = exceptional_nus(n)
+        picks = nus if n <= 10 else [*np.random.default_rng(n).choice(nus, 6).tolist(), -1.0, 1.0]
+        for tol in TOLS:
+            queries = [math.nan, math.inf, -math.inf, 0.0, 0.5, -0.3]
+            for s in picks:
+                for q in (s, s + tol, s - tol):
+                    queries += [q, float(np.nextafter(q, 2.0)), float(np.nextafter(q, -2.0))]
+            for q in queries:
+                assert is_exceptional(n, q, tol) == _within_full_scan(nus, q, tol), (q, tol)
+
+    def test_non_finite_and_small_dimension(self):
+        assert not is_exceptional(6, math.nan)
+        assert not is_exceptional(6, math.inf) and not is_exceptional(6, -math.inf)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="dimension must be >= 2"):
+                is_exceptional(n, math.nan)
+
+    def test_does_not_bisect_every_pair(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("full bisection")
+        monkeypatch.setattr(exceptional, "exceptional_set", refuse)
+        monkeypatch.setattr(exceptional, "exceptional_nus", refuse)
+        assert is_exceptional(32, z_root(32, 20, 30).nu)
+        assert corollary_check(24)
+
+    def test_n200_memory_is_bounded(self):
+        nu = z_root(200, 120, 150).nu
+        for call in (lambda: is_exceptional(200, nu), lambda: corollary_check(200)):
+            tracemalloc.start()
+            try:
+                assert call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"

@@ -196,6 +196,15 @@ class TestClassify:
         assert flags.normal and flags.hermitian and flags.diagonal
         assert flags.simple_spectrum
 
+    def test_huge_norm_does_not_overflow(self):
+        # ||H|| is about 2.1e161 and ||E|| larger: squares overflow float64
+        t = snu2_generators(64, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h, e = classify(t.h), classify(t.e)
+        assert h.normal and h.hermitian and h.diagonal and not h.unitary
+        assert not e.normal and not e.unitary
+
     def test_cyclic_permutation_flags(self):
         p, _ = structural_matrices(5, 1, 3)
         flags = classify(p)

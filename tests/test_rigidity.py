@@ -476,6 +476,27 @@ class TestOverflowSafeScales:
         assert cond.all_passed
 
 
+    @pytest.mark.parametrize("nu", [0.05, 0.01])
+    def test_n64_reference_is_equivalent_without_overflow(self, nu):
+        # ||H|| is about 2.1e161 at nu = 0.05: its square overflows float64
+        n = 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = snu2_rigidity(snu2_generators(n, nu), n, nu)
+        assert rep.verdict == EQUIVALENT, rep.diagnostics
+        assert rep.residual == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="A1's clustered eigenvectors at small |nu| "
+                   "mix A2 off the superdiagonal (ROADMAP item 1)")
+@pytest.mark.parametrize("nu,n", [(0.3, 24), (0.1, 20), (0.5, 32)])
+def test_conjugate_equivalent_at_default_tol(nu, n):
+    ref = snu2_generators(n, nu)
+    cand = conjugated(ref, random_unitary(np.random.default_rng(0), n))
+    rep = snu2_rigidity(cand, n, nu)
+    assert rep.verdict == EQUIVALENT, rep.diagnostics
+
+
 class TestReferenceCache:
     def test_reference_built_once_and_read_only(self, monkeypatch, rng):
         monkeypatch.setattr(rigidity, "_references", {})
@@ -495,3 +516,22 @@ class TestReferenceCache:
             with pytest.raises(ValueError):
                 m[0, 0] = 1.0
         assert all(m.flags.writeable for m in snu2_generators(n, nu).matrices)
+
+    def test_cache_is_bounded(self, monkeypatch):
+        # the rigidity-grid workload uses 36 references: none may be evicted
+        assert rigidity._REFERENCES_KEPT >= 36
+        monkeypatch.setattr(rigidity, "_references", {})
+        for nu in np.linspace(0.2, 0.9, 100).tolist():
+            rigidity._reference("snu2", 4, nu)
+            assert len(rigidity._references) <= rigidity._REFERENCES_KEPT
+            assert next(reversed(rigidity._references)) == ("snu2", 4, nu)
+        assert ("snu2", 4, 0.2) not in rigidity._references
+
+    def test_cache_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(rigidity, "_references", {})
+        monkeypatch.setattr(rigidity, "_REFERENCES_KEPT", 2)
+        first = rigidity._reference("sl2", 3)
+        rigidity._reference("sl2", 4)
+        assert rigidity._reference("sl2", 3) is first  # now the most recent
+        rigidity._reference("sl2", 5)
+        assert list(rigidity._references) == [("sl2", 3, None), ("sl2", 5, None)]
