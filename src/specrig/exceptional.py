@@ -121,19 +121,17 @@ def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
     """Roots z of the pairs (i[k], j[k]) of dimension n, bisected together
     (see the module docstring).
 
-    Without ``needed``, each block of pairs runs to its fixed point.  With
-    it, the pairs step in lockstep, and after each step only those whose
-    brackets pass ``needed(lo, hi)`` (a boolean mask) go on; the others
-    come back as NaN.  The last ``_SCALAR_FINISH`` or fewer finish on
-    Python floats from their brackets."""
+    The pairs step in lockstep until no interval end moves.  With
+    ``needed``, after each step only the pairs whose brackets pass
+    ``needed(lo, hi)`` (a boolean mask) go on; the others come back as
+    NaN.  The last ``_SCALAR_FINISH`` or fewer finish on Python floats
+    from their brackets."""
     rows = max(1, _BLOCK // n)
-    lo, hi = np.zeros(i.size), np.ones(i.size)
-    if needed is None:
-        for b in (slice(s, s + rows) for s in range(0, i.size, rows)):
-            lo[b], hi[b] = _steps(_coefficients(n, i[b], j[b]), lo[b], hi[b],
-                                  BISECT_ITERATIONS)
-        return 0.5 * (lo + hi)
+    # above one block, a block's coefficients are built once per _ROUND
+    # steps, or once in all when every pair runs to its fixed point anyway
+    count = BISECT_ITERATIONS if needed is None else _ROUND
     live, coeffs = np.arange(i.size), None
+    lo, hi = np.zeros(i.size), np.ones(i.size)
     for _ in range(BISECT_ITERATIONS):
         if live.size <= _SCALAR_FINISH:
             break
@@ -141,17 +139,19 @@ def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
             coeffs = _coefficients(n, i[live], j[live])
         if coeffs is not None:
             new_lo, new_hi = _step(coeffs, lo, hi)
-        else:  # above one block: _ROUND steps per coefficient build
+        else:
             new_lo, new_hi = lo.copy(), hi.copy()
             for b in (slice(s, s + rows) for s in range(0, live.size, rows)):
                 new_lo[b], new_hi[b] = _steps(_coefficients(n, i[live[b]], j[live[b]]),
-                                              lo[b], hi[b], _ROUND)
+                                              lo[b], hi[b], count)
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
-        keep = needed(new_lo, new_hi)
-        live, lo, hi = live[keep], new_lo[keep], new_hi[keep]
-        if coeffs is not None and not keep.all():
-            coeffs = coeffs[:, keep]
+        lo, hi = new_lo, new_hi
+        keep = needed(lo, hi) if needed is not None else None
+        if keep is not None and not keep.all():
+            live, lo, hi = live[keep], lo[keep], hi[keep]
+            if coeffs is not None:
+                coeffs = coeffs[:, keep]
     out = np.full(i.size, np.nan)
     out[live] = ([_scalar_root(n, int(i[k]), int(j[k]), a, b)
                   for k, a, b in zip(live, lo.tolist(), hi.tolist())]

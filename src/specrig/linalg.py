@@ -63,10 +63,11 @@ def hs_norm(a) -> float:
     return math.sqrt(sq)
 
 
-def _is_normal(a, tol: float) -> bool:
-    """||a a* - a* a|| <= tol * max(1, ||a||)^2, tested on a / max(1, ||a||)
-    so that neither the products nor the squared norm can overflow."""
-    b = a / max(1.0, hs_norm(a))
+def _is_normal(a, tol: float, scale=None) -> bool:
+    """||a a* - a* a|| <= tol * scale^2, tested on a / scale so that
+    neither the products nor the squared norm can overflow; ``scale``
+    is max(1, ||a||), computed here when not given."""
+    b = a / (max(1.0, hs_norm(a)) if scale is None else scale)
     return hs_norm(b @ b.conj().T - b.conj().T @ b) <= tol
 
 
@@ -153,9 +154,9 @@ def normal_eig(a, tol: float = DEFAULT_TOL):
     already orthogonal).  Values are ordered by (real, imag).
     """
     a = as_matrix(a)
-    if not _is_normal(a, tol):
-        raise NotNormalError("matrix is not normal within tolerance")
     scale = max(1.0, hs_norm(a))
+    if not _is_normal(a, tol, scale):
+        raise NotNormalError("matrix is not normal within tolerance")
     if hs_norm(a - a.conj().T) <= tol * scale:
         dec = hermitian_eig(a, tol)
         return dec.values.astype(np.complex128), dec.vectors
@@ -200,7 +201,7 @@ def classify(a, tol: float = DEFAULT_TOL) -> MatrixFlags:
     a = as_matrix(a)
     n = a.shape[0]
     s = max(1.0, hs_norm(a))
-    normal = _is_normal(a, tol)
+    normal = _is_normal(a, tol, s)
     hermitian = hs_norm(a - a.conj().T) <= tol * s
     u = a / s  # ||a a* - 1|| <= tol * s^2, without overflow
     unitary = hs_norm(u @ u.conj().T - np.eye(n) / (s * s)) <= tol

@@ -85,10 +85,27 @@ def _scalar_z(n, i, j):
     return 0.5 * (lo + hi)
 
 
-def _scalar_corollary(roots, tol, pairs=None):
-    """(ok, violations) from every pair of roots within tol, and every
-    triple r1 < r2 < r3 of roots with r1, r2 and r2, r3 within tol.
-    ``pairs`` (index pairs p < q, ascending) narrows the pairs tested."""
+def _scalar_corollary(roots, tol):
+    """(ok, violations) from every pair and every triple of roots."""
+    violations = []
+    for r1, r2 in itertools.combinations(roots, 2):
+        if abs(r1.z - r2.z) > tol:
+            continue
+        a, b = (r1, r2) if r1.i < r2.i else (r2, r1)
+        if not (a.j > b.j and (b.i - a.i) > (a.j - b.j)):
+            violations.append(("ordering", (a.i, a.j), (b.i, b.j), a.z))
+    for r1, r2, r3 in itertools.combinations(roots, 3):
+        if abs(r1.z - r2.z) <= tol and abs(r2.z - r3.z) <= tol:
+            violations.append(("triple", (r1.i, r1.j), (r2.i, r2.j),
+                               (r3.i, r3.j), r1.z))
+    return not violations, violations
+
+
+def _close_pair_corollary(roots, tol, pairs=None):
+    """``_scalar_corollary`` with its triples built from the close pairs
+    (r1 < r2 < r3 with r1, r2 and r2, r3 within tol), for dimensions
+    where the C(R, 3) triples are too many to enumerate.  ``pairs``
+    (index pairs p < q, ascending) narrows the pairs tested."""
     violations, above = [], {}
     for p, q in itertools.combinations(range(len(roots)), 2) if pairs is None else pairs:
         r1, r2 = roots[p], roots[q]
@@ -118,25 +135,37 @@ def test_exceptional_set_and_z_root_match_scalar_bisection(n):
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
-@given(n=st.integers(2, 40), data=st.data())
-def test_corollary_check_matches_pair_and_triple_loops(n, data):
-    # above n = 22 a tol of 1e-2 or more makes 1e5 to 1e7 close triples
-    # (n = 40), so the tols there stay at most 1e-3 and the boundary gap
-    # is one between sorted neighbours
-    tols = [1e-10, 1e-4, 1e-3, 1e-2, 5e-2]
-    tol = data.draw(st.sampled_from(tols if n <= 22 else tols[:3]))
+@given(n=st.integers(2, 22), tol=st.sampled_from([1e-10, 1e-4, 1e-3, 1e-2, 5e-2]),
+       data=st.data())
+def test_corollary_check_matches_pair_and_triple_loops(n, tol, data):
     roots = exceptional_set(n)
     if len(roots) >= 2 and data.draw(st.booleans()):
         # a tol that equals the gap between two roots tests the boundary
-        if n <= 22:
-            a, b = data.draw(st.lists(st.sampled_from(roots), min_size=2, max_size=2))
-            tol = abs(a.z - b.z)
-        else:
-            zs = sorted(r.z for r in roots)
-            k = data.draw(st.integers(0, len(zs) - 2))
-            tol = zs[k + 1] - zs[k]
+        a, b = data.draw(st.lists(st.sampled_from(roots), min_size=2, max_size=2))
+        tol = abs(a.z - b.z)
     res = corollary_check(n, tol)
     assert (res.ok, res.violations) == _scalar_corollary(roots, tol)
+
+
+@pytest.mark.parametrize("n", [12, 18, 22])
+@pytest.mark.parametrize("tol", [1e-10, 1e-3, 5e-2])
+def test_close_pair_oracle_matches_pair_and_triple_loops(n, tol):
+    roots = exceptional_set(n)
+    assert _close_pair_corollary(roots, tol) == _scalar_corollary(roots, tol)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(23, 40), tol=st.sampled_from([1e-10, 1e-4, 1e-3]), data=st.data())
+def test_corollary_check_above_n22_matches_close_pair_loop(n, tol, data):
+    # a tol of 1e-2 or more makes 1e5 to 1e7 close triples here (n = 40),
+    # so the boundary tol is a gap between sorted neighbours
+    roots = exceptional_set(n)
+    if data.draw(st.booleans()):
+        zs = sorted(r.z for r in roots)
+        k = data.draw(st.integers(0, len(zs) - 2))
+        tol = zs[k + 1] - zs[k]
+    res = corollary_check(n, tol)
+    assert (res.ok, res.violations) == _close_pair_corollary(roots, tol)
 
 
 def test_corollary_check_n200_matches_full_scan():
@@ -150,7 +179,7 @@ def test_corollary_check_n200_matches_full_scan():
     pairs = sorted((min(p, q), max(p, q)) for k, p in enumerate(order.tolist())
                    for q in order[k + 1:ends[k]].tolist())
     res = corollary_check(n, tol)
-    assert (res.ok, res.violations) == _scalar_corollary(roots, tol, pairs)
+    assert (res.ok, res.violations) == _close_pair_corollary(roots, tol, pairs)
 
 
 @pytest.mark.parametrize("n", [36, 40])
@@ -159,4 +188,4 @@ def test_corollary_check_at_n40_matches_pair_loop(n):
     gaps = np.diff(np.sort([r.z for r in roots]))
     for tol in (1e-10, 1e-4, 1e-3, float(gaps.min()), float(np.median(gaps))):
         res = corollary_check(n, tol)
-        assert (res.ok, res.violations) == _scalar_corollary(roots, tol)
+        assert (res.ok, res.violations) == _close_pair_corollary(roots, tol)
