@@ -27,7 +27,7 @@ from .generators import (GeneratorTuple, counterexample_tuple,
                          fundamental_generators, one_dim_rep,
                          relation_residuals, sl2_generators, snu2_generators,
                          tuple_from_json, tuple_to_json)
-from .linalg import DEFAULT_TOL, commutator, hs_norm, matrix_to_json
+from .linalg import DEFAULT_TOL, _check_tol, commutator, hs_norm, matrix_to_json
 from .poly import poly_to_json
 from .rigidity import (EQUIVALENT, HYPOTHESIS_FAILED, sl2_rigidity,
                        snu2_rigidity)
@@ -52,9 +52,7 @@ def _default_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise UsageError(f"SPECRIG_TOL must be a float, got {raw!r}")
-    if tol <= 0:
-        raise UsageError("SPECRIG_TOL must be positive")
-    return tol
+    return _check_tol(tol, "SPECRIG_TOL")
 
 
 def _emit(text: str, out_path):
@@ -340,8 +338,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "tol", None) is None:
-            args.tol = _default_tol()
+        args.tol = (_default_tol() if getattr(args, "tol", None) is None
+                    else _check_tol(args.tol, "--tol"))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,10 +39,11 @@ so the answers are those of the full bisection, bit for bit:
   close pair.  The survivors' roots are sorted once and scanned for
   neighbours within ``tol``, instead of testing every pair and triple.
 
-The last ``_SCALAR_FINISH`` pairs finish on ``z_root``'s loop from their
-brackets.  Above one block, each block runs ``_ROUND`` steps per build
-of its coefficients, so memory stays within ``_BLOCK`` floats plus a
-bracket per pair.
+The last ``_SCALAR_FINISH`` pairs, or in ``exceptional_set`` up to
+``_SCALAR_PAIRS`` (n <= 13, where that beats the array steps), run on
+``z_root``'s loop from their brackets.  Above one block, each block runs
+``_ROUND`` steps per build of its coefficients, so memory stays within
+``_BLOCK`` floats plus a bracket per pair.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .linalg import DEFAULT_TOL
 BISECT_ITERATIONS = 200
 _BLOCK = 2 ** 18  # coefficient floats per block of pairs (2 MB)
 _SCALAR_FINISH = 4  # pruned bisection finishes this many pairs on Python floats
+_SCALAR_PAIRS = 32  # exceptional_set runs this many pairs or fewer on Python floats
 _ROUND = 4  # pruned bisection steps per coefficient build, above one block
 
 
@@ -124,16 +126,17 @@ def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
     The pairs step in lockstep until no interval end moves.  With
     ``needed``, after each step only the pairs whose brackets pass
     ``needed(lo, hi)`` (a boolean mask) go on; the others come back as
-    NaN.  The last ``_SCALAR_FINISH`` or fewer finish on Python floats
-    from their brackets."""
+    NaN.  The last ``_SCALAR_FINISH`` or fewer (``_SCALAR_PAIRS`` without
+    ``needed``) finish on Python floats from their brackets."""
     rows = max(1, _BLOCK // n)
     # above one block, a block's coefficients are built once per _ROUND
     # steps, or once in all when every pair runs to its fixed point anyway
-    count = BISECT_ITERATIONS if needed is None else _ROUND
+    count, finish = ((BISECT_ITERATIONS, _SCALAR_PAIRS) if needed is None
+                     else (_ROUND, _SCALAR_FINISH))
     live, coeffs = np.arange(i.size), None
     lo, hi = np.zeros(i.size), np.ones(i.size)
     for _ in range(BISECT_ITERATIONS):
-        if live.size <= _SCALAR_FINISH:
+        if live.size <= finish:
             break
         if coeffs is None and live.size <= rows:
             coeffs = _coefficients(n, i[live], j[live])
@@ -155,7 +158,7 @@ def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
     out = np.full(i.size, np.nan)
     out[live] = ([_scalar_root(n, int(i[k]), int(j[k]), a, b)
                   for k, a, b in zip(live, lo.tolist(), hi.tolist())]
-                 if live.size <= _SCALAR_FINISH else 0.5 * (lo + hi))
+                 if live.size <= finish else 0.5 * (lo + hi))
     return out
 
 

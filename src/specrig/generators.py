@@ -79,7 +79,7 @@ class RelationResidual:
 
 def _check_nu(nu: float) -> float:
     nu = float(nu)
-    if nu == 0.0 or abs(nu) > 1.0:
+    if not 0.0 < abs(nu) <= 1.0:  # NaN fails too
         raise ValueError(f"nu must lie in [-1, 1] excluding 0, got {nu}")
     return nu
 

@@ -36,6 +36,13 @@ class EigenvalueNotFoundError(ValueError):
     pass
 
 
+def _check_tol(tol, name="tol") -> float:
+    """``tol`` itself, if it is a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+    return tol
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and coerce ``a`` to a square complex128 matrix.
 

@@ -40,13 +40,16 @@ class LinearForm:
             raise ValueError("linear form is identically zero")
 
 
-def _prune(coeffs):
+def _prune(coeffs, stacked=False):
     """A copy of ``coeffs`` with every entry of modulus at most
     ``PRUNE_REL`` times the largest set to zero (all of them when the
-    largest is 0); -0.0 parts become 0.0."""
+    largest is 0); -0.0 parts become 0.0.  ``stacked`` prunes each
+    ``coeffs[i]`` against its own largest entry."""
     mags = np.abs(coeffs)
     out = coeffs + 0j
-    out[mags <= PRUNE_REL * mags.max(initial=0.0)] = 0
+    top = (mags.max(axis=tuple(range(1, mags.ndim)), keepdims=True, initial=0.0) if stacked
+           else mags.max(initial=0.0))
+    out[mags <= PRUNE_REL * top] = 0
     return out
 
 

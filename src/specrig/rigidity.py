@@ -10,10 +10,11 @@ and assemble the diagonal unitary witness
 that conjugates the reference triple onto the candidate.
 
 Each reference (family, n, nu) is built once and cached read-only with
-its pencil polynomials and product diagonals.  Verification tests A1's
-normality, then evaluates the family's pencils (``SNU2_PENCILS``,
-``SL2_PENCILS``; second slots from ``_PRODUCTS``) in one stacked
-determinant pass.  Reconstruction, ``_reconstruct``, checks the
+the constants every call reads (``_Reference``).  Verification tests
+A1's normality, then evaluates the family's pencils (``SNU2_PENCILS``,
+``SL2_PENCILS``; second slots from ``_PRODUCTS``) as one coefficient
+stack, compared with the reference's in one array expression.
+Reconstruction, ``_reconstruct``, checks the
 dimension, runs step 1 (diagonalize A1, eigenbasis ordered as the
 reference diagonal), then the family's named steps, and returns the
 certified witness or the first failing step with diagnostics:
@@ -38,10 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import GeneratorTuple, sl2_generators, snu2_generators
-from .linalg import (DEFAULT_TOL, NotHermitianError, _is_normal, as_matrix,
+from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _is_normal, as_matrix,
                      hermitian_eig, hs_norm, matrix_to_json, spectral_projection)
 from .poly import LinearForm, divide_linear
-from .spectrum import (_PAIR_VARS, _compare, _det_polys, _product_of_lines,
+from .spectrum import (_PAIR_VARS, _compare_stacks, _det_stack, _product_of_lines,
                        _slot_matrices, det_pencil, x2_dependence)
 
 EQUIVALENT = "equivalent"
@@ -123,9 +124,13 @@ class RigidityReport:
 
 # --- verification ---------------------------------------------------------------
 
-# a cached reference: read-only triple, pencil polynomials, product diagonals;
-# the cache keeps the _REFERENCES_KEPT most recently used, in dict order
-_Reference = namedtuple("_Reference", "ref polys expected")
+# a cached reference: the read-only triple and what every call reads of it (its
+# pencils' coefficient stack, largest moduli and slot scales, the product
+# diagonals, H's diagonal and its scale, the ladder diagonals with their moduli
+# and least moduli, max(1, ||slot||) per slot); the cache keeps the
+# _REFERENCES_KEPT most recently used, in dict order
+_Reference = namedtuple("_Reference", "ref pencils steps coeffs coeff_max s1 s2 expected "
+                        "diag diag_scale e_sd f_sd e_mod f_mod e_min f_min slot_norms")
 _references = {}
 _REFERENCES_KEPT = 64
 
@@ -135,13 +140,22 @@ def _reference(family, n, nu=None) -> _Reference:
     key = (family, n, nu)
     entry = _references.pop(key, None)
     if entry is None:
-        ref, pencils = ((snu2_generators(n, nu), SNU2_PENCILS) if family == "snu2"
-                        else (sl2_generators(n), SL2_PENCILS))
+        ref, pencils, steps = ((snu2_generators(n, nu), SNU2_PENCILS, _SNU2_STEPS)
+                               if family == "snu2" else
+                               (sl2_generators(n), SL2_PENCILS, _SL2_STEPS))
         for m in ref.matrices:
             m.flags.writeable = False
-        entry = _Reference(ref, reference_pencil_polys(ref, pencils), {
-            name: np.diag(_PRODUCTS[name](ref.e, ref.f)).real.copy()
-            for name in pencils if name != "A1, A2 A3"})
+        polys = reference_pencil_polys(ref, pencils).values()
+        diag, sds = np.diag(ref.h).real, (ref.e.diagonal(1), ref.f.diagonal(-1))
+        entry = _Reference(
+            ref, pencils, steps, np.stack([p.coeffs for p, _ in polys]),
+            np.array([p.max_abs_coeff() for p, _ in polys]),
+            next(iter(polys))[1][0], tuple(s2 for _, (_, s2) in polys),  # H's scale is every s1
+            {name: np.diag(_PRODUCTS[name](ref.e, ref.f)).real.copy()
+             for name in pencils if name != "A1, A2 A3"},
+            diag, max(1.0, float(np.max(np.abs(diag)))), *sds, *map(np.abs, sds),
+            *(float(np.abs(sd).min(initial=np.inf)) for sd in sds),
+            tuple(max(1.0, hs_norm(m)) for m in ref.matrices))
         if len(_references) >= _REFERENCES_KEPT:
             del _references[next(iter(_references))]
     _references[key] = entry
@@ -165,30 +179,30 @@ def reference_pencil_polys(ref: GeneratorTuple, pencils) -> dict:
     return out
 
 
-def _verify_conditions(t, entry, tol):
-    """A1's normality, then all the family's pencils in one stacked pass."""
-    a1, a2, a3 = _slot_matrices(t)
+def _verify_conditions(mats, entry, tol):
+    """A1's normality, then all the family's pencils in one stacked pass,
+    compared with the reference's coefficient stack."""
+    a1, a2, a3 = mats
     if not _is_normal(a1, tol):
         return ConditionReport(a1_normal=False, checks=())
-    refs = entry.polys
-    first = next(iter(refs.values()))[1][0] * a1  # H's scale is every pencil's s1
-    polys = _det_polys([(first, s2 * _PRODUCTS[name](a2, a3))
-                        for name, (_, (_, s2)) in refs.items()], _PAIR_VARS)
-    return ConditionReport(a1_normal=True, checks=tuple(
-        _compare(name, p, q, tol) for (name, (q, _)), p in zip(refs.items(), polys)))
+    first = entry.s1 * a1
+    stack = _det_stack([(first, s2 * _PRODUCTS[name](a2, a3))
+                        for name, s2 in zip(entry.pencils, entry.s2)])
+    return ConditionReport(a1_normal=True, checks=_compare_stacks(
+        entry.pencils, stack, entry.coeffs, tol, entry.coeff_max))
 
 
 def verify_conditions_snu2(t, n: int, nu: float, tol: float = DEFAULT_TOL) -> ConditionReport:
     """The five pair-spectrum equalities against the deformed ladder
     reference: (A1, A2 A2*), (A1, A2* A2), (A1, A3 A3*), (A1, A3* A3)
     and (A1, A2 A3).  A non-normal A1 fails immediately."""
-    return _verify_conditions(t, _reference("snu2", n, nu), tol)
+    return _verify_conditions(_slot_matrices(t), _reference("snu2", n, nu), tol)
 
 
 def verify_conditions_sl2(t, n: int, tol: float = DEFAULT_TOL) -> ConditionReport:
     """The four pair-spectrum equalities against the sl(2) reference:
     (A1, A2 A2*), (A1, A2* A2), (A1, A3 A3*) and (A1, A2 A3)."""
-    return _verify_conditions(t, _reference("sl2", n), tol)
+    return _verify_conditions(_slot_matrices(t), _reference("sl2", n), tol)
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -217,15 +231,13 @@ def _eigenbasis_matched(a1, a2, entry, tol):
     still has to pass, so the refinement cannot manufacture a witness
     that is not there.
     """
-    ref_diag = np.diag(entry.ref.h).real
     dec = hermitian_eig(a1, tol)
     values, vectors = dec.values, dec.vectors.copy()
-    if ref_diag[0] > ref_diag[-1]:
+    if entry.diag[0] > entry.diag[-1]:
         values = values[::-1]
         vectors = vectors[:, ::-1]
-    scale = max(1.0, float(np.max(np.abs(ref_diag))))
-    gap = float(np.max(np.abs(values - ref_diag)))
-    if gap > tol * scale:
+    gap = float(np.abs(values - entry.diag).max())
+    if gap > tol * entry.diag_scale:
         return values, vectors, gap, False
 
     disambiguator = a2 @ a2.conj().T
@@ -249,12 +261,11 @@ def _eigenbasis_matched(a1, a2, entry, tol):
 
 @dataclass
 class _Frame:
-    """What the reconstruction steps read and write: the candidate in
-    A1's matched eigenbasis (``ahat``, ``basis``, ``values``), the
-    phases read off A2 and the final report."""
+    """What the reconstruction steps read and write: the reference entry,
+    the candidate in A1's matched eigenbasis (``ahat``, ``basis``,
+    ``values``), the phases read off A2 and the final report."""
 
-    ref: GeneratorTuple
-    expected: dict
+    entry: _Reference
     tol: float
     values: np.ndarray
     basis: np.ndarray
@@ -263,13 +274,13 @@ class _Frame:
     report: RigidityReport | None = None
 
 
-def _reconstruct(t, entry, tol, steps) -> RigidityReport:
-    """The dimension check and step 1, then each (name, step) of
-    ``steps`` in order.  A step returns None when it passes, else the
-    arguments of ``_fail`` after the step name; the last step stores the
-    report."""
+def _reconstruct(mats, entry, tol) -> RigidityReport:
+    """The dimension check and step 1, then each (name, step) of the
+    family's ``entry.steps`` in order.  A step returns None when it
+    passes, else the arguments of ``_fail`` after the step name; the last
+    step stores the report."""
     n = entry.ref.n
-    a1, a2, a3 = _slot_matrices(t)
+    a1, a2, a3 = mats
     if a1.shape != (n, n):
         return _fail("step1", f"candidate dimension {a1.shape[0]} != n={n}")
     try:
@@ -279,9 +290,8 @@ def _reconstruct(t, entry, tol, steps) -> RigidityReport:
     if not ok:
         return _fail("step1", f"spectrum of A1 does not match the reference "
                               f"diagonal (max gap {gap:.3g})")
-    frame = _Frame(entry.ref, entry.expected, tol, values, v,
-                   tuple(v.conj().T @ a @ v for a in (a1, a2, a3)))
-    for name, step in steps:
+    frame = _Frame(entry, tol, values, v, tuple(v.conj().T @ a @ v for a in mats))
+    for name, step in entry.steps:
         failure = step(frame)
         if failure:
             return _fail(name, *failure)
@@ -308,7 +318,7 @@ def _superdiagonal_support(label, mat, ref_moduli, tol):
         return (f"{label}: {label} support off the superdiagonal at {where} "
                 f"(HS norm {norm:.3g} > {tol * s:.3g})")
     gaps = np.abs(np.abs(sd) - ref_moduli)
-    if gaps.size and float(np.max(gaps)) > tol * s:
+    if gaps.size and float(gaps.max()) > tol * s:
         j = int(np.argmax(gaps))
         return (f"{label}: superdiagonal modulus mismatch at ({j},{j + 1}): "
                 f"|{complex(sd[j]):.6g}| vs {ref_moduli[j]:.6g}")
@@ -320,7 +330,7 @@ def _a2_support(fr):
     off-diagonal mass triggers the x2-dependence diagnostic.  The
     entrywise support checks run before the coarser product checks, so a
     bumped modulus is reported as the support violation it is."""
-    msg = _superdiagonal_support("A2", fr.ahat[1], np.abs(fr.ref.e.diagonal(1)), fr.tol)
+    msg = _superdiagonal_support("A2", fr.ahat[1], fr.entry.e_mod, fr.tol)
     if msg:
         dep = x2_dependence(np.diag(fr.values).astype(np.complex128), fr.ahat[1])
         return msg, [f"x2_dependence detected: {dep}"]
@@ -329,22 +339,21 @@ def _a2_support(fr):
 
 def _a3_adjoint_support(fr):
     """Mirror of ``_a2_support`` for A3 and its subdiagonal (snu2)."""
-    msg = _superdiagonal_support("A3^H", fr.ahat[2].conj().T,
-                                 np.abs(fr.ref.f.diagonal(-1)), fr.tol)
+    msg = _superdiagonal_support("A3^H", fr.ahat[2].conj().T, fr.entry.f_mod, fr.tol)
     return (msg,) if msg else None
 
 
 def _adjoint_products(fr):
     """The products of the pencils other than (A1, A2 A3) are diagonal in
     A1's eigenbasis with the reference values."""
-    for name, expected in fr.expected.items():
+    for name, expected in fr.entry.expected.items():
         prod = _PRODUCTS[name](fr.ahat[1], fr.ahat[2])
         s = max(1.0, hs_norm(prod))
         label = name.removeprefix("A1, ")
-        if hs_norm(prod - np.diag(np.diag(prod))) > fr.tol * s:
+        if hs_norm(prod - np.diag(prod.diagonal())) > fr.tol * s:
             return (f"{label} is not diagonal in the A1 eigenbasis",)
-        gaps = np.abs(np.diag(prod) - expected)
-        if float(np.max(gaps)) > fr.tol * s:
+        gaps = np.abs(prod.diagonal() - expected)
+        if float(gaps.max()) > fr.tol * s:
             j = int(np.argmax(gaps))
             return (f"{label} diagonal mismatch at index {j}: "
                     f"{complex(prod[j, j]):.6g} vs expected {expected[j]:.6g}",)
@@ -361,14 +370,14 @@ def _unit_phases(entries, ref_entries):
 def _phases(fr):
     """The phases read off A2's superdiagonal and A3's subdiagonal
     agree."""
-    ahat, e_sd, f_sd = fr.ahat, fr.ref.e.diagonal(1), fr.ref.f.diagonal(-1)
-    fr.phases = _unit_phases(ahat[1].diagonal(1), e_sd)
+    ahat, entry = fr.ahat, fr.entry
+    fr.phases = _unit_phases(ahat[1].diagonal(1), entry.e_sd)
     if not fr.phases.size:
         return None
-    sigma = np.conj(_unit_phases(ahat[2].diagonal(-1), f_sd))
-    phase_tol = fr.tol * max(1.0, hs_norm(ahat[1]) / float(np.min(np.abs(e_sd))),
-                             hs_norm(ahat[2]) / float(np.min(np.abs(f_sd))))
-    phase_gap = float(np.max(np.abs(fr.phases - sigma)))
+    sigma = np.conj(_unit_phases(ahat[2].diagonal(-1), entry.f_sd))
+    phase_tol = fr.tol * max(1.0, hs_norm(ahat[1]) / entry.e_min,
+                             hs_norm(ahat[2]) / entry.f_min)
+    phase_gap = float(np.abs(fr.phases - sigma).max())
     if phase_gap > phase_tol:
         return (f"phase mismatch between A2 and A3 "
                 f"(Lambda != Sigma, max gap {phase_gap:.3g})",)
@@ -379,16 +388,16 @@ def _compressions(fr):
     """sl2: the spectral compressions on the lines
     (n-1-2j) x1 + (j+1)(n-1-j) x2 = 1 of (A1, A2 A3) pin the subdiagonal
     of A3, whose entries must then be unimodular."""
-    n, ahat, tol = fr.ref.n, fr.ahat, fr.tol
+    n, ahat, tol = fr.entry.ref.n, fr.ahat, fr.tol
     prod23 = ahat[1] @ ahat[2]
     mus = np.array([(j + 1) * (n - 1 - j) for j in range(n - 1)], dtype=float)
-    comp_gap = np.abs(np.diag(prod23)[:-1] - mus)
-    if float(np.max(comp_gap)) > tol * max(1.0, hs_norm(prod23)):
+    comp_gap = np.abs(prod23.diagonal()[:-1] - mus)
+    if float(comp_gap.max()) > tol * max(1.0, hs_norm(prod23)):
         j = int(np.argmax(comp_gap))
         return (f"compression mismatch on line {j}: "
                 f"(A2 A3)_{j}{j} = {complex(prod23[j, j]):.6g} vs {mus[j]:.6g}",)
     mod_gap = np.abs(np.abs(ahat[2].diagonal(-1)) - 1.0)
-    if float(np.max(mod_gap)) > tol * max(1.0, hs_norm(ahat[2])):
+    if float(mod_gap.max()) > tol * max(1.0, hs_norm(ahat[2])):
         j = int(np.argmax(mod_gap))
         return (f"A3 subdiagonal entry ({j + 1},{j}) is not unimodular",)
     return None
@@ -410,8 +419,8 @@ def _certified(fr):
     conj(p0 p1), ...), the canonical diagonal unitary with first entry 1
     built from the superdiagonal phases p."""
     w = np.diag(np.concatenate([[1.0 + 0j], np.conj(np.cumprod(fr.phases))]))
-    per_slot = {f"certify {name}": hs_norm(a - w @ r @ w.conj().T) / max(1.0, hs_norm(r))
-                for name, a, r in zip(("A1", "A2", "A3"), fr.ahat, fr.ref.matrices)}
+    per_slot = {f"certify {name}": hs_norm(a - w @ r @ w.conj().T) / s for name, a, r, s
+                in zip(("A1", "A2", "A3"), fr.ahat, fr.entry.ref.matrices, fr.entry.slot_norms)}
     resid = max(per_slot.values())
     if resid > fr.tol:
         return f"certification residual {resid:.3g} exceeds tolerance", None, per_slot
@@ -436,41 +445,44 @@ def reconstruct_snu2(t, n: int, nu: float, tol: float = DEFAULT_TOL) -> Rigidity
     ``verify_conditions_snu2`` / ``snu2_rigidity``); every step still
     guards itself and fails with the step name on violation.
     """
-    return _reconstruct(t, _reference("snu2", n, nu), tol, _SNU2_STEPS)
+    return _reconstruct(_slot_matrices(t), _reference("snu2", n, nu), tol)
 
 
 def reconstruct_sl2(t, n: int, tol: float = DEFAULT_TOL) -> RigidityReport:
     """Witness reconstruction against the sl(2) reference, through
     ``_SL2_STEPS``: A3 is pinned by the compressions and the
     Hilbert-Schmidt budget in place of its own support check."""
-    return _reconstruct(t, _reference("sl2", n), tol, _SL2_STEPS)
+    return _reconstruct(_slot_matrices(t), _reference("sl2", n), tol)
 
 
 # --- drivers ------------------------------------------------------------------
 
-def _drive(cond: ConditionReport, reconstruct):
-    if not cond.all_passed:
+def _drive(t, tol, family, n, nu=None) -> RigidityReport:
+    """Both stages on one reference lookup and one validation of the
+    slots: verification, then reconstruction if every hypothesis holds."""
+    _check_tol(tol)
+    entry, mats = _reference(family, n, nu), _slot_matrices(t)
+    cond = _verify_conditions(mats, entry, tol)
+    if cond.all_passed:
+        rep = _reconstruct(mats, entry, tol)
+    else:
         rep = RigidityReport(verdict=HYPOTHESIS_FAILED)
-        rep.condition_residuals.update(cond.residuals())
         if not cond.a1_normal:
             rep.diagnostics.append("A1 is not normal")
         rep.diagnostics.extend(f"pencil equality failed: {c.pencil}"
                                for c in cond.checks if not c.equal)
-        return rep
-    rep = reconstruct()
     rep.condition_residuals.update(cond.residuals())
     return rep
 
 
 def snu2_rigidity(t, n: int, nu: float, tol: float = DEFAULT_TOL) -> RigidityReport:
-    """Full pipeline: hypothesis verification, then reconstruction."""
-    cond = verify_conditions_snu2(t, n, nu, tol)
-    return _drive(cond, lambda: reconstruct_snu2(t, n, nu, tol))
+    """Full pipeline: hypothesis verification, then reconstruction.
+    ``tol`` must be finite and positive."""
+    return _drive(t, tol, "snu2", n, nu)
 
 
 def sl2_rigidity(t, n: int, tol: float = DEFAULT_TOL) -> RigidityReport:
-    cond = verify_conditions_sl2(t, n, tol)
-    return _drive(cond, lambda: reconstruct_sl2(t, n, tol))
+    return _drive(t, tol, "sl2", n)
 
 
 # --- spectral compressions and final certification -----------------------------

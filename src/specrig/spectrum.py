@@ -11,9 +11,10 @@ grid the values are the discrete Fourier transform of the coefficient
 array, so one inverse DFT recovers the coefficients; the DFT is unitary,
 so interpolation adds no error growth with n, unlike a monomial
 Vandermonde solve at real nodes.  Node order is fixed, so results are
-bit-stable across runs.  One kernel stacks the grids of all pencils that
-share k and n, hands LAPACK ``_BLOCK`` matrix entries at a time (memory
-stays bounded at large n) and interpolates with one FFT.
+bit-stable across runs.  The one kernel, ``_det_stack``, returns the
+pruned coefficient arrays of pencils sharing k and n as one stack; it
+hands LAPACK ``_BLOCK`` matrix entries at a time (memory stays bounded
+at large n) and interpolates with one FFT.
 
 A pencil expression grammar selects the slot matrices, e.g.
 ``"A1, A2 A2^H"`` denotes the pair (A1, A2 adjoint(A2)).  Atoms A1/A2/A3
@@ -24,13 +25,14 @@ it follows (double adjoints collapse at parse time).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, NotNormalError, as_matrix, hs_norm, normal_eig
-from .poly import MultiPoly, poly_distance, poly_equal
+from .poly import MultiPoly, _prune, _widen, poly_equal
 
 MAX_PENCIL_VARS = 4
 
@@ -141,47 +143,49 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
     drops the -I and yields the homogeneous pencil determinant.
     At most 4 variables are supported.
     """
-    return _det_polys([mats], var_names, affine)[0]
-
-
-def _det_polys(pencils, var_names=None, affine=True):
-    """``det_pencil`` of pencils sharing k and n, bit for bit, in one pass."""
-    pencils = [[as_matrix(m) for m in mats] for mats in pencils]
-    k = len(pencils[0])
+    mats = [as_matrix(m) for m in mats]
+    k = len(mats)
     if k == 0:
         raise ValueError("pencil needs at least one matrix")
     if k > MAX_PENCIL_VARS:
         raise ValueError(f"pencils in more than {MAX_PENCIL_VARS} variables are unsupported")
-    n = pencils[0][0].shape[0]
-    if any(len(mats) != k or any(m.shape != (n, n) for m in mats) for mats in pencils):
+    if any(m.shape != mats[0].shape for m in mats):
         raise ValueError("pencil matrices must share one dimension")
     var_names = tuple(var_names) if var_names is not None else tuple(f"x{i + 1}" for i in range(k))
     if len(var_names) != k:
         raise ValueError("need one variable name per pencil matrix")
+    return MultiPoly.from_dense(var_names, _det_stack([mats], affine)[0])
 
+
+def _det_stack(pencils, affine=True):
+    """The pruned coefficient arrays of ``det_pencil``, one per pencil:
+    a (P,) + (n+1,) * k array for P pencils of k finite n x n matrices."""
+    mats = np.asarray(pencils, dtype=np.complex128)  # (P, k, n, n)
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix entries must be finite")
+    count, k, n = mats.shape[:3]
     # p has degree <= n in each variable: its values on the grid of
     # (n+1)-th roots of unity are the DFT of its coefficient array
     m = n + 1
     nodes = np.exp(2j * np.pi * np.arange(m) / m)
-    axes = [nodes.reshape((m,) + (1,) * (k - 1 - i) + (1, 1)) for i in range(k)]
-    rows = len(pencils) * m  # one row per (pencil, first node)
-    values = np.empty((rows,) + (m,) * (k - 1), dtype=np.complex128)
-    step = max(1, _BLOCK // (values[0].size * n * n))
-    stack = np.empty((min(step, rows),) + values.shape[1:] + (n, n), dtype=np.complex128)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        for p in range(start // m, (stop - 1) // m + 1):
-            lo, hi = max(start, p * m), min(stop, (p + 1) * m)
-            xs = [axes[0][lo - p * m:hi - p * m]] + axes[1:]
-            acc = -np.eye(n) if affine else np.zeros((n, n))
-            for x, mat in zip(xs[:-1], pencils[p]):
-                acc = acc + x * mat
-            np.add(acc, xs[-1] * pencils[p][-1], out=stack[lo - start:hi - start])
-        values[start:stop] = np.linalg.det(stack[:stop - start])
-    values = values.reshape((len(pencils),) + (m,) * k)
+    ones = (1,) * (k - 1)
+    axes = [nodes.reshape((m,) + ones[i:] + (1, 1)) for i in range(k)]
+    # a block of (pencil, first node) rows is whole pencils, or a run of
+    # one pencil's first nodes where its grid exceeds _BLOCK matrix entries
+    rows = max(1, _BLOCK // (m ** (k - 1) * n * n))
+    per, run = (rows // m, m) if rows >= m else (1, rows)
+    values = np.empty((count,) + (m,) * k, dtype=np.complex128)
+    base = -np.eye(n) if affine else np.zeros((n, n))
+    for p0, a0 in itertools.product(range(0, count, per), range(0, m, run)):
+        pens = mats[p0:p0 + per].reshape((-1, 1, k) + ones + (n, n))  # (pencil, node, slot, ...)
+        xs = [axes[0][a0:a0 + run]] + axes[1:]
+        acc = base
+        for i, x in enumerate(xs[:-1]):
+            acc = acc + x * pens[:, :, i]
+        values[p0:p0 + per, a0:a0 + run] = np.linalg.det(acc + xs[-1] * pens[:, :, -1])
     for axis in range(k, 0, -1):  # fftn's order, without its axes handling
         values = np.fft.fft(values, axis=axis)
-    return [MultiPoly.from_dense(var_names, c) for c in values / m ** k]
+    return _prune(values / m ** k, stacked=True)
 
 
 @dataclass(frozen=True)
@@ -273,13 +277,17 @@ class PencilComparison:
     residual: float
 
 
-def _compare(pencil, p, q, tol) -> PencilComparison:
-    """Coefficient-wise comparison of two determinant polynomials: the
-    residual is the max coefficient gap over max(1, largest coefficient)."""
-    scale = max(1.0, p.max_abs_coeff(), q.max_abs_coeff())
-    dist = poly_distance(p, q)
-    return PencilComparison(pencil=pencil, equal=dist <= tol * scale,
-                            residual=dist / scale)
+def _compare_stacks(pencils, p, q, tol, q_max=None):
+    """Each pencil's ``PencilComparison`` of coefficients p[i] and q[i]: the
+    max gap over max(1, largest modulus); ``q_max`` is q's, if known."""
+    shape = tuple(map(max, p.shape, q.shape))
+    axes = tuple(range(1, len(shape)))
+    q_max = np.abs(q).max(axis=axes, initial=0.0) if q_max is None else q_max
+    # fmax skips a NaN, as max(1.0, ...) does
+    scale = np.fmax(1.0, np.fmax(np.abs(p).max(axis=axes, initial=0.0), q_max))
+    dist = np.abs(_widen(p, shape) - _widen(q, shape)).max(axis=axes, initial=0.0)
+    return tuple(map(PencilComparison, pencils, (dist <= tol * scale).tolist(),
+                     (dist / scale).tolist()))
 
 
 def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
@@ -290,16 +298,15 @@ def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
     ``slot_scales``) determinant polynomials at the given tolerance; the
     residual is the max coefficient gap relative to the largest one.
     """
-    m1 = _slot_matrices(t1)
-    m2 = _slot_matrices(t2)
+    m1, m2 = _slot_matrices(t1), _slot_matrices(t2)
     out = []
     for src in pencils:
         exprs = parse_pencil(src)
         g1 = [evaluate_expr(e, m1) for e in exprs]
         g2 = [evaluate_expr(e, m2) for e in exprs]
         ss = slot_scales(g1, g2)
-        out.append(_compare(src, det_pencil([s * m for s, m in zip(ss, g1)]),
-                            det_pencil([s * m for s, m in zip(ss, g2)]), tol))
+        p, q = (det_pencil([s * m for s, m in zip(ss, g)]).coeffs[None] for g in (g1, g2))
+        out += _compare_stacks([src], p, q, tol)
     return out
 
 

@@ -243,6 +243,58 @@ class TestEnvTol:
         assert code == 1
 
 
+class TestArgumentChecks:
+    NU_NAN = "error: nu must lie in [-1, 1] excluding 0, got nan\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "snu2", "--n", "4", "--nu", "nan"),
+        ("relations", "--family", "snu2", "--n", "4", "--nu", "nan"),
+        ("relations", "--family", "fundamental", "--nu", "nan"),
+    ], ids=["gen", "relations", "fundamental"])
+    def test_nan_nu_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", self.NU_NAN)
+
+    def test_rigidity_nan_nu_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", "snu2", "--n", "4", "--nu", "0.5", "-o", str(path))
+        code, out, err = run(capsys, "rigidity", "--tuple", str(path), "--family", "snu2",
+                             "--n", "4", "--nu", "nan")
+        assert (code, out, err) == (1, "", self.NU_NAN)
+
+    @pytest.fixture
+    def random_triple(self, tmp_path):
+        # a random real 4 x 4 triple: an infinite tolerance called it equivalent
+        rng = np.random.default_rng(3)
+        mats = {k: {"n": 4, "entries": [[[float(x), 0.0] for x in row]
+                                        for row in rng.normal(size=(4, 4))]}
+                for k in ("H", "E", "F")}
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps({"family": "snu2", "n": 4, "nu": 0.5, "matrices": mats}))
+        return str(path)
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_option_exits_one(self, capsys, random_triple, tol):
+        code, out, err = run(capsys, "rigidity", "--tuple", random_triple, "--family", "snu2",
+                             "--n", "4", "--nu", "0.5", "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err == f"error: --tol must be finite and positive, got {float(tol)!r}\n"
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_env_tol_exits_one(self, capsys, monkeypatch, random_triple, tol):
+        monkeypatch.setenv("SPECRIG_TOL", tol)
+        code, out, err = run(capsys, "rigidity", "--tuple", random_triple, "--family", "snu2",
+                             "--n", "4", "--nu", "0.5")
+        assert (code, out) == (1, "")
+        assert err == f"error: SPECRIG_TOL must be finite and positive, got {float(tol)!r}\n"
+
+    def test_random_triple_fails_at_valid_tol(self, capsys, random_triple):
+        code, out, _ = run(capsys, "rigidity", "--tuple", random_triple, "--family", "snu2",
+                           "--n", "4", "--nu", "0.5", "--tol", "0.5")
+        assert code in (2, 3)
+        assert "verdict: equivalent" not in out
+
+
 class TestConsoleEntry:
     def test_env_tol_applied(self, capsys, monkeypatch, tmp_path):
         # a huge tolerance from the environment lets a visibly scaled

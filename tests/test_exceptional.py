@@ -91,6 +91,16 @@ class TestExceptionalSet:
         # S~ is symmetric under nu -> -nu and excludes +-1 counting
         assert len(exceptional_nus(n)) == 2 * len(pairs) + 2
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_scalar_and_array_kernels_match_z_root(self, n):
+        # n <= 13 runs the scalar loop (at most _SCALAR_PAIRS pairs), n = 14
+        # the array steps; both give z_root's floats
+        pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if i + j > n]
+        assert (len(pairs) <= exceptional._SCALAR_PAIRS) == (n <= 13)
+        roots = exceptional_set(n)
+        assert [(r.i, r.j) for r in roots] == pairs
+        assert roots == [z_root(n, i, j) for i, j in pairs]
+
     def test_n200_memory_is_bounded(self):
         # the pairs are bisected a block at a time, so no (R, n) array of
         # all 9801 pairs' coefficients (15.7 MB) is ever built

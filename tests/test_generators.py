@@ -57,10 +57,14 @@ class TestCCoeff:
         for k in range(1, 6):
             assert c_coeff(6, k, -0.4) == pytest.approx(-c_coeff(6, k, 0.4), rel=1e-14)
 
-    @pytest.mark.parametrize("nu", [0.0, 1.5, -2.0])
+    @pytest.mark.parametrize("nu", [0.0, 1.5, -2.0, math.nan, math.inf])
     def test_invalid_nu_rejected(self, nu):
         with pytest.raises(ValueError):
             c_coeff(4, 1, nu)
+
+    def test_nan_nu_message(self):
+        with pytest.raises(ValueError, match=r"^nu must lie in \[-1, 1\] excluding 0, got nan$"):
+            snu2_generators(4, math.nan)
 
 
 class TestSnu2:

@@ -10,16 +10,19 @@ from specrig.generators import (counterexample_tuple, sl2_generators,
                                 snu2_generators)
 from specrig.linalg import adjoint, hs_norm
 from specrig.rigidity import (EQUIVALENT, HYPOTHESIS_FAILED,
-                              RECONSTRUCTION_FAILED, LineNotInSpectrumError,
+                              RECONSTRUCTION_FAILED, ConditionReport, LineNotInSpectrumError,
                               MultiplicityError, NotUnitaryError,
                               _superdiagonal_support, certify_equivalence, compression_check,
                               reconstruct_sl2, reconstruct_snu2, sl2_rigidity,
                               snu2_rigidity, verify_conditions_sl2,
                               verify_conditions_snu2)
-from specrig.poly import poly_to_json
-from specrig.spectrum import det_pencil, spectra_equal
+from specrig.poly import MultiPoly, poly_distance, poly_to_json
+from specrig.spectrum import PencilComparison, det_pencil, spectra_equal
 
 from conftest import random_complex, random_phases, random_unitary
+
+
+PAIR = ("x1", "x2")
 
 
 def conjugated(t, w):
@@ -433,21 +436,47 @@ class TestStackedVerification:
         if n in (24, 40):  # one pencil's node grid spans several blocks
             assert (n + 1) ** 2 * n * n > spectrum._BLOCK
         cand = conjugated(_reference(family, n, nu), random_unitary(rng, n))
-        compared, compare = [], rigidity._compare
+        stacks, det_stack = [], rigidity._det_stack
 
-        def spy(name, p, q, tol):
-            compared.append((name, p))
-            return compare(name, p, q, tol)
-        monkeypatch.setattr(rigidity, "_compare", spy)
+        def spy(pencils):
+            stacks.append(det_stack(pencils))
+            return stacks[-1]
+        monkeypatch.setattr(rigidity, "_det_stack", spy)
         cond = _verify(family, cand, n, nu)
         assert cond.a1_normal
-        polys = rigidity._reference(family, n, nu).polys
-        assert [name for name, _ in compared] == list(polys)
+        entry = rigidity._reference(family, n, nu)
+        (stack,) = stacks  # one kernel call for all the family's pencils
+        assert [c.pencil for c in cond.checks] == list(entry.pencils)
+        assert len(stack) == len(entry.pencils)
         a1, a2, a3 = cand
-        for name, p in compared:
-            s1, s2 = polys[name][1]
-            alone = det_pencil([s1 * a1, s2 * rigidity._PRODUCTS[name](a2, a3)], ("x1", "x2"))
-            assert json.dumps(poly_to_json(p)) == json.dumps(poly_to_json(alone))
+        for name, s2, coeffs in zip(entry.pencils, entry.s2, stack):
+            alone = det_pencil([entry.s1 * a1, s2 * rigidity._PRODUCTS[name](a2, a3)], PAIR)
+            assert json.dumps(poly_to_json(MultiPoly.from_dense(PAIR, coeffs))) \
+                == json.dumps(poly_to_json(alone))
+
+    @pytest.mark.parametrize("family,nu", [("snu2", 0.5), ("sl2", None)])
+    @pytest.mark.parametrize("n,dim,tamper", [
+        (5, 5, False), (5, 5, True), (9, 9, True), (16, 16, False), (16, 16, True),
+        (24, 24, True), (40, 40, False), (6, 4, False), (6, 9, False), (16, 13, True)])
+    def test_report_matches_per_pencil_definition(self, rng, n, dim, tamper, family, nu):
+        # equal and residual of each pencil are those of the scaled
+        # determinant polynomial against the reference's, one at a time
+        cand = conjugated(_reference(family, dim, nu), random_unitary(rng, dim))
+        if tamper:
+            i, j = (int(x) for x in rng.integers(dim, size=2))
+            cand[1][i, j] += 1e-6 * hs_norm(cand[1])
+        cond = _verify(family, cand, n, nu)
+        ref = _reference(family, n, nu)
+        pencils = rigidity.SL2_PENCILS if family == "sl2" else rigidity.SNU2_PENCILS
+        a1, a2, a3 = cand
+        want = []
+        for name, (q, (s1, s2)) in rigidity.reference_pencil_polys(ref, pencils).items():
+            p = det_pencil([s1 * a1, s2 * rigidity._PRODUCTS[name](a2, a3)], PAIR)
+            scale = max(1.0, p.max_abs_coeff(), q.max_abs_coeff())
+            dist = poly_distance(p, q)
+            want.append(PencilComparison(name, dist <= 1e-9 * scale, dist / scale))
+        assert cond == ConditionReport(a1_normal=True, checks=tuple(want))
+        assert cond.all_passed == (dim == n and not tamper)
 
     def test_memory_stays_within_blocks(self, monkeypatch, rng):
         n, nu = 40, 0.9
@@ -535,3 +564,19 @@ class TestReferenceCache:
         assert rigidity._reference("sl2", 3) is first  # now the most recent
         rigidity._reference("sl2", 5)
         assert list(rigidity._references) == [("sl2", 3, None), ("sl2", 5, None)]
+
+
+class TestArguments:
+    def test_nan_nu_rejected(self):
+        t = snu2_generators(4, 0.5)
+        with pytest.raises(ValueError, match="nu must lie in"):
+            snu2_rigidity(t, 4, float("nan"))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("family", ["snu2", "sl2"])
+    def test_tol_must_be_finite_and_positive(self, rng, family, tol):
+        # an infinite tol called a random real triple equivalent; a
+        # negative or NaN one called every A1 "not normal"
+        cand = tuple(rng.normal(size=(4, 4)) for _ in range(3))
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            _rigidity(family, cand, 4, 0.5, tol)
