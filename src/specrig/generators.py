@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hs_norm
+from .linalg import as_matrix, hs_norm, matrix_from_json, matrix_to_json
 
 FAMILIES = ("snu2", "sl2", "limit_nu1", "fundamental", "one_dim", "counterexample")
 
@@ -263,7 +263,6 @@ def relation_residuals(t: GeneratorTuple, orientation: str = "paper") -> Relatio
 # --- Tuple JSON: {"family":..., "n":..., "nu":..., "matrices": {...}} ---
 
 def tuple_to_json(t: GeneratorTuple) -> dict:
-    from .linalg import matrix_to_json
     return {
         "family": t.family,
         "n": t.n,
@@ -277,7 +276,6 @@ def tuple_to_json(t: GeneratorTuple) -> dict:
 
 
 def tuple_from_json(obj) -> GeneratorTuple:
-    from .linalg import matrix_from_json
     if not isinstance(obj, dict) or "matrices" not in obj:
         raise ValueError("tuple JSON must be an object with 'matrices'")
     mats = obj["matrices"]

@@ -119,9 +119,13 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     if hs_norm(a - a.conj().T) > tol * scale:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return EigenDecomposition(values=w, vectors=_phase_fixed(v))
+
+
+def _phase_fixed(v) -> np.ndarray:
+    """``v`` with each nonzero column's largest-modulus entry made real positive."""
     ph = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return EigenDecomposition(values=w, vectors=v * np.array(
-        [abs(p) / p if p != 0 else 1.0 for p in ph]))
+    return v * np.array([abs(p) / p if p != 0 else 1.0 for p in ph])
 
 
 def cluster_values(values, tol: float, scale: float | None = None):

@@ -14,9 +14,9 @@ the constants every call reads (``_Reference``).  Verification tests
 A1's normality, then evaluates the family's pencils (``SNU2_PENCILS``,
 ``SL2_PENCILS``; second slots from ``_PRODUCTS``) as one coefficient
 stack, compared with the reference's in one array expression.
-Reconstruction, ``_reconstruct``, checks the
-dimension, runs step 1 (diagonalize A1, eigenbasis ordered as the
-reference diagonal), then the family's named steps, and returns the
+Reconstruction, ``_reconstruct``, checks the dimension, runs step 1
+(A1's eigenbasis in the reference order, unresolved clusters built down
+the A2 ladder), then the family's named steps, and returns the
 certified witness or the first failing step with diagnostics:
 
   snu2  step3 A2 support, step3 A3^H support, step2 adjoint products,
@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import GeneratorTuple, sl2_generators, snu2_generators
-from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _is_normal, as_matrix,
-                     hermitian_eig, hs_norm, matrix_to_json, spectral_projection)
+from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _is_normal, _phase_fixed,
+                     as_matrix, hermitian_eig, hs_norm, matrix_to_json, spectral_projection)
 from .poly import LinearForm, divide_linear
 from .spectrum import (_PAIR_VARS, _compare_stacks, _det_stack, _product_of_lines,
                        _slot_matrices, det_pencil, x2_dependence)
@@ -220,42 +220,40 @@ def _eigenbasis_matched(a1, a2, entry, tol):
     is ordered (nearest-value matching is just index order once both lists
     are sorted the same way; the reference spectra are simple).
 
-    The ladder diagonal has exponentially clustering entries at small
-    |nu|, so A1's eigenvectors can be numerically ill-determined inside a
-    near-degenerate cluster even though the exact spectrum is simple.
-    Where consecutive eigenvalues lie closer than
-    max(tol, eps/tol) * max(1, ||A1||), the basis inside the cluster is
-    fixed by diagonalizing the compression of A2 A2*, whose reference
-    values separate exactly where H's collide, and matching the refined
-    columns to the reference values.  Every downstream structural check
-    still has to pass, so the refinement cannot manufacture a witness
-    that is not there.
+    At small |nu| the ladder diagonal clusters exponentially, so A1's
+    eigenvectors are ill-determined inside a cluster of eigenvalues closer
+    than max(tol, eps/tol) * max(1, ||A1||).  A cluster below a column is
+    built down the ladder, as in the proof: the next column is A2 times
+    the one above, twice orthogonalized against the columns built so far
+    and projected onto the cluster's span (each pass projects: A2 amplifies
+    rounding), normalized and phase-fixed as in ``hermitian_eig``.  If a
+    step vanishes (or is NaN), the cluster keeps A1's columns.  Every
+    structural check downstream still has to pass, so the basis cannot
+    manufacture a witness that is not there.
     """
     dec = hermitian_eig(a1, tol)
     values, vectors = dec.values, dec.vectors.copy()
     if entry.diag[0] > entry.diag[-1]:
-        values = values[::-1]
-        vectors = vectors[:, ::-1]
+        values, vectors = values[::-1], vectors[:, ::-1]
     gap = float(np.abs(values - entry.diag).max())
     if gap > tol * entry.diag_scale:
         return values, vectors, gap, False
 
-    disambiguator = a2 @ a2.conj().T
-    eps = float(np.finfo(np.float64).eps)
-    theta = max(tol, eps / tol) * max(1.0, hs_norm(a1))
-    bounds = [0, *(np.flatnonzero(np.abs(np.diff(values)) > theta) + 1).tolist(), len(values)]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
+    theta = max(tol, float(np.finfo(np.float64).eps) / tol) * max(1.0, hs_norm(a1))
+    cuts = (np.flatnonzero(np.abs(np.diff(values)) > theta) + 1).tolist()
+    for start, stop in reversed(list(zip([0, *cuts], cuts))):  # each cluster below a column
         if stop - start > 1:
-            idxs = np.arange(start, stop)
-            q = vectors[:, idxs]
-            block = q.conj().T @ disambiguator @ q
-            wb, ub = np.linalg.eigh((block + block.conj().T) / 2.0)
-            # refined columns ascending in wb; place them where the
-            # reference disambiguator values sit in ascending order
-            order = np.argsort(entry.expected["A1, A2 A2^H"][idxs])
-            cols = np.empty_like(ub)
-            cols[:, order] = ub
-            vectors[:, idxs] = q @ cols
+            q, cols = vectors[:, start:stop], vectors[:, start:stop + 1].copy()
+            for k in range(stop - start - 1, -1, -1):
+                w, built = a2 @ cols[:, k + 1:k + 2], cols[:, k + 1:-1]
+                for _ in range(2):
+                    w = q @ (q.conj().T @ (w - built @ (built.conj().T @ w)))
+                norm = hs_norm(w)
+                if not norm > 0:
+                    break
+                cols[:, k:k + 1] = _phase_fixed((w.view(np.float64) / norm).view(np.complex128))
+            else:
+                vectors[:, start:stop] = cols[:, :-1]
     return values, vectors, gap, True
 
 

@@ -8,7 +8,7 @@ import pytest
 from specrig import rigidity, spectrum
 from specrig.generators import (counterexample_tuple, sl2_generators,
                                 snu2_generators)
-from specrig.linalg import adjoint, hs_norm
+from specrig.linalg import DEFAULT_TOL, adjoint, hs_norm
 from specrig.rigidity import (EQUIVALENT, HYPOTHESIS_FAILED,
                               RECONSTRUCTION_FAILED, ConditionReport, LineNotInSpectrumError,
                               MultiplicityError, NotUnitaryError,
@@ -377,6 +377,13 @@ class TestReportInvariants:
 
 
 LARGE_REFS = [("snu2", nu) for nu in (0.3, 0.5, 0.9, 1.0, -1.0)] + [("sl2", None)]
+# (n, family, nu, tol): the references above at tol 1e-8, and small |nu|, whose
+# lower ladder diagonal clusters below float64 resolution, at the default tol
+LARGE_CONJUGATES = [
+    *(pytest.param(n, family, nu, 1e-8, id=f"{n}-{family}-{nu}")
+      for n in (16, 24, 32) for family, nu in LARGE_REFS),
+    *(pytest.param(n, "snu2", nu, DEFAULT_TOL, id=f"{n}-snu2-{nu}-default_tol")
+      for n in (20, 32, 40) for nu in (0.05, 0.1, 0.3, 0.5, -0.5))]
 
 
 def _rigidity(family, cand, n, nu, tol):
@@ -403,21 +410,20 @@ class TestLargeDimension:
         assert rep.verdict == EQUIVALENT, rep.diagnostics
         assert max(rep.condition_residuals.values()) <= 1e-12
 
-    @pytest.mark.parametrize("family,nu", LARGE_REFS)
-    @pytest.mark.parametrize("n", [16, 24, 32])
-    def test_conjugate_accepted_and_tamper_rejected(self, rng, n, family, nu):
+    @pytest.mark.parametrize("n,family,nu,tol", LARGE_CONJUGATES)
+    def test_conjugate_accepted_and_tamper_rejected(self, rng, n, family, nu, tol):
         ref = _reference(family, n, nu)
         w = random_unitary(rng, n)
         cand = conjugated(ref, w)
-        rep = _rigidity(family, cand, n, nu, 1e-8)
+        rep = _rigidity(family, cand, n, nu, tol)
         assert rep.verdict == EQUIVALENT, rep.diagnostics
-        assert certify_equivalence(cand, ref, rep.global_witness, 1e-8) <= 1e-8
+        assert certify_equivalence(cand, ref, rep.global_witness, tol) <= tol
         slot = int(rng.integers(3))
         i, j = (int(x) for x in rng.integers(n, size=2))
         tampered = [m.copy() for m in cand]
         tampered[slot][i, j] += 1e-6 * max(1.0, hs_norm(cand[slot])) \
             * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        assert _rigidity(family, tuple(tampered), n, nu, 1e-8).verdict != EQUIVALENT
+        assert _rigidity(family, tuple(tampered), n, nu, tol).verdict != EQUIVALENT
 
 
 def _verify(family, cand, n, nu, tol=1e-9):
@@ -516,14 +522,28 @@ class TestOverflowSafeScales:
         assert rep.residual == 0.0
 
 
-@pytest.mark.xfail(strict=True, reason="A1's clustered eigenvectors at small |nu| "
-                   "mix A2 off the superdiagonal (ROADMAP item 1)")
 @pytest.mark.parametrize("nu,n", [(0.3, 24), (0.1, 20), (0.5, 32)])
 def test_conjugate_equivalent_at_default_tol(nu, n):
     ref = snu2_generators(n, nu)
     cand = conjugated(ref, random_unitary(np.random.default_rng(0), n))
     rep = snu2_rigidity(cand, n, nu)
     assert rep.verdict == EQUIVALENT, rep.diagnostics
+
+
+@pytest.mark.parametrize("n,nu", [(10, 0.05), (12, 0.1), (20, 0.3)])
+def test_vanishing_ladder_step_fails_without_warnings(n, nu):
+    # step 1 builds A1's clustered eigenvectors down the A2 ladder; a zero
+    # column of A2 (column 0 is zero in the reference) stops the ladder,
+    # which must end in a failed step, not a NaN basis
+    ref = snu2_generators(n, nu)
+    for j in range(1, n):
+        a2 = ref.e.copy()
+        a2[:, j] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = reconstruct_snu2((ref.h, a2, ref.f), n, nu)
+        assert rep.verdict == RECONSTRUCTION_FAILED, (j, rep.diagnostics)
+        assert rep.basis is None and rep.residual is None
 
 
 class TestReferenceCache:
