@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import c_coeff
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _check_tol
 
 BISECT_ITERATIONS = 200
 _BLOCK = 2 ** 18  # coefficient floats per block of pairs (2 MB)
@@ -228,6 +228,7 @@ def is_exceptional(n: int, nu: float, tol: float = DEFAULT_TOL) -> bool:
     """Whether nu lies within tol of one of ``exceptional_nus(n)``;
     pairs are bisected only while their root may (see the module
     docstring).  A NaN nu is never exceptional."""
+    _check_tol(tol)
     i, j = _index_pairs(n)
     if abs(nu - 1.0) <= tol or abs(nu + 1.0) <= tol:
         return True
@@ -249,6 +250,7 @@ def multiplicity_profile(n: int, nu: float, tol: float = DEFAULT_TOL):
     Consecutive sorted values a, b fall into one cluster unless
     |a - b| > tol * max(1, |a|, |b|); the representative is the cluster
     mean."""
+    _check_tol(tol)
     vals = np.sort([(nu * c_coeff(n, k + 1, nu)) ** 2 for k in range(n)])
     mags = np.abs(vals)
     split = np.abs(np.diff(vals)) > tol * np.maximum(1.0, np.maximum(mags[:-1], mags[1:]))
@@ -274,6 +276,7 @@ def corollary_check(n: int, tol: float = 1e-10) -> CorollaryCheck:
     j-gap.  No root may be shared by three pairs.  Returns a truthy
     result; on failure ``violations`` lists the offending pair groups.
     """
+    _check_tol(tol)
     i, j = _index_pairs(n)
 
     def needed(lo, hi):

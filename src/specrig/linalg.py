@@ -78,11 +78,6 @@ def _is_normal(a, tol: float, scale=None) -> bool:
     return hs_norm(b @ b.conj().T - b.conj().T @ b) <= tol
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
 def commutator(a, b) -> np.ndarray:
     """ab - ba."""
     a = as_matrix(a)
@@ -90,11 +85,6 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"operands differ in size: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def determinant(a) -> complex:
-    """Determinant via LU with partial pivoting (LAPACK zgetrf)."""
-    return complex(np.linalg.det(as_matrix(a)))
 
 
 @dataclass(frozen=True)
@@ -114,6 +104,7 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     each eigenvector is phase-normalized so that its largest-modulus
     component is real positive, which makes the output deterministic.
     """
+    _check_tol(tol)
     a = as_matrix(a)
     scale = max(1.0, hs_norm(a))
     if hs_norm(a - a.conj().T) > tol * scale:
@@ -128,7 +119,7 @@ def _phase_fixed(v) -> np.ndarray:
     return v * np.array([abs(p) / p if p != 0 else 1.0 for p in ph])
 
 
-def cluster_values(values, tol: float, scale: float | None = None):
+def cluster_values(values, tol: float, scale: float):
     """Group sorted-by-magnitude-agnostic values that lie within
     ``tol * max(1, scale)`` of each other.
 
@@ -138,8 +129,6 @@ def cluster_values(values, tol: float, scale: float | None = None):
     spectral point.
     """
     vals = np.asarray(values)
-    if scale is None:
-        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     gap = tol * max(1.0, scale)
     order = np.lexsort((vals.imag, vals.real)) if np.iscomplexobj(vals) else np.argsort(vals)
     clusters = []
@@ -187,6 +176,7 @@ def spectral_projection(a, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     eigenvalues within that distance of each other count as one spectral
     point, so the projection rank equals the multiplicity.
     """
+    _check_tol(tol)
     a = as_matrix(a)
     w, v = normal_eig(a, tol)
     scale = max(1.0, hs_norm(a))
@@ -209,6 +199,7 @@ class MatrixFlags:
 def classify(a, tol: float = DEFAULT_TOL) -> MatrixFlags:
     """Structural flags of a matrix, each tested at the tolerance scaled
     by the natural magnitude of the residual being measured."""
+    _check_tol(tol)
     a = as_matrix(a)
     n = a.shape[0]
     s = max(1.0, hs_norm(a))

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_tol
+
 PRUNE_REL = 1e-14
 MAX_COEFFS = 1 << 22  # largest dense array built from an exponent list
 
@@ -91,10 +93,6 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars):
-        return cls(vars, {})
-
-    @classmethod
     def constant(cls, vars, c):
         return cls(vars, {(0,) * len(tuple(vars)): c})
 
@@ -111,16 +109,6 @@ class MultiPoly:
         self.vars = vars
         self.coeffs = _prune(coeffs)
         return self
-
-    @classmethod
-    def from_linear(cls, vars, form: LinearForm):
-        vars = tuple(vars)
-        if len(form.coeffs) != len(vars):
-            raise VariableMismatchError("linear form arity does not match variables")
-        terms = {(0,) * len(vars): form.constant}
-        for i, c in enumerate(form.coeffs):
-            terms[tuple(int(j == i) for j in range(len(vars)))] = c
-        return cls(vars, terms)
 
     # -- basic queries ------------------------------------------------------
 
@@ -215,6 +203,7 @@ def poly_distance(p: MultiPoly, q: MultiPoly) -> float:
 def poly_equal(p: MultiPoly, q: MultiPoly, tol: float = 1e-9) -> bool:
     """Coefficient-wise equality at tolerance relative to the larger of
     the two coefficient scales (and never below absolute ``tol``)."""
+    _check_tol(tol)
     scale = max(1.0, p.max_abs_coeff(), q.max_abs_coeff())
     return poly_distance(p, q) <= tol * scale
 

@@ -26,9 +26,12 @@ certified witness or the first failing step with diagnostics:
         step6 certification.
 
 sl2 has no (A1, A3* A3) pencil, so the compressions on the (A1, A2 A3)
-lines and the Hilbert-Schmidt budget pin A3.  ``snu2_rigidity`` /
-``sl2_rigidity`` chain both stages into the verdicts ``equivalent``,
-``hypothesis_failed`` and ``reconstruction_failed``.
+lines and the Hilbert-Schmidt budget pin A3.
+
+``snu2_rigidity`` / ``sl2_rigidity`` are the entry points: they chain
+the two private stages, ``_verify_conditions`` and ``_reconstruct``,
+into the verdicts ``equivalent``, ``hypothesis_failed`` and
+``reconstruction_failed``.
 """
 
 from __future__ import annotations
@@ -181,28 +184,18 @@ def reference_pencil_polys(ref: GeneratorTuple, pencils) -> dict:
 
 def _verify_conditions(mats, entry, tol):
     """A1's normality, then all the family's pencils in one stacked pass,
-    compared with the reference's coefficient stack."""
+    compared with the reference's coefficient stack.  The slots are
+    finite, so a non-finite pencil means a product overflowed float64."""
     a1, a2, a3 = mats
     if not _is_normal(a1, tol):
         return ConditionReport(a1_normal=False, checks=())
     first = entry.s1 * a1
-    stack = _det_stack([(first, s2 * _PRODUCTS[name](a2, a3))
+    pencils = np.array([(first, s2 * _PRODUCTS[name](a2, a3))
                         for name, s2 in zip(entry.pencils, entry.s2)])
+    if not np.isfinite(pencils).all():
+        raise ValueError("the candidate's pencil products overflow float64")
     return ConditionReport(a1_normal=True, checks=_compare_stacks(
-        entry.pencils, stack, entry.coeffs, tol, entry.coeff_max))
-
-
-def verify_conditions_snu2(t, n: int, nu: float, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """The five pair-spectrum equalities against the deformed ladder
-    reference: (A1, A2 A2*), (A1, A2* A2), (A1, A3 A3*), (A1, A3* A3)
-    and (A1, A2 A3).  A non-normal A1 fails immediately."""
-    return _verify_conditions(_slot_matrices(t), _reference("snu2", n, nu), tol)
-
-
-def verify_conditions_sl2(t, n: int, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """The four pair-spectrum equalities against the sl(2) reference:
-    (A1, A2 A2*), (A1, A2* A2), (A1, A3 A3*) and (A1, A2 A3)."""
-    return _verify_conditions(_slot_matrices(t), _reference("sl2", n), tol)
+        entry.pencils, _det_stack(pencils), entry.coeffs, tol, entry.coeff_max))
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -435,24 +428,6 @@ _SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products),
               ("step6", _certified))
 
 
-def reconstruct_snu2(t, n: int, nu: float, tol: float = DEFAULT_TOL) -> RigidityReport:
-    """Reconstruct the diagonal unitary witness for a candidate triple
-    against the deformed ladder reference, through ``_SNU2_STEPS``.
-
-    Assumes the pair-spectrum hypotheses have been verified (see
-    ``verify_conditions_snu2`` / ``snu2_rigidity``); every step still
-    guards itself and fails with the step name on violation.
-    """
-    return _reconstruct(_slot_matrices(t), _reference("snu2", n, nu), tol)
-
-
-def reconstruct_sl2(t, n: int, tol: float = DEFAULT_TOL) -> RigidityReport:
-    """Witness reconstruction against the sl(2) reference, through
-    ``_SL2_STEPS``: A3 is pinned by the compressions and the
-    Hilbert-Schmidt budget in place of its own support check."""
-    return _reconstruct(_slot_matrices(t), _reference("sl2", n), tol)
-
-
 # --- drivers ------------------------------------------------------------------
 
 def _drive(t, tol, family, n, nu=None) -> RigidityReport:
@@ -493,6 +468,7 @@ def compression_check(a1, b, lam, mu, tol: float = DEFAULT_TOL) -> bool:
     (a1, b) with multiplicity 1: the determinant polynomial must be
     divisible by the line exactly once (checked by synthetic division).
     """
+    _check_tol(tol)
     a1 = as_matrix(a1)
     b = as_matrix(b)
     p = det_pencil([a1, b], _PAIR_VARS)
@@ -515,6 +491,7 @@ def certify_equivalence(t, ref, w, tol: float = DEFAULT_TOL) -> float:
     """Max over the three slots of ||t_i - w ref_i w*||_HS, normalized by
     max(1, ||ref_i||_HS) so the figure is comparable across the scale
     range of the ladder matrices.  ``w`` must be unitary."""
+    _check_tol(tol)
     mats = _slot_matrices(t)
     refs = _slot_matrices(ref)
     w = as_matrix(w)

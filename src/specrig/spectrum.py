@@ -17,7 +17,7 @@ hands LAPACK ``_BLOCK`` matrix entries at a time (memory stays bounded
 at large n) and interpolates with one FFT.
 
 A pencil expression grammar selects the slot matrices, e.g.
-``"A1, A2 A2^H"`` denotes the pair (A1, A2 adjoint(A2)).  Atoms A1/A2/A3
+``"A1, A2 A2^H"`` denotes the pair (A1, A2 A2*).  Atoms A1/A2/A3
 and H/E/F are interchangeable names for the three tuple slots, products
 are juxtaposition, and the postfix ``^H`` takes the adjoint of the atom
 it follows (double adjoints collapse at parse time).
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NotNormalError, as_matrix, hs_norm, normal_eig
+from .linalg import DEFAULT_TOL, NotNormalError, _check_tol, as_matrix, hs_norm, normal_eig
 from .poly import MultiPoly, _prune, _widen, poly_equal
 
 MAX_PENCIL_VARS = 4
@@ -159,10 +159,9 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
 
 def _det_stack(pencils, affine=True):
     """The pruned coefficient arrays of ``det_pencil``, one per pencil:
-    a (P,) + (n+1,) * k array for P pencils of k finite n x n matrices."""
+    a (P,) + (n+1,) * k array for P pencils of k finite n x n matrices
+    (the callers check that they are finite)."""
     mats = np.asarray(pencils, dtype=np.complex128)  # (P, k, n, n)
-    if not np.isfinite(mats).all():
-        raise ValueError("matrix entries must be finite")
     count, k, n = mats.shape[:3]
     # p has degree <= n in each variable: its values on the grid of
     # (n+1)-th roots of unity are the DFT of its coefficient array
@@ -199,9 +198,6 @@ class Line:
 @dataclass(frozen=True)
 class LineArrangement:
     lines: tuple
-
-    def total_multiplicity(self) -> int:
-        return sum(l.mult for l in self.lines)
 
 
 def _product_of_lines(coeffs) -> MultiPoly:
@@ -241,6 +237,7 @@ def lines_of_pair(a, b, tol: float = DEFAULT_TOL):
     witnesses non-commutativity.  (The certification compares the
     norm-scaled pencils, see ``slot_scales``.)
     """
+    _check_tol(tol)
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
@@ -298,6 +295,7 @@ def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
     ``slot_scales``) determinant polynomials at the given tolerance; the
     residual is the max coefficient gap relative to the largest one.
     """
+    _check_tol(tol)
     m1, m2 = _slot_matrices(t1), _slot_matrices(t2)
     out = []
     for src in pencils:
@@ -310,14 +308,14 @@ def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
     return out
 
 
-def x2_dependence(a1, a2, prune: float = 1e-10) -> bool:
+def x2_dependence(a1, a2) -> bool:
     """Whether det(x1 a1 + x2 a2 - I) genuinely involves x2.
 
     Computed on the norm-scaled pencil (scaling does not change which
-    exponents occur); coefficients below ``prune`` times the largest one
-    are discarded before reading off the x2-degree.
+    exponents occur); coefficients below 1e-10 times the largest one are
+    discarded before reading off the x2-degree.
     """
     s1, s2 = slot_scales((as_matrix(a1), as_matrix(a2)))
     p = det_pencil([s1 * as_matrix(a1), s2 * as_matrix(a2)], _PAIR_VARS)
-    cut = prune * max(1.0, p.max_abs_coeff())
+    cut = 1e-10 * max(1.0, p.max_abs_coeff())
     return bool(np.any(np.abs(p.coeffs[:, 1:]) > cut))

@@ -288,6 +288,21 @@ class TestArgumentChecks:
         assert (code, out) == (1, "")
         assert err == f"error: SPECRIG_TOL must be finite and positive, got {float(tol)!r}\n"
 
+    def test_overflowing_products_exit_one(self, capsys, tmp_path):
+        # every entry is finite; the pencil products of the candidate are not
+        path = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", "snu2", "--n", "10", "--nu", "0.5", "-o", str(path))
+        blob = json.loads(path.read_text())
+        for row in blob["matrices"]["E"]["entries"]:
+            for pair in row:
+                pair[0] += 1e300
+        path.write_text(json.dumps(blob))
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run(capsys, "rigidity", "--tuple", str(path), "--family", "snu2",
+                                 "--n", "10", "--nu", "0.5")
+        assert (code, out, err) == (1, "", "error: the candidate's pencil products "
+                                           "overflow float64\n")
+
     def test_random_triple_fails_at_valid_tol(self, capsys, random_triple):
         code, out, _ = run(capsys, "rigidity", "--tuple", random_triple, "--family", "snu2",
                            "--n", "4", "--nu", "0.5", "--tol", "0.5")

@@ -8,7 +8,7 @@ from specrig.generators import (c_coeff, counterexample_tuple,
                                 relation_residuals, sl2_generators,
                                 snu2_generators, structural_matrices,
                                 tuple_from_json, tuple_to_json)
-from specrig.linalg import adjoint, hs_norm
+from specrig.linalg import hs_norm
 
 from conftest import random_complex
 
@@ -97,7 +97,7 @@ class TestSnu2:
     @pytest.mark.parametrize("nu", [1.0, -1.0])
     def test_self_adjointness_at_limit(self, nu):
         t = snu2_generators(7, nu)
-        assert hs_norm(-nu * adjoint(t.e) - t.f) <= 1e-12
+        assert hs_norm(-nu * t.e.conj().T - t.f) <= 1e-12
 
     def test_max_diagonal_entry(self):
         for n, nu in [(3, 0.4), (6, 0.7), (9, 0.25)]:
@@ -115,10 +115,10 @@ class TestSnu2:
     @pytest.mark.parametrize("n,nu", [(3, 0.5), (7, 0.3), (10, -0.7)])
     def test_ladder_products_diagonal(self, n, nu):
         t = snu2_generators(n, nu)
-        ee = t.e @ adjoint(t.e)
+        ee = t.e @ t.e.conj().T
         expected = np.diag([(nu * c_coeff(n, k + 1, nu)) ** 2 for k in range(n)])
         assert hs_norm(ee - expected) <= 1e-12 * max(1, hs_norm(ee))
-        este = adjoint(t.e) @ t.e
+        este = t.e.conj().T @ t.e
         expected2 = np.diag([(nu * c_coeff(n, k, nu)) ** 2 for k in range(n)])
         assert hs_norm(este - expected2) <= 1e-12 * max(1, hs_norm(este))
 
@@ -182,7 +182,7 @@ class TestFundamental:
     @pytest.mark.parametrize("nu", [0.4, -0.8, 1.0])
     def test_self_adjointness(self, nu):
         t = fundamental_generators(nu)
-        assert hs_norm(-nu * adjoint(t.e) - t.f) <= 1e-14
+        assert hs_norm(-nu * t.e.conj().T - t.f) <= 1e-14
 
 
 class TestOneDim:
@@ -228,7 +228,7 @@ class TestStructural:
     def test_cyclic_permutation(self):
         n = 5
         p, q = structural_matrices(n, 1, 3)
-        assert hs_norm(p @ adjoint(p) - np.eye(n)) <= 1e-15
+        assert hs_norm(p @ p.conj().T - np.eye(n)) <= 1e-15
         assert np.array_equal(np.linalg.matrix_power(p, n), np.eye(n))
         assert np.array_equal(q @ q, np.eye(n))
 
@@ -236,7 +236,7 @@ class TestStructural:
         n = 4
         p, _ = structural_matrices(n, 0, 1)
         d = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        shifted = adjoint(p) @ d @ p
+        shifted = p.conj().T @ d @ p
         assert np.allclose(np.diag(shifted).real, [4.0, 1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("n,nu", [(4, 0.5), (7, 0.3), (6, -0.7)])
@@ -244,8 +244,8 @@ class TestStructural:
         # A2* A2 = P* (A2 A2*) P for the ladder E
         t = snu2_generators(n, nu)
         p, _ = structural_matrices(n, 0, 1)
-        lhs = adjoint(t.e) @ t.e
-        rhs = adjoint(p) @ (t.e @ adjoint(t.e)) @ p
+        lhs = t.e.conj().T @ t.e
+        rhs = p.conj().T @ (t.e @ t.e.conj().T) @ p
         assert hs_norm(lhs - rhs) <= 1e-12 * max(1, hs_norm(lhs))
 
     def test_index_validation(self):

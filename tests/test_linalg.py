@@ -3,14 +3,18 @@ import warnings
 import numpy as np
 import pytest
 
+from specrig.exceptional import corollary_check, is_exceptional, multiplicity_profile
 from specrig.generators import h_coeff, sl2_generators, snu2_generators, structural_matrices
 from specrig.linalg import (DimensionMismatchError, EigenvalueNotFoundError,
-                            NotHermitianError, adjoint, as_matrix, classify,
-                            commutator, determinant, hermitian_eig, hs_norm,
+                            NotHermitianError, as_matrix, classify,
+                            commutator, hermitian_eig, hs_norm,
                             matrix_from_json, matrix_to_json,
                             spectral_projection)
+from specrig.poly import poly_equal
+from specrig.rigidity import certify_equivalence, compression_check
+from specrig.spectrum import det_pencil, lines_of_pair, spectra_equal
 
-from conftest import cofactor_det, random_complex, random_hermitian
+from conftest import random_complex, random_hermitian
 
 
 class TestMatOp:
@@ -38,48 +42,6 @@ class TestMatOp:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             as_matrix(np.array([[np.nan, 0], [0, 1]]))
-
-
-class TestAdjoint:
-    def test_diag(self):
-        assert np.array_equal(adjoint(np.diag([1j, 2.0])), np.diag([-1j, 2.0]))
-
-    def test_e3_transpose(self):
-        t = sl2_generators(3)
-        assert np.array_equal(adjoint(t.e), t.e.T)
-
-    def test_involution(self, rng):
-        m = random_complex(rng, 5)
-        assert np.array_equal(adjoint(adjoint(m)), m)
-
-    def test_hs_isometry(self, rng):
-        m = random_complex(rng, 6)
-        assert hs_norm(adjoint(m)) == pytest.approx(hs_norm(m), rel=1e-14)
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert determinant(np.eye(7)) == pytest.approx(1.0)
-
-    def test_2x2_closed_form(self):
-        a, b, c, d = 1 + 2j, -0.5j, 3.0, 2 - 1j
-        m = np.array([[a, b], [c, d]])
-        assert determinant(m) == pytest.approx(a * d - b * c)
-
-    def test_against_cofactor_oracle(self, rng):
-        for _ in range(5):
-            m = random_complex(rng, 6)
-            ours = determinant(m)
-            oracle = cofactor_det(m)
-            assert abs(ours - oracle) <= 1e-9 * abs(oracle)
-
-    def test_multiplicative(self, rng):
-        for _ in range(5):
-            a = random_complex(rng, 5)
-            b = random_complex(rng, 5)
-            lhs = determinant(a @ b)
-            rhs = determinant(a) * determinant(b)
-            assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
 
 class TestHermitianEig:
@@ -221,3 +183,31 @@ class TestMatrixJson:
         bad = {"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}
         with pytest.raises(ValueError, match="ragged"):
             matrix_from_json(bad)
+
+
+_SL2 = sl2_generators(4)
+_DIAG = np.diag([1.0, 2.0]).astype(complex)
+# every exported function that takes a tolerance, on inputs it accepts at tol 1e-9
+TOL_CALLS = {
+    "hermitian_eig": lambda tol: hermitian_eig(_SL2.h, tol),
+    "spectral_projection": lambda tol: spectral_projection(_DIAG, 1.0, tol),
+    "classify": lambda tol: classify(_SL2.e, tol),
+    "lines_of_pair": lambda tol: lines_of_pair(_SL2.h, _SL2.e @ _SL2.f, tol),
+    "spectra_equal": lambda tol: spectra_equal(_SL2, _SL2, ["A1, A2 A3"], tol),
+    "poly_equal": lambda tol: poly_equal(det_pencil([_DIAG]), det_pencil([_DIAG]), tol),
+    "compression_check": lambda tol: compression_check(_DIAG, 3.0 * _DIAG, 1.0, 3.0, tol),
+    "certify_equivalence": lambda tol: certify_equivalence(_SL2, _SL2, np.eye(4), tol),
+    "is_exceptional": lambda tol: is_exceptional(12, 0.5, tol),
+    "corollary_check": lambda tol: corollary_check(12, tol),
+    "multiplicity_profile": lambda tol: multiplicity_profile(8, 0.6, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+@pytest.mark.parametrize("name", list(TOL_CALLS))
+def test_tol_must_be_finite_and_positive(name, tol):
+    # a NaN or infinite tol silently changed answers, e.g. hermitian_eig
+    # accepted a non-Hermitian matrix and is_exceptional(12, 0.5, inf) held
+    TOL_CALLS[name](1e-9)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        TOL_CALLS[name](tol)

@@ -146,7 +146,9 @@ class TestDivideLinear:
                             complex(rng.normal(), rng.normal())),
                            complex(rng.normal()))
             q, r = divide_linear(p, f)
-            back = MultiPoly.from_linear(vars, f) * q + r
+            linear = MultiPoly(vars, {(0, 0): f.constant, (1, 0): f.coeffs[0],
+                                      (0, 1): f.coeffs[1]})
+            back = linear * q + r
             assert poly_distance(back, p) <= 1e-10 * max(1.0, p.max_abs_coeff())
             # remainder is free of the pivot variable
             piv = max(range(2), key=lambda i: abs(f.coeffs[i]))

@@ -147,8 +147,10 @@ def test_exceptional_set_and_z_root_match_scalar_bisection(n):
 def test_corollary_check_matches_pair_and_triple_loops(n, tol, data):
     roots = exceptional_set(n)
     if len(roots) >= 2 and data.draw(st.booleans()):
-        # a tol that equals the gap between two roots tests the boundary
-        a, b = data.draw(st.lists(st.sampled_from(roots), min_size=2, max_size=2))
+        # a tol that equals the gap between two roots tests the boundary;
+        # two distinct roots, as a tol of 0 is rejected (no two coincide)
+        a, b = data.draw(st.lists(st.sampled_from(roots), min_size=2, max_size=2,
+                                  unique=True))
         tol = abs(a.z - b.z)
     res = corollary_check(n, tol)
     assert (res.ok, res.violations) == _scalar_corollary(roots, tol)

@@ -8,14 +8,12 @@ import pytest
 from specrig import rigidity, spectrum
 from specrig.generators import (counterexample_tuple, sl2_generators,
                                 snu2_generators)
-from specrig.linalg import DEFAULT_TOL, adjoint, hs_norm
+from specrig.linalg import DEFAULT_TOL, hs_norm
 from specrig.rigidity import (EQUIVALENT, HYPOTHESIS_FAILED,
                               RECONSTRUCTION_FAILED, ConditionReport, LineNotInSpectrumError,
                               MultiplicityError, NotUnitaryError,
                               _superdiagonal_support, certify_equivalence, compression_check,
-                              reconstruct_sl2, reconstruct_snu2, sl2_rigidity,
-                              snu2_rigidity, verify_conditions_sl2,
-                              verify_conditions_snu2)
+                              sl2_rigidity, snu2_rigidity)
 from specrig.poly import MultiPoly, poly_distance, poly_to_json
 from specrig.spectrum import PencilComparison, det_pencil, spectra_equal
 
@@ -29,28 +27,40 @@ def conjugated(t, w):
     return tuple(w @ m @ w.conj().T for m in t.matrices)
 
 
+def _verify(family, cand, n, nu=None, tol=DEFAULT_TOL):
+    """The verification stage, entered as the drivers enter it."""
+    return rigidity._verify_conditions(spectrum._slot_matrices(cand),
+                                       rigidity._reference(family, n, nu), tol)
+
+
+def _reconstruct(family, cand, n, nu=None, tol=DEFAULT_TOL):
+    """The reconstruction stage, entered as the drivers enter it."""
+    return rigidity._reconstruct(spectrum._slot_matrices(cand),
+                                 rigidity._reference(family, n, nu), tol)
+
+
 class TestVerifyConditionsSnu2:
     def test_reference_passes(self):
         t = snu2_generators(5, 0.5)
-        cond = verify_conditions_snu2(t, 5, 0.5)
+        cond = _verify("snu2", t, 5, 0.5)
         assert cond.all_passed
         assert len(cond.checks) == 5
 
     def test_unitary_conjugate_passes(self, rng):
         n, nu = 6, -0.7
         t = snu2_generators(n, nu)
-        cond = verify_conditions_snu2(conjugated(t, random_unitary(rng, n)), n, nu)
+        cond = _verify("snu2", conjugated(t, random_unitary(rng, n)), n, nu)
         assert cond.all_passed
 
     def test_scaled_a2_fails_first_pencil(self):
         t = snu2_generators(4, 0.5)
-        cond = verify_conditions_snu2((t.h, 2.0 * t.e, t.f), 4, 0.5)
+        cond = _verify("snu2", (t.h, 2.0 * t.e, t.f), 4, 0.5)
         failed = [c.pencil for c in cond.checks if not c.equal]
         assert "A1, A2 A2^H" in failed
 
     def test_non_normal_a1_short_circuits(self, rng):
         t = snu2_generators(3, 0.5)
-        cond = verify_conditions_snu2((random_complex(rng, 3), t.e, t.f), 3, 0.5)
+        cond = _verify("snu2", (random_complex(rng, 3), t.e, t.f), 3, 0.5)
         assert not cond.a1_normal
         assert not cond.all_passed
 
@@ -59,7 +69,7 @@ class TestReconstructSnu2:
     def test_reference_gives_identity_witness(self):
         n, nu = 5, 0.5
         t = snu2_generators(n, nu)
-        rep = reconstruct_snu2(t.matrices, n, nu)
+        rep = _reconstruct("snu2", t.matrices, n, nu)
         assert rep.verdict == EQUIVALENT
         assert np.allclose(rep.witness, np.eye(n))
         assert np.allclose(rep.basis, np.eye(n))
@@ -69,7 +79,7 @@ class TestReconstructSnu2:
     def test_phase_roundtrip_recovers_witness(self, rng, n, nu):
         t = snu2_generators(n, nu)
         ph = random_phases(rng, n)
-        rep = reconstruct_snu2(conjugated(t, np.diag(ph)), n, nu)
+        rep = _reconstruct("snu2", conjugated(t, np.diag(ph)), n, nu)
         assert rep.verdict == EQUIVALENT
         assert rep.residual <= 1e-9
         # gauge: first entry fixed to 1 makes the witness canonical
@@ -99,7 +109,7 @@ class TestReconstructSnu2:
         a2 = t.e.copy()
         bump = 10 * tol * max(1.0, hs_norm(a2))
         a2[2, 3] += bump * a2[2, 3] / abs(a2[2, 3])  # push the modulus
-        rep = reconstruct_snu2((t.h, a2, t.f), n, nu, tol)
+        rep = _reconstruct("snu2", (t.h, a2, t.f), n, nu, tol)
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert rep.diagnostics[0].startswith("step3")
 
@@ -116,7 +126,7 @@ class TestReconstructSnu2:
         msg = _superdiagonal_support("A2", a2, np.abs(np.diag(t.e, 1)), tol)
         assert msg == ("A2: A2 support off the superdiagonal at (0,2), (0,3), (0,4), "
                        f"(0,5) (HS norm {2 * tol * s:.3g} > {tol * s:.3g})")
-        rep = reconstruct_snu2((t.h, a2, t.f), n, nu, tol)
+        rep = _reconstruct("snu2", (t.h, a2, t.f), n, nu, tol)
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert rep.diagnostics[0].startswith("step3")
         assert "A2 support off the superdiagonal at (" in rep.diagnostics[0]
@@ -126,7 +136,7 @@ class TestReconstructSnu2:
         t = snu2_generators(n, nu)
         a2 = t.e.copy()
         a2[2, 0] = 0.5  # a genuine cycle, not just noise
-        rep = reconstruct_snu2((t.h, a2, t.f), n, nu)
+        rep = _reconstruct("snu2", (t.h, a2, t.f), n, nu)
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert any("x2_dependence detected: True" in d for d in rep.diagnostics)
 
@@ -135,14 +145,14 @@ class TestReconstructSnu2:
         t = snu2_generators(n, nu)
         a2 = t.e.copy()
         a2[1, 2] *= np.exp(0.3j)  # rotate one A2 phase, leave A3 alone
-        rep = reconstruct_snu2((t.h, a2, t.f), n, nu)
+        rep = _reconstruct("snu2", (t.h, a2, t.f), n, nu)
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert rep.diagnostics[0].startswith("step4")
 
     def test_wrong_spectrum_names_step1(self):
         n, nu = 4, 0.5
         t = snu2_generators(n, nu)
-        rep = reconstruct_snu2((2.0 * t.h, t.e, t.f), n, nu)
+        rep = _reconstruct("snu2", (2.0 * t.h, t.e, t.f), n, nu)
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert rep.diagnostics[0].startswith("step1")
 
@@ -201,10 +211,10 @@ FAILING_STEPS = [
 def test_failing_step_names(family, tamper, snu2_msg, sl2_msg):
     n = 5
     if family == "snu2":
-        rep = reconstruct_snu2(tamper(*snu2_generators(n, 0.5).matrices), n, 0.5)
+        rep = _reconstruct("snu2", tamper(*snu2_generators(n, 0.5).matrices), n, 0.5)
         expected = snu2_msg
     else:
-        rep = reconstruct_sl2(tamper(*sl2_generators(n).matrices), n)
+        rep = _reconstruct("sl2", tamper(*sl2_generators(n).matrices), n)
         expected = sl2_msg
     assert rep.verdict == RECONSTRUCTION_FAILED
     assert rep.diagnostics[0].startswith(expected), rep.diagnostics
@@ -215,7 +225,7 @@ class TestGaugeInvariance:
     def test_witness_equals_diagonal_conjugator(self, rng, n, nu):
         t = snu2_generators(n, nu)
         ph = random_phases(rng, n)  # first phase 1
-        rep = reconstruct_snu2(conjugated(t, np.diag(ph)), n, nu)
+        rep = _reconstruct("snu2", conjugated(t, np.diag(ph)), n, nu)
         assert rep.verdict == EQUIVALENT
         assert np.max(np.abs(np.diag(rep.witness) - ph)) <= 1e-9
 
@@ -224,7 +234,7 @@ class TestReconstructSl2:
     def test_reference_identity(self):
         n = 5
         t = sl2_generators(n)
-        rep = reconstruct_sl2(t.matrices, n)
+        rep = _reconstruct("sl2", t.matrices, n)
         assert rep.verdict == EQUIVALENT
         assert np.allclose(rep.witness, np.eye(n))
 
@@ -232,7 +242,7 @@ class TestReconstructSl2:
     def test_phase_roundtrip(self, rng, n):
         t = sl2_generators(n)
         ph = random_phases(rng, n)
-        rep = reconstruct_sl2(conjugated(t, np.diag(ph)), n)
+        rep = _reconstruct("sl2", conjugated(t, np.diag(ph)), n)
         assert rep.verdict == EQUIVALENT
         assert rep.residual <= 1e-9
 
@@ -255,7 +265,7 @@ class TestReconstructSl2:
         t = sl2_generators(n)
         a3 = t.f.copy()
         a3[2, 1] *= np.exp(0.4j)
-        rep = reconstruct_sl2((t.h, t.e, a3), n)
+        rep = _reconstruct("sl2", (t.h, t.e, a3), n)
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert rep.diagnostics[0].startswith("step4")
 
@@ -281,6 +291,16 @@ class TestNonRigidityShowcase:
 class TestCompressionCheck:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_sl2_product_lines(self, n):
+        t = sl2_generators(n)
+        b = t.e @ t.f
+        for j in range(n - 1):
+            assert compression_check(t.h, b, n - 1 - 2 * j, (j + 1) * (n - 1 - j))
+
+    @pytest.mark.xfail(raises=MultiplicityError, strict=True,
+                       reason="the synthetic-division guards lose a line once the "
+                              "coefficients span many orders: lines j = 4..10 at n = 16")
+    def test_sl2_product_lines_n16(self):
+        n = 16
         t = sl2_generators(n)
         b = t.e @ t.f
         for j in range(n - 1):
@@ -335,7 +355,7 @@ class TestCertifyEquivalence:
 class TestVerifySl2:
     def test_reference_passes(self):
         t = sl2_generators(6)
-        cond = verify_conditions_sl2(t, 6)
+        cond = _verify("sl2", t, 6)
         assert cond.all_passed
         assert len(cond.checks) == 4
 
@@ -426,12 +446,6 @@ class TestLargeDimension:
         assert _rigidity(family, tuple(tampered), n, nu, tol).verdict != EQUIVALENT
 
 
-def _verify(family, cand, n, nu, tol=1e-9):
-    if family == "sl2":
-        return verify_conditions_sl2(cand, n, tol)
-    return verify_conditions_snu2(cand, n, nu, tol)
-
-
 class TestStackedVerification:
     """Verification evaluates all pencils of the family in one stacked
     determinant pass, a block of matrices at a time."""
@@ -490,7 +504,7 @@ class TestStackedVerification:
         monkeypatch.setattr(rigidity, "_references", {})
         tracemalloc.start()
         try:
-            cond = verify_conditions_snu2(cand, n, nu)
+            cond = _verify("snu2", cand, n, nu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,7 +520,7 @@ class TestOverflowSafeScales:
         cand = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cond = verify_conditions_snu2(cand, n, nu)
+            cond = _verify("snu2", cand, n, nu)
         assert cond.a1_normal
         assert cond.all_passed
 
@@ -541,7 +555,7 @@ def test_vanishing_ladder_step_fails_without_warnings(n, nu):
         a2[:, j] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rep = reconstruct_snu2((ref.h, a2, ref.f), n, nu)
+            rep = _reconstruct("snu2", (ref.h, a2, ref.f), n, nu)
         assert rep.verdict == RECONSTRUCTION_FAILED, (j, rep.diagnostics)
         assert rep.basis is None and rep.residual is None
 
@@ -600,3 +614,11 @@ class TestArguments:
         cand = tuple(rng.normal(size=(4, 4)) for _ in range(3))
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             _rigidity(family, cand, 4, 0.5, tol)
+
+    def test_overflowing_products_named(self):
+        # every entry is finite, but A2 A2* overflows float64
+        n, nu = 10, 0.5
+        ref = snu2_generators(n, nu)
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(ValueError, match="^the candidate's pencil products overflow float64$"):
+            snu2_rigidity((ref.h, ref.e + 1e300, ref.f), n, nu)

@@ -3,7 +3,7 @@ import pytest
 
 from specrig.generators import (c_coeff, counterexample_tuple, h_coeff,
                                 sl2_generators, snu2_generators)
-from specrig.linalg import NotNormalError, adjoint
+from specrig.linalg import NotNormalError
 from specrig.poly import MultiPoly, poly_equal
 from specrig.spectrum import (Adjoint, Atom, PencilSyntaxError, Product,
                               det_pencil, evaluate_expr, lines_of_pair,
@@ -45,7 +45,7 @@ class TestParsePencil:
     def test_adjoint_evaluates(self):
         t = sl2_generators(4)
         expr = parse_pencil("A2^H")[0]
-        assert np.array_equal(evaluate_expr(expr, t.matrices), adjoint(t.e))
+        assert np.array_equal(evaluate_expr(expr, t.matrices), t.e.conj().T)
 
 
 class TestDetPencil:
@@ -155,7 +155,7 @@ class TestDetPencil:
         mpmath = pytest.importorskip("mpmath")
         n, nu = 24, 0.5
         t = snu2_generators(n, nu)
-        b = t.e @ adjoint(t.e)
+        b = t.e @ t.e.conj().T
         s1, s2 = slot_scales((t.h, b))
         w = random_unitary(rng, n)
         p = det_pencil([s1 * (w @ t.h @ w.conj().T), s2 * (w @ b @ w.conj().T)])
@@ -181,9 +181,9 @@ class TestLinesOfPair:
     @pytest.mark.parametrize("n", [2, 4, 7, 10])
     def test_ladder_lines(self, n, nu):
         t = snu2_generators(n, nu)
-        arr, certified = lines_of_pair(t.h, t.e @ adjoint(t.e))
+        arr, certified = lines_of_pair(t.h, t.e @ t.e.conj().T)
         assert certified
-        assert arr.total_multiplicity() == n
+        assert sum(l.mult for l in arr.lines) == n
         got = sorted((l.coeffs[0].real, l.coeffs[1].real) for l in arr.lines
                      for _ in range(l.mult))
         expected = sorted((h_coeff(n, j, nu), (nu * c_coeff(n, j + 1, nu)) ** 2)
