@@ -12,8 +12,7 @@ from .generators import (GeneratorTuple, RelationResidual, c_coeff,
 from .linalg import (DEFAULT_TOL, EigenDecomposition, MatrixFlags, as_matrix,
                      classify, commutator, hermitian_eig, hs_norm,
                      matrix_from_json, matrix_to_json, spectral_projection)
-from .poly import (LinearForm, MultiPoly, divide_linear, poly_equal,
-                   poly_from_json, poly_to_json)
+from .poly import MultiPoly, poly_equal, poly_from_json, poly_to_json
 from .rigidity import (EQUIVALENT, HYPOTHESIS_FAILED, RECONSTRUCTION_FAILED,
                        RigidityReport, certify_equivalence, compression_check,
                        sl2_rigidity, snu2_rigidity)

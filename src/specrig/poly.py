@@ -14,7 +14,6 @@ vector for output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +25,6 @@ MAX_COEFFS = 1 << 22  # largest dense array built from an exponent list
 
 class VariableMismatchError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """c1*x1 + ... + ck*xk + constant.  Must not be identically zero."""
-
-    coeffs: tuple
-    constant: complex = 0j
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        object.__setattr__(self, "constant", complex(self.constant))
-        if all(c == 0 for c in self.coeffs) and self.constant == 0:
-            raise ValueError("linear form is identically zero")
 
 
 def _prune(coeffs, stacked=False):
@@ -206,38 +191,6 @@ def poly_equal(p: MultiPoly, q: MultiPoly, tol: float = 1e-9) -> bool:
     _check_tol(tol)
     scale = max(1.0, p.max_abs_coeff(), q.max_abs_coeff())
     return poly_distance(p, q) <= tol * scale
-
-
-def divide_linear(p: MultiPoly, f: LinearForm):
-    """Synthetic division of ``p`` by a linear form.
-
-    Returns (quotient, remainder) with ``p = f*quotient + remainder`` up
-    to rounding and the remainder free of the pivot variable (the
-    variable with the largest-modulus coefficient in ``f``).
-    """
-    k = len(p.vars)
-    if len(f.coeffs) != k:
-        raise VariableMismatchError("linear form arity does not match polynomial")
-    piv = max(range(k), key=lambda i: abs(f.coeffs[i]))
-    a = f.coeffs[piv]
-    if a == 0:
-        raise ValueError("linear form has no variable part to divide by")
-    # pivot axis first; the other axes grow by one per division step
-    c = np.moveaxis(p.coeffs, piv, 0)
-    deg = c.shape[0] - 1
-    work = _widen(c, (deg + 1,) + tuple(s + deg for s in c.shape[1:])).copy()
-    quot = np.zeros((max(deg, 1),) + work.shape[1:], dtype=np.complex128)
-    others = [(v - (v > piv), fc) for v, fc in enumerate(f.coeffs) if v != piv and fc != 0]
-    for d in range(deg, 0, -1):
-        qc = quot[d - 1] = work[d] / a
-        work[d] = 0  # the leading coefficient cancels exactly
-        for ax, fc in others:
-            lead = (slice(None),) * ax
-            work[d - 1][lead + (slice(1, None),)] -= fc * qc[lead + (slice(0, -1),)]
-        if f.constant != 0:
-            work[d - 1] -= f.constant * qc
-    return (MultiPoly.from_dense(p.vars, np.moveaxis(quot, 0, piv)),
-            MultiPoly.from_dense(p.vars, np.moveaxis(work, 0, piv)))
 
 
 # --- Poly JSON: {"vars": [...], "terms": [{"exp": [...], "re": r, "im": i}]} ---

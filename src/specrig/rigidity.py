@@ -44,9 +44,8 @@ import numpy as np
 from .generators import GeneratorTuple, sl2_generators, snu2_generators
 from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _is_normal, _phase_fixed,
                      as_matrix, hermitian_eig, hs_norm, matrix_to_json, spectral_projection)
-from .poly import LinearForm, divide_linear
-from .spectrum import (_PAIR_VARS, _compare_stacks, _det_stack, _product_of_lines,
-                       _slot_matrices, det_pencil, x2_dependence)
+from .spectrum import (_compare_stacks, _det_stack, _product_of_lines, _slot_matrices,
+                       slot_scales, x2_dependence)
 
 EQUIVALENT = "equivalent"
 HYPOTHESIS_FAILED = "hypothesis_failed"
@@ -190,8 +189,9 @@ def _verify_conditions(mats, entry, tol):
     if not _is_normal(a1, tol):
         return ConditionReport(a1_normal=False, checks=())
     first = entry.s1 * a1
-    pencils = np.array([(first, s2 * _PRODUCTS[name](a2, a3))
-                        for name, s2 in zip(entry.pencils, entry.s2)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pencils = np.array([(first, s2 * _PRODUCTS[name](a2, a3))
+                            for name, s2 in zip(entry.pencils, entry.s2)])
     if not np.isfinite(pencils).all():
         raise ValueError("the candidate's pencil products overflow float64")
     return ConditionReport(a1_normal=True, checks=_compare_stacks(
@@ -465,21 +465,41 @@ def compression_check(a1, b, lam, mu, tol: float = DEFAULT_TOL) -> bool:
     matrix a1 at eigenvalue lam.
 
     Requires the line lam x1 + mu x2 = 1 to lie in the pair spectrum of
-    (a1, b) with multiplicity 1: the determinant polynomial must be
-    divisible by the line exactly once (checked by synthetic division).
+    (a1, b) with multiplicity 1, decided by rank tests on the line: with
+    l = (lam s1, mu s2) in the coordinates of ``slot_scales``, M = y1 s1 a1
+    + y2 s2 b - I is sampled at n+1 points of l.y = 1 spaced by 1/|l|.
+    det M has degree <= n there, so the line is in the spectrum iff every
+    sample has sigma_min <= tol max(1, sigma_max).  It is simple iff some
+    sample also has sigma_(n-1) above that floor and |u* N v| > tol ||N||
+    (u, v the last singular vectors, N the pencil along the line's normal):
+    by Jacobi's formula d/ds det(M + sN) is then nonzero.  An unresolved
+    lam, within tol max(1, ||a1||) of another eigenvalue, cannot pass: P is
+    the cluster's, and P b P = mu P would make the cluster's lines one line
+    of multiplicity > 1 at this tol.
     """
     _check_tol(tol)
-    a1 = as_matrix(a1)
-    b = as_matrix(b)
-    p = det_pencil([a1, b], _PAIR_VARS)
-    form = LinearForm((complex(lam), complex(mu)), -1.0)
-    scale = max(1.0, p.max_abs_coeff())
-    q, r = divide_linear(p, form)
-    if r.max_abs_coeff() > tol * scale:
+    a1, b = as_matrix(a1), as_matrix(b)
+    if a1.shape != b.shape:
+        raise ValueError("pair matrices must share one dimension")
+    n, scales = a1.shape[0], slot_scales((a1, b))
+    pencil = np.array([scales[0] * a1, scales[1] * b])
+    nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ell = np.array([lam, mu], dtype=np.complex128) * scales
+        norm = hs_norm(ell)
+        unit = ell / norm  # y_k = (conj(l) + w^k (l2, -l1)) / |l|^2
+        points = (unit.conj() + nodes[:, None] * [unit[1], -unit[0]]) / norm
+        samples = np.tensordot(points, pencil, 1) - np.eye(n)
+    if not np.isfinite(samples).all():
+        raise ValueError(f"line {lam} x1 + {mu} x2 = 1 has no finite sample points")
+    u, sv, vh = np.linalg.svd(samples)
+    floor = tol * np.maximum(1.0, sv[:, 0])
+    if not (sv[:, -1] <= floor).all():
         raise LineNotInSpectrumError(
             f"line {lam} x1 + {mu} x2 = 1 is not in the pair spectrum")
-    _, r2 = divide_linear(q, form)
-    if r2.max_abs_coeff() <= tol * max(1.0, q.max_abs_coeff()):
+    normal = np.tensordot(unit.conj(), pencil, 1)
+    slope = np.abs(np.einsum("ki,ij,kj->k", u[:, :, -1].conj(), normal, vh[:, -1].conj()))
+    if not ((slope > tol * hs_norm(normal)) & (n == 1 or sv[:, -2] > floor)).any():
         raise MultiplicityError("line has multiplicity > 1; the compression "
                                 "identity requires multiplicity 1")
     proj = spectral_projection(a1, lam, tol)

@@ -122,15 +122,19 @@ def _slot_matrices(t):
 
 
 def evaluate_expr(expr, mats):
-    """Evaluate a pencil expression against the three slot matrices."""
+    """Evaluate a pencil expression against the three slot matrices.
+    A product whose finite factors give a non-finite matrix raises."""
     if isinstance(expr, Atom):
         return as_matrix(mats[expr.slot])
     if isinstance(expr, Adjoint):
         return evaluate_expr(expr.inner, mats).conj().T
     if isinstance(expr, Product):
         out = evaluate_expr(expr.factors[0], mats)
-        for f in expr.factors[1:]:
-            out = out @ evaluate_expr(f, mats)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f in expr.factors[1:]:
+                out = out @ evaluate_expr(f, mats)
+        if not np.isfinite(out).all():
+            raise ValueError("a pencil product of finite slots overflows float64")
         return out
     raise TypeError(f"not a pencil expression: {expr!r}")
 

@@ -288,8 +288,10 @@ class TestArgumentChecks:
         assert (code, out) == (1, "")
         assert err == f"error: SPECRIG_TOL must be finite and positive, got {float(tol)!r}\n"
 
-    def test_overflowing_products_exit_one(self, capsys, tmp_path):
-        # every entry is finite; the pencil products of the candidate are not
+    @staticmethod
+    def _overflowing_fixture(capsys, tmp_path):
+        """The n = 10, nu = 0.5 reference with 1e300 added to every A2
+        entry: every entry is finite, A2 A2^H is not."""
         path = tmp_path / "fix.json"
         run(capsys, "gen", "--family", "snu2", "--n", "10", "--nu", "0.5", "-o", str(path))
         blob = json.loads(path.read_text())
@@ -297,11 +299,23 @@ class TestArgumentChecks:
             for pair in row:
                 pair[0] += 1e300
         path.write_text(json.dumps(blob))
-        with pytest.warns(RuntimeWarning):
-            code, out, err = run(capsys, "rigidity", "--tuple", str(path), "--family", "snu2",
-                                 "--n", "10", "--nu", "0.5")
+        return str(path)
+
+    def test_overflowing_products_exit_one(self, capsys, tmp_path):
+        path = self._overflowing_fixture(capsys, tmp_path)
+        code, out, err = run(capsys, "rigidity", "--tuple", path, "--family", "snu2",
+                             "--n", "10", "--nu", "0.5")
         assert (code, out, err) == (1, "", "error: the candidate's pencil products "
                                            "overflow float64\n")
+
+    def test_overflowing_pencil_product_named(self, capsys, tmp_path):
+        path = self._overflowing_fixture(capsys, tmp_path)
+        ref = tmp_path / "ref.json"
+        run(capsys, "gen", "--family", "snu2", "--n", "10", "--nu", "0.5", "-o", str(ref))
+        error = (1, "", "error: a pencil product of finite slots overflows float64\n")
+        assert run(capsys, "det", "--tuple", path, "--pencil", "A1, A2 A2^H") == error
+        assert run(capsys, "compare", "--tuple", str(ref), "--tuple2", path,
+                   "--pencil", "A1, A2 A2^H") == error
 
     def test_random_triple_fails_at_valid_tol(self, capsys, random_triple):
         code, out, _ = run(capsys, "rigidity", "--tuple", random_triple, "--family", "snu2",

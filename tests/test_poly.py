@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from specrig.poly import (MAX_COEFFS, LinearForm, MultiPoly, VariableMismatchError,
-                          divide_linear, poly_distance, poly_equal,
-                          poly_from_json, poly_to_json)
+from specrig.poly import (MAX_COEFFS, MultiPoly, VariableMismatchError, poly_distance,
+                          poly_equal, poly_from_json, poly_to_json)
 
 
 def x_poly():
@@ -119,48 +118,6 @@ class TestEquality:
         p = showcase_poly()
         q = p + MultiPoly(p.vars, {(1, 0, 0, 0): 1e-3})
         assert not poly_equal(p, q, 1e-9)
-
-
-class TestDivideLinear:
-    def test_exact_factor(self):
-        p = MultiPoly(("x",), {(2,): 1.0, (0,): -1.0})
-        q, r = divide_linear(p, LinearForm((1.0,), -1.0))
-        assert poly_equal(q, MultiPoly(("x",), {(1,): 1.0, (0,): 1.0}), 1e-14)
-        assert r.max_abs_coeff() <= 1e-14
-
-    def test_showcase_t_factor(self):
-        p = showcase_poly()
-        q, r = divide_linear(p, LinearForm((0.0, 0.0, 0.0, 1.0), 0.0))
-        expected = MultiPoly(p.vars, {(2, 0, 0, 0): 4.0, (0, 1, 1, 0): 4.0,
-                                      (0, 0, 0, 2): -1.0})
-        assert r.max_abs_coeff() == 0.0
-        assert poly_equal(q, expected, 1e-14)
-
-    def test_reconstruction_identity(self, rng):
-        vars = ("x", "y")
-        for _ in range(10):
-            terms = {(int(rng.integers(0, 4)), int(rng.integers(0, 4))):
-                     complex(rng.normal(), rng.normal()) for _ in range(7)}
-            p = MultiPoly(vars, terms)
-            f = LinearForm((complex(rng.normal(), rng.normal()),
-                            complex(rng.normal(), rng.normal())),
-                           complex(rng.normal()))
-            q, r = divide_linear(p, f)
-            linear = MultiPoly(vars, {(0, 0): f.constant, (1, 0): f.coeffs[0],
-                                      (0, 1): f.coeffs[1]})
-            back = linear * q + r
-            assert poly_distance(back, p) <= 1e-10 * max(1.0, p.max_abs_coeff())
-            # remainder is free of the pivot variable
-            piv = max(range(2), key=lambda i: abs(f.coeffs[i]))
-            assert r.degree_in(piv) == 0
-
-    def test_constant_only_form_rejected(self):
-        with pytest.raises(ValueError):
-            divide_linear(x_poly(), LinearForm((0.0,), 1.0))
-
-    def test_zero_form_invalid(self):
-        with pytest.raises(ValueError):
-            LinearForm((0.0, 0.0), 0.0)
 
 
 class TestFromDense:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import tracemalloc
 import warnings
@@ -288,23 +289,89 @@ class TestNonRigidityShowcase:
         assert sl2_rigidity(t.matrices, 3).verdict == HYPOTHESIS_FAILED
 
 
+_SNU2_LINE_POINTS = [(10, 0.3), (20, 0.5), (32, -0.7), (16, 0.9), (24, 0.9), (40, 0.95)]
+
+
+def _snu2_adjoint_lines(n, nu):
+    """H, E E* and the (H, E E*) lines, each with whether its H eigenvalue
+    lies more than tol max(1, ||H||) from the other ones."""
+    t = snu2_generators(n, nu)
+    b = t.e @ t.e.conj().T
+    h, mu = np.diag(t.h).real, np.diag(b).real
+    far = np.abs(h[:, None] - h[None]) > DEFAULT_TOL * max(1.0, hs_norm(t.h))
+    np.fill_diagonal(far, True)
+    return t.h, b, list(zip(h, mu, far.all(axis=1)))
+
+
 class TestCompressionCheck:
-    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("n", [3, 5, 8, 24, 32, 40])
     def test_sl2_product_lines(self, n):
         t = sl2_generators(n)
         b = t.e @ t.f
         for j in range(n - 1):
             assert compression_check(t.h, b, n - 1 - 2 * j, (j + 1) * (n - 1 - j))
 
-    @pytest.mark.xfail(raises=MultiplicityError, strict=True,
-                       reason="the synthetic-division guards lose a line once the "
-                              "coefficients span many orders: lines j = 4..10 at n = 16")
     def test_sl2_product_lines_n16(self):
         n = 16
         t = sl2_generators(n)
         b = t.e @ t.f
         for j in range(n - 1):
             assert compression_check(t.h, b, n - 1 - 2 * j, (j + 1) * (n - 1 - j))
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 24, 32, 40])
+    def test_sl2_shifted_lines_not_in_spectrum(self, n):
+        t = sl2_generators(n)
+        b = t.e @ t.f
+        for j in range(n - 1):
+            with pytest.raises(LineNotInSpectrumError):
+                compression_check(t.h, b, n - 1 - 2 * j, (j + 1) * (n - 1 - j) + 1)
+
+    @pytest.mark.parametrize("n, nu", _SNU2_LINE_POINTS)
+    def test_snu2_adjoint_lines(self, n, nu):
+        # a resolved H eigenvalue passes; an unresolved one never does, as
+        # its spectral projection is its cluster's
+        h, b, lines = _snu2_adjoint_lines(n, nu)
+        for lam, mu, resolved in lines:
+            if resolved:
+                assert compression_check(h, b, lam, mu) is True
+            else:
+                with contextlib.suppress(MultiplicityError):
+                    assert compression_check(h, b, lam, mu) is False
+
+    @pytest.mark.parametrize("n, nu", _SNU2_LINE_POINTS)
+    def test_snu2_shifted_lines_not_in_spectrum(self, n, nu):
+        h, b, lines = _snu2_adjoint_lines(n, nu)
+        for lam, mu, _ in lines:
+            with pytest.raises(LineNotInSpectrumError):
+                compression_check(h, b, lam, mu + 1e-6 * max(1.0, hs_norm(b)))
+
+    @pytest.mark.parametrize("a, b, lam, mu", [
+        (np.diag([1.0, 1.0, 2.0]), np.diag([5.0, 5.0, 7.0]), 1.0, 5.0),
+        (np.eye(2), np.array([[5.0, 1.0], [0.0, 5.0]]), 1.0, 5.0),
+    ], ids=["double_line", "jordan_pair"])
+    def test_double_lines_refused(self, a, b, lam, mu):
+        with pytest.raises(MultiplicityError):
+            compression_check(a, b, lam, mu)
+
+    def test_dimension_one(self):
+        assert compression_check([[2.0]], [[3.0]], 2.0, 3.0) is True
+
+    @pytest.mark.parametrize("a, b, lam, mu, match", [
+        (np.diag([1.0, 2.0]), np.diag([5.0, 7.0]), 0.0, 0.0, "no finite sample points"),
+        (np.diag([1.0, 2.0]), np.diag([5.0, 7.0]), np.nan, 5.0, "no finite sample points"),
+        (np.diag([1.0, 2.0]), np.diag([5.0, 7.0]), 1.0, np.inf, "no finite sample points"),
+        (np.diag([1.0, 2.0]), np.diag([5.0, 7.0]), complex(np.inf, 1.0), 0.0,
+         "no finite sample points"),
+        (np.eye(2), np.eye(3), 1.0, 1.0, "share one dimension"),
+        # a nonzero subnormal line: its sample points lie beyond float64
+        (np.diag([1.0, 2.0]), np.diag([5.0, 7.0]), 1e-320, 0.0, "no finite sample points"),
+    ], ids=["zero_line", "nan_lam", "inf_mu", "complex_inf_lam", "shape_mismatch",
+            "overflowing_samples"])
+    def test_bad_arguments(self, a, b, lam, mu, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=match):
+                compression_check(a, b, lam, mu)
 
     def test_commuting_diagonals(self):
         assert compression_check(np.diag([1.0, 2.0]).astype(complex),
@@ -619,6 +686,5 @@ class TestArguments:
         # every entry is finite, but A2 A2* overflows float64
         n, nu = 10, 0.5
         ref = snu2_generators(n, nu)
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(ValueError, match="^the candidate's pencil products overflow float64$"):
+        with pytest.raises(ValueError, match="^the candidate's pencil products overflow float64$"):
             snu2_rigidity((ref.h, ref.e + 1e300, ref.f), n, nu)
