@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generators import c_coeff
+from .generators import _overflow, c_coeff
 from .linalg import DEFAULT_TOL, _check_tol
 
 BISECT_ITERATIONS = 200
@@ -251,7 +251,10 @@ def multiplicity_profile(n: int, nu: float, tol: float = DEFAULT_TOL):
     |a - b| > tol * max(1, |a|, |b|); the representative is the cluster
     mean."""
     _check_tol(tol)
-    vals = np.sort([(nu * c_coeff(n, k + 1, nu)) ** 2 for k in range(n)])
+    try:
+        vals = np.sort([(nu * c_coeff(n, k + 1, nu)) ** 2 for k in range(n)])
+    except OverflowError:
+        raise _overflow(n, nu) from None
     mags = np.abs(vals)
     split = np.abs(np.diff(vals)) > tol * np.maximum(1.0, np.maximum(mags[:-1], mags[1:]))
     starts = np.concatenate(([0], np.flatnonzero(split) + 1))

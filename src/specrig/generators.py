@@ -25,6 +25,7 @@ formula suffers near |nu| = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +95,25 @@ def _geom(m: int, u: float) -> float:
     return math.expm1(m * lu) / math.expm1(lu)
 
 
+def _overflow(n, nu):
+    return ValueError(f"the ladder at n={n}, nu={nu} overflows float64")
+
+
+def _float64(coeff):
+    """``coeff`` raising ``_overflow`` where its value leaves float64
+    (Python's float ``**`` raises OverflowError, a product gives inf)."""
+    @functools.wraps(coeff)
+    def checked(n, k, nu):
+        try:
+            if math.isfinite(value := coeff(n, k, nu)):
+                return value
+        except OverflowError:
+            pass
+        raise _overflow(n, nu)
+    return checked
+
+
+@_float64
 def c_coeff(n: int, k: int, nu: float) -> float:
     """Ladder coefficient c_k(nu); 0 at k in {0, n}, sqrt(k(n-k)) at |nu| = 1."""
     nu = _check_nu(nu)
@@ -107,6 +127,7 @@ def c_coeff(n: int, k: int, nu: float) -> float:
     return nu * abs(nu) ** (-k) * math.sqrt(_geom(k, u) * _geom(n - k, u))
 
 
+@_float64
 def h_coeff(n: int, k: int, nu: float) -> float:
     """Diagonal entry h_k(nu); 2k+1-n at |nu| = 1.  Strictly increasing in k."""
     nu = _check_nu(nu)

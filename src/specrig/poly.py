@@ -5,10 +5,11 @@ variables is a k-axis ``numpy.complex128`` array whose entry at index e
 multiplies x^e.  Coefficients of modulus at most ``PRUNE_REL`` times the
 largest one are set to zero, which keeps interpolation noise out of
 equality tests; ``_prune`` is the one place that rule lives, and every
-constructor and arithmetic result goes through it.  The array is never
+constructor and coefficient kernel goes through it.  The array is never
 trimmed, so determinants of one pencil size share one shape and compare
-without padding.  ``terms`` lists the nonzero coefficients by exponent
-vector for output.
+without padding.  A polynomial is built, evaluated, compared and
+written to JSON, with no arithmetic; ``terms`` lists the nonzero
+coefficients by exponent vector for output.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, vars, c):
-        return cls(vars, {(0,) * len(tuple(vars)): c})
-
-    @classmethod
     def from_dense(cls, vars, coeffs):
         """Polynomial whose coefficient of x^e is ``coeffs[e]`` (one axis
         per variable), pruned."""
@@ -107,58 +104,6 @@ class MultiPoly:
     def max_abs_coeff(self) -> float:
         return float(np.abs(self.coeffs).max(initial=0.0))
 
-    def degree_in(self, i: int) -> int:
-        """Maximal exponent of variable ``i`` across terms (0 for the zero
-        polynomial)."""
-        if not 0 <= i < len(self.vars):
-            raise IndexError(f"variable index {i} out of range")
-        others = tuple(j for j in range(len(self.vars)) if j != i)
-        used = np.flatnonzero(np.any(self.coeffs != 0, axis=others))
-        return int(used[-1]) if used.size else 0
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check_vars(self, other):
-        if self.vars != other.vars:
-            raise VariableMismatchError(f"{self.vars} vs {other.vars}")
-
-    def _aligned(self, other):
-        """Both coefficient arrays, zero-extended to one shape."""
-        self._check_vars(other)
-        shape = tuple(map(max, self.coeffs.shape, other.coeffs.shape))
-        return _widen(self.coeffs, shape), _widen(other.coeffs, shape)
-
-    def __add__(self, other):
-        a, b = self._aligned(other)
-        return MultiPoly.from_dense(self.vars, a + b)
-
-    def __sub__(self, other):
-        a, b = self._aligned(other)
-        return MultiPoly.from_dense(self.vars, a - b)
-
-    def __neg__(self):
-        return MultiPoly.from_dense(self.vars, -self.coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            return self.scale(other)
-        self._check_vars(other)
-        a, b = self.coeffs, other.coeffs
-        if np.count_nonzero(b) > np.count_nonzero(a):
-            a, b = b, a
-        # convolution: one shifted copy of a per nonzero coefficient of b
-        out = np.zeros(tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape)),
-                       dtype=np.complex128)
-        for e in np.argwhere(b):
-            e = tuple(e.tolist())
-            out[tuple(slice(i, i + s) for i, s in zip(e, a.shape))] += b[e] * a
-        return MultiPoly.from_dense(self.vars, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, s) -> "MultiPoly":
-        return MultiPoly.from_dense(self.vars, complex(s) * self.coeffs)
-
     def eval(self, point) -> complex:
         """Evaluate at ``point`` by Horner's rule, one variable at a time
         from the last."""
@@ -181,7 +126,10 @@ class MultiPoly:
 
 def poly_distance(p: MultiPoly, q: MultiPoly) -> float:
     """Max coefficient difference."""
-    a, b = p._aligned(q)
+    if p.vars != q.vars:
+        raise VariableMismatchError(f"{p.vars} vs {q.vars}")
+    shape = tuple(map(max, p.coeffs.shape, q.coeffs.shape))
+    a, b = _widen(p.coeffs, shape), _widen(q.coeffs, shape)
     return float(np.abs(a - b).max(initial=0.0))
 
 

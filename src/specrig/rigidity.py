@@ -41,10 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generators import GeneratorTuple, sl2_generators, snu2_generators
+from .generators import sl2_generators, snu2_generators
 from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _is_normal, _phase_fixed,
                      as_matrix, hermitian_eig, hs_norm, matrix_to_json, spectral_projection)
-from .spectrum import (_compare_stacks, _det_stack, _product_of_lines, _slot_matrices,
+from .spectrum import (_compare_stacks, _det_stack, _line_products, _slot_matrices,
                        slot_scales, x2_dependence)
 
 EQUIVALENT = "equivalent"
@@ -138,7 +138,10 @@ _REFERENCES_KEPT = 64
 
 
 def _reference(family, n, nu=None) -> _Reference:
-    """The reference of ``family`` at (n, nu), built on first use."""
+    """The reference of ``family`` at (n, nu), built on first use.  Each
+    pencil pairs the diagonal H with an exactly diagonal product of ladder
+    matrices, so its polynomial at the slot scales 1 / max(1, ||slot||_HS)
+    (see ``slot_scales``) is an exact product of lines."""
     key = (family, n, nu)
     entry = _references.pop(key, None)
     if entry is None:
@@ -147,14 +150,19 @@ def _reference(family, n, nu=None) -> _Reference:
                                (sl2_generators(n), SL2_PENCILS, _SL2_STEPS))
         for m in ref.matrices:
             m.flags.writeable = False
-        polys = reference_pencil_polys(ref, pencils).values()
+        products = {name: _PRODUCTS[name](ref.e, ref.f) for name in pencils}
+        for name, b in products.items():
+            if hs_norm(b - np.diag(np.diag(b))) != 0.0:
+                raise AssertionError(f"reference product for {name} is not diagonal")
+        s1 = 1.0 / max(1.0, hs_norm(ref.h))
+        s2 = tuple(1.0 / max(1.0, hs_norm(b)) for b in products.values())
+        coeffs = _line_products([np.stack([np.diag(ref.h) * s1, np.diag(b) * s], axis=1)
+                                 for b, s in zip(products.values(), s2)])
         diag, sds = np.diag(ref.h).real, (ref.e.diagonal(1), ref.f.diagonal(-1))
         entry = _Reference(
-            ref, pencils, steps, np.stack([p.coeffs for p, _ in polys]),
-            np.array([p.max_abs_coeff() for p, _ in polys]),
-            next(iter(polys))[1][0], tuple(s2 for _, (_, s2) in polys),  # H's scale is every s1
-            {name: np.diag(_PRODUCTS[name](ref.e, ref.f)).real.copy()
-             for name in pencils if name != "A1, A2 A3"},
+            ref, pencils, steps, coeffs, np.abs(coeffs).max(axis=(1, 2)), s1, s2,
+            {name: np.diag(b).real.copy() for name, b in products.items()
+             if name != "A1, A2 A3"},
             diag, max(1.0, float(np.max(np.abs(diag)))), *sds, *map(np.abs, sds),
             *(float(np.abs(sd).min(initial=np.inf)) for sd in sds),
             tuple(max(1.0, hs_norm(m)) for m in ref.matrices))
@@ -162,23 +170,6 @@ def _reference(family, n, nu=None) -> _Reference:
             del _references[next(iter(_references))]
     _references[key] = entry
     return entry
-
-
-def reference_pencil_polys(ref: GeneratorTuple, pencils) -> dict:
-    """{pencil: (poly, (s1, s2))}: the reference pair-spectrum polynomials
-    at the slot scales 1 / max(1, ||slot||_HS) (see ``slot_scales``).
-    Each pencil pairs the diagonal H with an exactly diagonal product of
-    ladder matrices, so each polynomial is an exact product of lines."""
-    h = ref.h
-    out = {}
-    for name in pencils:
-        b = _PRODUCTS[name](ref.e, ref.f)
-        if hs_norm(b - np.diag(np.diag(b))) != 0.0:
-            raise AssertionError(f"reference product for {name} is not diagonal")
-        scales = (1.0 / max(1.0, hs_norm(h)), 1.0 / max(1.0, hs_norm(b)))
-        out[name] = (_product_of_lines(zip(np.diag(h) * scales[0],
-                                           np.diag(b) * scales[1])), scales)
-    return out
 
 
 def _verify_conditions(mats, entry, tol):
@@ -199,6 +190,13 @@ def _verify_conditions(mats, entry, tol):
 
 
 # --- reconstruction -----------------------------------------------------------
+
+def _exceeds(value, bound):
+    """Whether a check fails: ``value`` is not within a finite ``bound``.
+    A NaN on either side or an infinite bound fails, so every comparison
+    of the reconstruction fails closed."""
+    return not value <= bound < np.inf
+
 
 def _fail(step, message, diagnostics=None, residuals=None):
     rep = RigidityReport(verdict=RECONSTRUCTION_FAILED)
@@ -229,7 +227,7 @@ def _eigenbasis_matched(a1, a2, entry, tol):
     if entry.diag[0] > entry.diag[-1]:
         values, vectors = values[::-1], vectors[:, ::-1]
     gap = float(np.abs(values - entry.diag).max())
-    if gap > tol * entry.diag_scale:
+    if _exceeds(gap, tol * entry.diag_scale):
         return values, vectors, gap, False
 
     theta = max(tol, float(np.finfo(np.float64).eps) / tol) * max(1.0, hs_norm(a1))
@@ -293,14 +291,16 @@ def _superdiagonal_support(label, mat, ref_moduli, tol):
     """First column and last row must vanish and all mass must sit on the
     superdiagonal with the reference moduli.  Returns the failure message
     about ``label``, or None."""
-    n = mat.shape[0]
-    s = max(1.0, hs_norm(mat))
+    n, mass = mat.shape[0], hs_norm(mat)
+    if not np.isfinite(mass):
+        return f"{label}: the scale of {label} is not finite"
+    s = max(1.0, mass)
     sd = mat.diagonal(1)
     off = mat - np.diag(sd, 1)
-    if hs_norm(off[:, 0]) > tol * s or hs_norm(off[n - 1, :]) > tol * s:
+    if _exceeds(hs_norm(off[:, 0]), tol * s) or _exceeds(hs_norm(off[n - 1, :]), tol * s):
         return f"{label}: first column or last row of {label} is not zero"
     norm = hs_norm(off)
-    if norm > tol * s:
+    if _exceeds(norm, tol * s):
         # name the largest entries: the norm can exceed the threshold when
         # no single entry does
         mags = np.abs(off).ravel()
@@ -309,7 +309,7 @@ def _superdiagonal_support(label, mat, ref_moduli, tol):
         return (f"{label}: {label} support off the superdiagonal at {where} "
                 f"(HS norm {norm:.3g} > {tol * s:.3g})")
     gaps = np.abs(np.abs(sd) - ref_moduli)
-    if gaps.size and float(gaps.max()) > tol * s:
+    if gaps.size and _exceeds(float(gaps.max()), tol * s):
         j = int(np.argmax(gaps))
         return (f"{label}: superdiagonal modulus mismatch at ({j},{j + 1}): "
                 f"|{complex(sd[j]):.6g}| vs {ref_moduli[j]:.6g}")
@@ -318,14 +318,15 @@ def _superdiagonal_support(label, mat, ref_moduli, tol):
 
 def _a2_support(fr):
     """A2 is supported on the superdiagonal with the reference moduli;
-    off-diagonal mass triggers the x2-dependence diagnostic.  The
-    entrywise support checks run before the coarser product checks, so a
-    bumped modulus is reported as the support violation it is."""
+    off-diagonal mass of finite scale triggers the x2-dependence
+    diagnostic.  The entrywise support checks run before the coarser
+    product checks, so a bumped modulus is reported as the support
+    violation it is."""
     msg = _superdiagonal_support("A2", fr.ahat[1], fr.entry.e_mod, fr.tol)
-    if msg:
+    if msg and np.isfinite(hs_norm(fr.ahat[1])):
         dep = x2_dependence(np.diag(fr.values).astype(np.complex128), fr.ahat[1])
         return msg, [f"x2_dependence detected: {dep}"]
-    return None
+    return (msg,) if msg else None
 
 
 def _a3_adjoint_support(fr):
@@ -341,10 +342,10 @@ def _adjoint_products(fr):
         prod = _PRODUCTS[name](fr.ahat[1], fr.ahat[2])
         s = max(1.0, hs_norm(prod))
         label = name.removeprefix("A1, ")
-        if hs_norm(prod - np.diag(prod.diagonal())) > fr.tol * s:
+        if _exceeds(hs_norm(prod - np.diag(prod.diagonal())), fr.tol * s):
             return (f"{label} is not diagonal in the A1 eigenbasis",)
         gaps = np.abs(prod.diagonal() - expected)
-        if float(gaps.max()) > fr.tol * s:
+        if _exceeds(float(gaps.max()), fr.tol * s):
             j = int(np.argmax(gaps))
             return (f"{label} diagonal mismatch at index {j}: "
                     f"{complex(prod[j, j]):.6g} vs expected {expected[j]:.6g}",)
@@ -369,7 +370,7 @@ def _phases(fr):
     phase_tol = fr.tol * max(1.0, hs_norm(ahat[1]) / entry.e_min,
                              hs_norm(ahat[2]) / entry.f_min)
     phase_gap = float(np.abs(fr.phases - sigma).max())
-    if phase_gap > phase_tol:
+    if _exceeds(phase_gap, phase_tol):
         return (f"phase mismatch between A2 and A3 "
                 f"(Lambda != Sigma, max gap {phase_gap:.3g})",)
     return None
@@ -383,12 +384,12 @@ def _compressions(fr):
     prod23 = ahat[1] @ ahat[2]
     mus = np.array([(j + 1) * (n - 1 - j) for j in range(n - 1)], dtype=float)
     comp_gap = np.abs(prod23.diagonal()[:-1] - mus)
-    if float(comp_gap.max()) > tol * max(1.0, hs_norm(prod23)):
+    if _exceeds(float(comp_gap.max()), tol * max(1.0, hs_norm(prod23))):
         j = int(np.argmax(comp_gap))
         return (f"compression mismatch on line {j}: "
                 f"(A2 A3)_{j}{j} = {complex(prod23[j, j]):.6g} vs {mus[j]:.6g}",)
     mod_gap = np.abs(np.abs(ahat[2].diagonal(-1)) - 1.0)
-    if float(mod_gap.max()) > tol * max(1.0, hs_norm(ahat[2])):
+    if _exceeds(float(mod_gap.max()), tol * max(1.0, hs_norm(ahat[2]))):
         j = int(np.argmax(mod_gap))
         return (f"A3 subdiagonal entry ({j + 1},{j}) is not unimodular",)
     return None
@@ -399,7 +400,7 @@ def _hs_budget(fr):
     entry of A3 off the subdiagonal to zero."""
     total = hs_norm(fr.ahat[2]) ** 2
     sub_mass = float(np.sum(np.abs(fr.ahat[2].diagonal(-1)) ** 2))
-    if total - sub_mass > fr.tol * max(1.0, total):
+    if _exceeds(total - sub_mass, fr.tol * max(1.0, total)):
         return (f"hs-budget violation: trace(A3 A3*) = {total:.6g} "
                 f"carries {total - sub_mass:.3g} off the subdiagonal",)
     return None
@@ -412,8 +413,8 @@ def _certified(fr):
     w = np.diag(np.concatenate([[1.0 + 0j], np.conj(np.cumprod(fr.phases))]))
     per_slot = {f"certify {name}": hs_norm(a - w @ r @ w.conj().T) / s for name, a, r, s
                 in zip(("A1", "A2", "A3"), fr.ahat, fr.entry.ref.matrices, fr.entry.slot_norms)}
-    resid = max(per_slot.values())
-    if resid > fr.tol:
+    resid = float(np.max(list(per_slot.values())))  # NaN propagates
+    if _exceeds(resid, fr.tol):
         return f"certification residual {resid:.3g} exceeds tolerance", None, per_slot
     fr.report = RigidityReport(verdict=EQUIVALENT, witness=w, basis=fr.basis,
                                condition_residuals=per_slot, residual=resid)

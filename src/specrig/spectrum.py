@@ -14,7 +14,9 @@ Vandermonde solve at real nodes.  Node order is fixed, so results are
 bit-stable across runs.  The one kernel, ``_det_stack``, returns the
 pruned coefficient arrays of pencils sharing k and n as one stack; it
 hands LAPACK ``_BLOCK`` matrix entries at a time (memory stays bounded
-at large n) and interpolates with one FFT.
+at large n) and interpolates with one FFT.  Products of lines (reference
+spectra, line arrangements) come as stacks of the same layout from
+``_line_products``.
 
 A pencil expression grammar selects the slot matrices, e.g.
 ``"A1, A2 A2^H"`` denotes the pair (A1, A2 A2*).  Atoms A1/A2/A3
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, NotNormalError, _check_tol, as_matrix, hs_norm, normal_eig
-from .poly import MultiPoly, _prune, _widen, poly_equal
+from .poly import MultiPoly, _prune, _widen
 
 MAX_PENCIL_VARS = 4
 
@@ -204,13 +206,23 @@ class LineArrangement:
     lines: tuple
 
 
-def _product_of_lines(coeffs) -> MultiPoly:
-    """Expanded product of the lines a x1 + b x2 - 1, one per (a, b) in
-    ``coeffs``, multiplied in order."""
-    p = MultiPoly.constant(_PAIR_VARS, 1.0)
-    for a, b in coeffs:
-        p = p * MultiPoly(_PAIR_VARS, {(1, 0): a, (0, 1): b, (0, 0): -1.0})
-    return p
+def _line_products(lines):
+    """The pruned coefficient arrays of products of lines a x1 + b x2 - 1:
+    a (P, n, 2) array of (a, b) gives the (P, n+1, n+1) stack of the P
+    products, each line pruned against its own largest modulus (-1
+    included) and multiplied in order."""
+    lines = np.asarray(lines, dtype=np.complex128)
+    count, n = lines.shape[:2]
+    factors = _prune(np.dstack([lines, -np.ones((count, n))]).reshape(-1, 3), stacked=True)
+    c = np.ones((count, 1, 1), dtype=np.complex128)
+    # line by line, c <- one c + b x2 c + a x1 c, one degree more per variable
+    for a, b, one in factors.reshape(count, n, 3, 1, 1).transpose(1, 2, 0, 3, 4):
+        out = np.zeros((count,) + (c.shape[1] + 1,) * 2, dtype=np.complex128)
+        out[:, :-1, :-1] = one * c
+        out[:, :-1, 1:] += b * c
+        out[:, 1:, :-1] += a * c
+        c = _prune(out, stacked=True)
+    return c
 
 
 def slot_scales(*mat_groups):
@@ -265,10 +277,10 @@ def lines_of_pair(a, b, tol: float = DEFAULT_TOL):
             lines.append(Line(coeffs=(complex(w[i]), complex(mu[i])), mult=int(group.sum())))
 
     s1, s2 = slot_scales((a, b))
-    product = _product_of_lines((l.coeffs[0] * s1, l.coeffs[1] * s2)
-                                for l in lines for _ in range(l.mult))
-    certified = poly_equal(product, det_pencil([s1 * a, s2 * b], _PAIR_VARS), tol)
-    return LineArrangement(lines=tuple(lines)), certified
+    product = _line_products([[(l.coeffs[0] * s1, l.coeffs[1] * s2)
+                               for l in lines for _ in range(l.mult)]])
+    (check,) = _compare_stacks([None], product, _det_stack([[s1 * a, s2 * b]]), tol)
+    return LineArrangement(lines=tuple(lines)), check.equal
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,14 @@ class TestArgumentChecks:
         assert run(capsys, "compare", "--tuple", str(ref), "--tuple2", path,
                    "--pencil", "A1, A2 A2^H") == error
 
+    def test_generator_overflow_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        run(capsys, "gen", "--family", "snu2", "--n", "3", "--nu", "0.5", "-o", str(path))
+        error = (1, "", "error: the ladder at n=60, nu=0.002 overflows float64\n")
+        assert run(capsys, "gen", "--family", "snu2", "--n", "60", "--nu", "0.002") == error
+        assert run(capsys, "rigidity", "--tuple", str(path), "--family", "snu2",
+                   "--n", "60", "--nu", "0.002") == error
+
     def test_random_triple_fails_at_valid_tol(self, capsys, random_triple):
         code, out, _ = run(capsys, "rigidity", "--tuple", random_triple, "--family", "snu2",
                            "--n", "4", "--nu", "0.5", "--tol", "0.5")

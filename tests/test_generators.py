@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specrig.exceptional import multiplicity_profile
 from specrig.generators import (c_coeff, counterexample_tuple,
                                 fundamental_generators, h_coeff, one_dim_rep,
                                 relation_residuals, sl2_generators,
@@ -65,6 +66,23 @@ class TestCCoeff:
     def test_nan_nu_message(self):
         with pytest.raises(ValueError, match=r"^nu must lie in \[-1, 1\] excluding 0, got nan$"):
             snu2_generators(4, math.nan)
+
+
+class TestFloat64Range:
+    """|nu|^(-k) leaves float64 at small |nu| and large n: a ValueError
+    names the point instead of Python's bare OverflowError."""
+
+    def test_last_point_before_overflow_builds(self):
+        t = snu2_generators(59, 0.002)
+        assert all(np.isfinite(m).all() for m in t.matrices)
+
+    @pytest.mark.parametrize("build", [
+        lambda: snu2_generators(60, 0.002), lambda: snu2_generators(121, 0.05),
+        lambda: snu2_generators(297, 0.3), lambda: c_coeff(200, 150, 0.002),
+        lambda: h_coeff(60, 59, 0.002), lambda: multiplicity_profile(122, 0.05)])
+    def test_overflow_named(self, build):
+        with pytest.raises(ValueError, match=r"^the ladder at n=\d+, nu=\S+ overflows float64$"):
+            build()
 
 
 class TestSnu2:

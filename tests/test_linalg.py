@@ -1,8 +1,10 @@
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
+import specrig
 from specrig.exceptional import corollary_check, is_exceptional, multiplicity_profile
 from specrig.generators import h_coeff, sl2_generators, snu2_generators, structural_matrices
 from specrig.linalg import (DimensionMismatchError, EigenvalueNotFoundError,
@@ -11,7 +13,8 @@ from specrig.linalg import (DimensionMismatchError, EigenvalueNotFoundError,
                             matrix_from_json, matrix_to_json,
                             spectral_projection)
 from specrig.poly import poly_equal
-from specrig.rigidity import certify_equivalence, compression_check
+from specrig.rigidity import (certify_equivalence, compression_check, sl2_rigidity,
+                              snu2_rigidity)
 from specrig.spectrum import det_pencil, lines_of_pair, spectra_equal
 
 from conftest import random_complex, random_hermitian
@@ -200,7 +203,17 @@ TOL_CALLS = {
     "is_exceptional": lambda tol: is_exceptional(12, 0.5, tol),
     "corollary_check": lambda tol: corollary_check(12, tol),
     "multiplicity_profile": lambda tol: multiplicity_profile(8, 0.6, tol),
+    "snu2_rigidity": lambda tol: snu2_rigidity(snu2_generators(3, 0.5), 3, 0.5, tol),
+    "sl2_rigidity": lambda tol: sl2_rigidity(_SL2, 4, tol),
 }
+
+
+def test_tol_registry_lists_every_export_with_a_tol():
+    # an export added or deleted cannot drift out of the check below
+    exported = {name for name, obj in vars(specrig).items()
+                if not name.startswith("_") and callable(obj)
+                and "tol" in inspect.signature(obj).parameters}
+    assert set(TOL_CALLS) == exported
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])

@@ -141,6 +141,21 @@ class TestReconstructSnu2:
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert any("x2_dependence detected: True" in d for d in rep.diagnostics)
 
+    def test_non_finite_scale_fails_closed(self, rng):
+        # with 1e307 on every A2 entry, ||A2|| overflows: a bound of tol * inf
+        # let the A2 support checks pass and step3 blamed A3^H instead
+        n, nu = 10, 0.05
+        a1, a2, a3 = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
+        with np.errstate(all="ignore"):
+            rep = _reconstruct("snu2", (a1, a2 + 1e307, a3), n, nu, 1e-9)
+        assert rep.diagnostics == ["step3: A2: the scale of A2 is not finite"]
+
+    @pytest.mark.parametrize("value,bound,fails", [
+        (1.0, 2.0, False), (2.0, 2.0, False), (3.0, 2.0, True), (np.nan, 2.0, True),
+        (1.0, np.nan, True), (1.0, np.inf, True), (np.inf, np.inf, True)])
+    def test_checks_fail_closed(self, value, bound, fails):
+        assert rigidity._exceeds(value, bound) is fails
+
     def test_phase_mismatch_names_step4(self, rng):
         n, nu = 5, 0.5
         t = snu2_generators(n, nu)
@@ -553,17 +568,31 @@ class TestStackedVerification:
             i, j = (int(x) for x in rng.integers(dim, size=2))
             cand[1][i, j] += 1e-6 * hs_norm(cand[1])
         cond = _verify(family, cand, n, nu)
-        ref = _reference(family, n, nu)
         pencils = rigidity.SL2_PENCILS if family == "sl2" else rigidity.SNU2_PENCILS
         a1, a2, a3 = cand
+        entry = rigidity._reference(family, n, nu)
+        assert entry.pencils == pencils
         want = []
-        for name, (q, (s1, s2)) in rigidity.reference_pencil_polys(ref, pencils).items():
-            p = det_pencil([s1 * a1, s2 * rigidity._PRODUCTS[name](a2, a3)], PAIR)
+        for name, s2, coeffs in zip(pencils, entry.s2, entry.coeffs):
+            q = MultiPoly.from_dense(PAIR, coeffs)
+            p = det_pencil([entry.s1 * a1, s2 * rigidity._PRODUCTS[name](a2, a3)], PAIR)
             scale = max(1.0, p.max_abs_coeff(), q.max_abs_coeff())
             dist = poly_distance(p, q)
             want.append(PencilComparison(name, dist <= 1e-9 * scale, dist / scale))
         assert cond == ConditionReport(a1_normal=True, checks=tuple(want))
         assert cond.all_passed == (dim == n and not tamper)
+
+    @pytest.mark.parametrize("family,n,nu", [
+        ("sl2", 2, None), ("sl2", 10, None), ("sl2", 40, None), ("snu2", 10, 0.3),
+        ("snu2", 20, 0.05), ("snu2", 40, 0.9), ("snu2", 32, -1.0)])
+    def test_reference_stack_matches_det_pencil(self, family, n, nu):
+        # the line products of the cached stack against the determinant
+        # kernel on the reference's scaled diagonal pencils
+        entry = rigidity._reference(family, n, nu)
+        h, e, f = entry.ref.matrices
+        for name, s2, coeffs in zip(entry.pencils, entry.s2, entry.coeffs):
+            alone = det_pencil([entry.s1 * h, s2 * rigidity._PRODUCTS[name](e, f)]).coeffs
+            assert np.abs(coeffs - alone).max() <= 1e-13 * np.abs(coeffs).max(), name
 
     def test_memory_stays_within_blocks(self, monkeypatch, rng):
         n, nu = 40, 0.9

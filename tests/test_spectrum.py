@@ -67,9 +67,8 @@ class TestDetPencil:
     def test_diagonal_pencil(self):
         lams = [1.5, -2.0, 0.5]
         p = det_pencil([np.diag(lams).astype(complex)])
-        expected = MultiPoly.constant(("x1",), 1.0)
-        for lam in lams:
-            expected = expected * MultiPoly(("x1",), {(1,): lam, (0,): -1.0})
+        # (1.5 x - 1)(-2 x - 1)(0.5 x - 1): e1 = 0, e2 = -3.25, e3 = -1.5
+        expected = MultiPoly(("x1",), {(3,): -1.5, (2,): 3.25, (0,): -1.0})
         assert poly_equal(p, expected, 1e-12)
 
     def test_homogeneous_showcase(self):
