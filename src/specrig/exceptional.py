@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import _overflow, c_coeff
-from .linalg import DEFAULT_TOL, _check_tol
+from .linalg import DEFAULT_TOL, _check_tol, _cluster_starts
 
 BISECT_ITERATIONS = 200
 _BLOCK = 2 ** 18  # coefficient floats per block of pairs (2 MB)
@@ -83,10 +83,7 @@ def root_polynomial(n: int, i: int, j: int) -> np.ndarray:
     """Ascending coefficient array: +1 for degrees 0..n-j-1, -1 for
     degrees n-i..n-1, zeros between."""
     _check_indices(n, i, j)
-    coeffs = np.zeros(n)
-    coeffs[0:n - j] = 1.0
-    coeffs[n - i:n] = -1.0
-    return coeffs
+    return _coefficients(n, np.array([i]), np.array([j]))[::-1, 0]
 
 
 def _coefficients(n, i, j):
@@ -156,16 +153,19 @@ def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
             if coeffs is not None:
                 coeffs = coeffs[:, keep]
     out = np.full(i.size, np.nan)
-    out[live] = ([_scalar_root(n, int(i[k]), int(j[k]), a, b)
-                  for k, a, b in zip(live, lo.tolist(), hi.tolist())]
-                 if live.size <= finish else 0.5 * (lo + hi))
+    if live.size > finish:
+        out[live] = 0.5 * (lo + hi)
+        return out
+    # the live pairs' coefficients, if the lockstep loop built them
+    cols = (_coefficients(n, i[live], j[live]) if coeffs is None else coeffs).T.tolist()
+    out[live] = [_scalar_root(c, a, b) for c, a, b in zip(cols, lo.tolist(), hi.tolist())]
     return out
 
 
-def _scalar_root(n, i, j, lo=0.0, hi=1.0):
-    """One pair's root, bisected on Python floats from [lo, hi] with the
-    array kernel's steps, so the same float."""
-    coeffs = root_polynomial(n, i, j)[::-1].tolist()
+def _scalar_root(coeffs, lo=0.0, hi=1.0):
+    """One pair's root from its Horner-order coefficients (a list of
+    floats), bisected on Python floats from [lo, hi] with the array
+    kernel's steps, so the same float."""
     for _ in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         acc = 0.0
@@ -189,7 +189,7 @@ def z_root(n: int, i: int, j: int) -> ExceptionalRoot:
     z=1 since i + j > n); unconditionally convergent, final interval far
     below 1e-16.
     """
-    z = _scalar_root(n, i, j)
+    z = _scalar_root(root_polynomial(n, i, j)[::-1].tolist())
     return ExceptionalRoot(n=n, i=i, j=j, z=z, nu=float(np.sqrt(z)))
 
 
@@ -256,8 +256,8 @@ def multiplicity_profile(n: int, nu: float, tol: float = DEFAULT_TOL):
     except OverflowError:
         raise _overflow(n, nu) from None
     mags = np.abs(vals)
-    split = np.abs(np.diff(vals)) > tol * np.maximum(1.0, np.maximum(mags[:-1], mags[1:]))
-    starts = np.concatenate(([0], np.flatnonzero(split) + 1))
+    starts = np.concatenate(([0], _cluster_starts(
+        vals, tol * np.maximum(1.0, np.maximum(mags[:-1], mags[1:])))))
     counts = np.diff(np.append(starts, vals.size))
     return list(zip((np.add.reduceat(vals, starts) / counts).tolist(), counts.tolist()))
 

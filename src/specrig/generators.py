@@ -260,18 +260,12 @@ def relation_residuals(t: GeneratorTuple, orientation: str = "paper") -> Relatio
         raise ValueError(f"family {t.family!r} carries no deformation parameter")
     nu = t.nu
     h, e, f = (as_matrix(m) for m in t.matrices)
-    if orientation == "paper":
-        pairs = [
-            (nu * (f @ e), (e @ f) / nu, h),
-            (nu**2 * (h @ e), (e @ h) / nu**2, (1 + nu**2) * e),
-            (nu**2 * (f @ h), (h @ f) / nu**2, (1 + nu**2) * f),
-        ]
-    else:
-        pairs = [
-            (nu * (e @ f), (f @ e) / nu, h),
-            (nu**2 * (e @ h), (h @ e) / nu**2, (1 + nu**2) * e),
-            (nu**2 * (h @ f), (f @ h) / nu**2, (1 + nu**2) * f),
-        ]
+    mul = (lambda x, y: x @ y) if orientation == "paper" else (lambda x, y: y @ x)
+    pairs = [
+        (nu * mul(f, e), mul(e, f) / nu, h),
+        (nu**2 * mul(h, e), mul(e, h) / nu**2, (1 + nu**2) * e),
+        (nu**2 * mul(f, h), mul(h, f) / nu**2, (1 + nu**2) * f),
+    ]
     resids = []
     scale = 1.0
     for a, b, c in pairs:

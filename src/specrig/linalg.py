@@ -78,6 +78,14 @@ def _is_normal(a, tol: float, scale=None) -> bool:
     return hs_norm(b @ b.conj().T - b.conj().T @ b) <= tol
 
 
+def _is_unitary(a, tol: float, scale=None) -> bool:
+    """||a a* - I|| <= tol * scale^2, tested on a / scale as ``_is_normal``
+    is, so nothing can overflow; ``scale`` as in ``_is_normal``."""
+    s = max(1.0, hs_norm(a)) if scale is None else scale
+    u = a / s
+    return hs_norm(u @ u.conj().T - np.eye(a.shape[0]) / (s * s)) <= tol
+
+
 def commutator(a, b) -> np.ndarray:
     """ab - ba."""
     a = as_matrix(a)
@@ -119,6 +127,13 @@ def _phase_fixed(v) -> np.ndarray:
     return v * np.array([abs(p) / p if p != 0 else 1.0 for p in ph])
 
 
+def _cluster_starts(values, bound) -> np.ndarray:
+    """Where sorted ``values`` start a new cluster: the indices k whose gap
+    |values[k] - values[k-1]| is not within ``bound`` (a scalar or one per
+    gap).  A NaN gap splits."""
+    return np.flatnonzero(~(np.abs(np.diff(values)) <= bound)) + 1
+
+
 def cluster_values(values, tol: float, scale: float):
     """Group sorted-by-magnitude-agnostic values that lie within
     ``tol * max(1, scale)`` of each other.
@@ -129,20 +144,10 @@ def cluster_values(values, tol: float, scale: float):
     spectral point.
     """
     vals = np.asarray(values)
-    gap = tol * max(1.0, scale)
     order = np.lexsort((vals.imag, vals.real)) if np.iscomplexobj(vals) else np.argsort(vals)
-    clusters = []
-    current = [int(order[0])]
-    for idx in order[1:]:
-        idx = int(idx)
-        if abs(vals[idx] - vals[current[-1]]) <= gap:
-            current.append(idx)
-        else:
-            clusters.append(current)
-            current = [idx]
-    clusters.append(current)
-    return [(complex(np.mean(vals[c])) if np.iscomplexobj(vals) else float(np.mean(vals[c])), c)
-            for c in clusters]
+    cast = complex if np.iscomplexobj(vals) else float
+    return [(cast(np.mean(vals[c])), c.tolist())
+            for c in np.split(order, _cluster_starts(vals[order], tol * max(1.0, scale)))]
 
 
 def normal_eig(a, tol: float = DEFAULT_TOL):
@@ -205,8 +210,7 @@ def classify(a, tol: float = DEFAULT_TOL) -> MatrixFlags:
     s = max(1.0, hs_norm(a))
     normal = _is_normal(a, tol, s)
     hermitian = hs_norm(a - a.conj().T) <= tol * s
-    u = a / s  # ||a a* - 1|| <= tol * s^2, without overflow
-    unitary = hs_norm(u @ u.conj().T - np.eye(n) / (s * s)) <= tol
+    unitary = _is_unitary(a, tol, s)
     diagonal = hs_norm(a - np.diag(np.diag(a))) <= tol * s
     simple = False
     if normal:

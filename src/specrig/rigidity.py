@@ -36,14 +36,16 @@ into the verdicts ``equivalent``, ``hypothesis_failed`` and
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .generators import sl2_generators, snu2_generators
-from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _is_normal, _phase_fixed,
-                     as_matrix, hermitian_eig, hs_norm, matrix_to_json, spectral_projection)
+from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _cluster_starts, _is_normal,
+                     _is_unitary, _phase_fixed, as_matrix, hermitian_eig, hs_norm,
+                     matrix_to_json, spectral_projection)
 from .spectrum import (_compare_stacks, _det_stack, _line_products, _slot_matrices,
                        slot_scales, x2_dependence)
 
@@ -129,47 +131,38 @@ class RigidityReport:
 # a cached reference: the read-only triple and what every call reads of it (its
 # pencils' coefficient stack, largest moduli and slot scales, the product
 # diagonals, H's diagonal and its scale, the ladder diagonals with their moduli
-# and least moduli, max(1, ||slot||) per slot); the cache keeps the
-# _REFERENCES_KEPT most recently used, in dict order
+# and least moduli, max(1, ||slot||) per slot)
 _Reference = namedtuple("_Reference", "ref pencils steps coeffs coeff_max s1 s2 expected "
                         "diag diag_scale e_sd f_sd e_mod f_mod e_min f_min slot_norms")
-_references = {}
-_REFERENCES_KEPT = 64
 
 
-def _reference(family, n, nu=None) -> _Reference:
+@functools.lru_cache(maxsize=64)
+def _reference(family, n, nu) -> _Reference:
     """The reference of ``family`` at (n, nu), built on first use.  Each
     pencil pairs the diagonal H with an exactly diagonal product of ladder
     matrices, so its polynomial at the slot scales 1 / max(1, ||slot||_HS)
     (see ``slot_scales``) is an exact product of lines."""
-    key = (family, n, nu)
-    entry = _references.pop(key, None)
-    if entry is None:
-        ref, pencils, steps = ((snu2_generators(n, nu), SNU2_PENCILS, _SNU2_STEPS)
-                               if family == "snu2" else
-                               (sl2_generators(n), SL2_PENCILS, _SL2_STEPS))
-        for m in ref.matrices:
-            m.flags.writeable = False
-        products = {name: _PRODUCTS[name](ref.e, ref.f) for name in pencils}
-        for name, b in products.items():
-            if hs_norm(b - np.diag(np.diag(b))) != 0.0:
-                raise AssertionError(f"reference product for {name} is not diagonal")
-        s1 = 1.0 / max(1.0, hs_norm(ref.h))
-        s2 = tuple(1.0 / max(1.0, hs_norm(b)) for b in products.values())
-        coeffs = _line_products([np.stack([np.diag(ref.h) * s1, np.diag(b) * s], axis=1)
-                                 for b, s in zip(products.values(), s2)])
-        diag, sds = np.diag(ref.h).real, (ref.e.diagonal(1), ref.f.diagonal(-1))
-        entry = _Reference(
-            ref, pencils, steps, coeffs, np.abs(coeffs).max(axis=(1, 2)), s1, s2,
-            {name: np.diag(b).real.copy() for name, b in products.items()
-             if name != "A1, A2 A3"},
-            diag, max(1.0, float(np.max(np.abs(diag)))), *sds, *map(np.abs, sds),
-            *(float(np.abs(sd).min(initial=np.inf)) for sd in sds),
-            tuple(max(1.0, hs_norm(m)) for m in ref.matrices))
-        if len(_references) >= _REFERENCES_KEPT:
-            del _references[next(iter(_references))]
-    _references[key] = entry
-    return entry
+    ref, pencils, steps = ((snu2_generators(n, nu), SNU2_PENCILS, _SNU2_STEPS)
+                           if family == "snu2" else
+                           (sl2_generators(n), SL2_PENCILS, _SL2_STEPS))
+    for m in ref.matrices:
+        m.flags.writeable = False
+    products = {name: _PRODUCTS[name](ref.e, ref.f) for name in pencils}
+    for name, b in products.items():
+        if hs_norm(b - np.diag(np.diag(b))) != 0.0:
+            raise AssertionError(f"reference product for {name} is not diagonal")
+    s1 = 1.0 / max(1.0, hs_norm(ref.h))
+    s2 = tuple(1.0 / max(1.0, hs_norm(b)) for b in products.values())
+    coeffs = _line_products([np.stack([np.diag(ref.h) * s1, np.diag(b) * s], axis=1)
+                             for b, s in zip(products.values(), s2)])
+    diag, sds = np.diag(ref.h).real, (ref.e.diagonal(1), ref.f.diagonal(-1))
+    return _Reference(
+        ref, pencils, steps, coeffs, np.abs(coeffs).max(axis=(1, 2)), s1, s2,
+        {name: np.diag(b).real.copy() for name, b in products.items()
+         if name != "A1, A2 A3"},
+        diag, max(1.0, float(np.max(np.abs(diag)))), *sds, *map(np.abs, sds),
+        *(float(np.abs(sd).min(initial=np.inf)) for sd in sds),
+        tuple(max(1.0, hs_norm(m)) for m in ref.matrices))
 
 
 def _verify_conditions(mats, entry, tol):
@@ -231,7 +224,7 @@ def _eigenbasis_matched(a1, a2, entry, tol):
         return values, vectors, gap, False
 
     theta = max(tol, float(np.finfo(np.float64).eps) / tol) * max(1.0, hs_norm(a1))
-    cuts = (np.flatnonzero(np.abs(np.diff(values)) > theta) + 1).tolist()
+    cuts = _cluster_starts(values, theta).tolist()
     for start, stop in reversed(list(zip([0, *cuts], cuts))):  # each cluster below a column
         if stop - start > 1:
             q, cols = vectors[:, start:stop], vectors[:, start:stop + 1].copy()
@@ -406,14 +399,20 @@ def _hs_budget(fr):
     return None
 
 
+def _slot_residuals(mats, refs, w, norms) -> np.ndarray:
+    """||a_i - w r_i w*||_HS / norms_i for each slot; NaN where a product
+    overflows, so the maximum over the slots (with numpy) is NaN too."""
+    return np.array([hs_norm(a - w @ r @ w.conj().T) / s for a, r, s in zip(mats, refs, norms)])
+
+
 def _certified(fr):
     """Certify all three slots with the witness diag(1, conj(p0),
     conj(p0 p1), ...), the canonical diagonal unitary with first entry 1
     built from the superdiagonal phases p."""
     w = np.diag(np.concatenate([[1.0 + 0j], np.conj(np.cumprod(fr.phases))]))
-    per_slot = {f"certify {name}": hs_norm(a - w @ r @ w.conj().T) / s for name, a, r, s
-                in zip(("A1", "A2", "A3"), fr.ahat, fr.entry.ref.matrices, fr.entry.slot_norms)}
-    resid = float(np.max(list(per_slot.values())))  # NaN propagates
+    resids = _slot_residuals(fr.ahat, fr.entry.ref.matrices, w, fr.entry.slot_norms)
+    per_slot = dict(zip(("certify A1", "certify A2", "certify A3"), resids.tolist()))
+    resid = float(resids.max())
     if _exceeds(resid, fr.tol):
         return f"certification residual {resid:.3g} exceeds tolerance", None, per_slot
     fr.report = RigidityReport(verdict=EQUIVALENT, witness=w, basis=fr.basis,
@@ -511,13 +510,13 @@ def compression_check(a1, b, lam, mu, tol: float = DEFAULT_TOL) -> bool:
 def certify_equivalence(t, ref, w, tol: float = DEFAULT_TOL) -> float:
     """Max over the three slots of ||t_i - w ref_i w*||_HS, normalized by
     max(1, ||ref_i||_HS) so the figure is comparable across the scale
-    range of the ladder matrices.  ``w`` must be unitary."""
+    range of the ladder matrices.  ``w`` must be unitary (``classify``'s
+    test).  The result is NaN when a slot's product overflows float64, so
+    it never compares <= tol."""
     _check_tol(tol)
     mats = _slot_matrices(t)
     refs = _slot_matrices(ref)
     w = as_matrix(w)
-    n = w.shape[0]
-    if hs_norm(w @ w.conj().T - np.eye(n)) > tol * max(1.0, hs_norm(w) ** 2):
+    if not _is_unitary(w, tol):
         raise NotUnitaryError("witness is not unitary within tolerance")
-    return max(hs_norm(a - w @ r @ w.conj().T) / max(1.0, hs_norm(r))
-               for a, r in zip(mats, refs))
+    return float(_slot_residuals(mats, refs, w, [max(1.0, hs_norm(r)) for r in refs]).max())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specrig.cli import main
+from specrig.exceptional import exceptional_set
 from specrig.generators import tuple_from_json
 from specrig.linalg import hs_norm
 from specrig.poly import poly_from_json
@@ -51,6 +52,13 @@ class TestGen:
         t = tuple_from_json(json.loads(out))
         assert t.e[0, 1] == 2.0
 
+    def test_onedim_family(self, capsys):
+        code, out, _ = run(capsys, "gen", "--family", "onedim", "--c", "2", "--nu", "0.5")
+        assert code == 0
+        assert tuple_from_json(json.loads(out)).n == 1
+        code, out, err = run(capsys, "gen", "--family", "onedim")
+        assert (code, out, err) == (1, "", "error: --family onedim requires --nu\n")
+
 
 class TestDet:
     def test_affine_sl2_pencil(self, capsys, tmp_path):
@@ -65,6 +73,13 @@ class TestDet:
         assert p.terms[(2, 0, 0)] == pytest.approx(4.0, abs=1e-10)
         assert p.terms[(0, 1, 1)] == pytest.approx(4.0, abs=1e-10)
         assert p.terms[(0, 0, 0)] == pytest.approx(-1.0, abs=1e-10)
+
+    def test_vars_must_name_every_slot(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        run(capsys, "gen", "--family", "sl2", "--n", "3", "-o", str(path))
+        code, out, err = run(capsys, "det", "--tuple", str(path), "--pencil", "A1, A2",
+                             "--vars", "x")
+        assert (code, out, err) == (1, "", "error: --vars lists 1 names for 2 pencil slots\n")
 
     def test_missing_file_reported(self, capsys):
         code, _, err = run(capsys, "det", "--tuple", "/nonexistent.json",
@@ -92,6 +107,13 @@ class TestLines:
         assert blob["certified"] is True
         assert sum(l["mult"] for l in blob["lines"]) == 4
 
+    def test_three_slot_pencil_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        run(capsys, "gen", "--family", "sl2", "--n", "3", "-o", str(path))
+        code, out, err = run(capsys, "lines", "--tuple", str(path), "--pencil", "A1, A2, A3")
+        assert (code, out) == (1, "")
+        assert err == "error: lines requires a two-slot pencil, e.g. 'A1, A2 A3'\n"
+
 
 class TestCompare:
     def test_counterexample_vs_sl2(self, capsys, tmp_path):
@@ -118,6 +140,24 @@ class TestRigidity:
         blob = json.loads(out)
         assert blob["verdict"] == "equivalent"
         assert blob["witness"]["n"] == 5
+
+    def test_sl2_conjugate_text_exit_zero(self, capsys, tmp_path):
+        path = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", "random-conjugate", "--base", "sl2",
+            "--n", "5", "--seed", "4", "-o", str(path))
+        code, out, _ = run(capsys, "rigidity", "--tuple", str(path),
+                           "--family", "sl2", "--n", "5", "--tol", "1e-8")
+        assert code == 0
+        verdict, residual = out.splitlines()
+        assert verdict == "verdict: equivalent"
+        assert residual.startswith("residual: ") and float(residual.split()[1]) <= 1e-8
+
+    def test_snu2_requires_nu(self, capsys, tmp_path):
+        path = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", "snu2", "--n", "4", "--nu", "0.5", "-o", str(path))
+        code, out, err = run(capsys, "rigidity", "--tuple", str(path),
+                             "--family", "snu2", "--n", "4")
+        assert (code, out, err) == (1, "", "error: --family snu2 requires --nu\n")
 
     def test_wrong_reference_exit_two(self, capsys, tmp_path):
         path = tmp_path / "fix.json"
@@ -163,6 +203,18 @@ class TestExceptional:
         assert (r["i"], r["j"]) == (2, 3)
         assert abs(r["z"] - 0.7548776662) < 1e-9
         assert abs(r["nu"] - 0.8688369) < 1e-6
+
+    def test_table_format(self, capsys):
+        code, out, _ = run(capsys, "exceptional", "--n", "8")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == f"{'i':>3} {'j':>3} {'z':>20} {'nu':>20}"
+        roots = exceptional_set(8)
+        assert len(rows) == len(roots)
+        for row, r in zip(rows, roots):
+            i, j, z, nu = row.split()
+            assert (int(i), int(j)) == (r.i, r.j)
+            assert abs(float(z) - r.z) <= 1e-12 and abs(float(nu) - r.nu) <= 1e-12
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "exceptional", "--n", "5", "--csv")

@@ -312,3 +312,7 @@ class TestTupleJson:
     def test_missing_matrix_rejected(self):
         with pytest.raises(ValueError):
             tuple_from_json({"matrices": {"H": {"n": 1, "entries": [[[0.0, 0.0]]]}}})
+
+    def test_missing_matrices_rejected(self):
+        with pytest.raises(ValueError, match="^tuple JSON must be an object with 'matrices'$"):
+            tuple_from_json({"family": "sl2"})

@@ -8,16 +8,16 @@ import specrig
 from specrig.exceptional import corollary_check, is_exceptional, multiplicity_profile
 from specrig.generators import h_coeff, sl2_generators, snu2_generators, structural_matrices
 from specrig.linalg import (DimensionMismatchError, EigenvalueNotFoundError,
-                            NotHermitianError, as_matrix, classify,
+                            NotHermitianError, as_matrix, classify, cluster_values,
                             commutator, hermitian_eig, hs_norm,
-                            matrix_from_json, matrix_to_json,
+                            matrix_from_json, matrix_to_json, normal_eig,
                             spectral_projection)
 from specrig.poly import poly_equal
 from specrig.rigidity import (certify_equivalence, compression_check, sl2_rigidity,
                               snu2_rigidity)
 from specrig.spectrum import det_pencil, lines_of_pair, spectra_equal
 
-from conftest import random_complex, random_hermitian
+from conftest import random_complex, random_hermitian, random_unitary
 
 
 class TestMatOp:
@@ -45,6 +45,11 @@ class TestMatOp:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             as_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            as_matrix(np.zeros((2, 3)))
 
 
 class TestHermitianEig:
@@ -81,6 +86,38 @@ class TestHermitianEig:
             hermitian_eig(random_complex(rng, 3))
 
 
+def _clusters_by_walk(vals, tol, scale):
+    """The reference: walk the sorted values, starting a cluster wherever
+    a gap is not within tol * max(1, scale)."""
+    order = np.lexsort((vals.imag, vals.real)) if np.iscomplexobj(vals) else np.argsort(vals)
+    clusters = [[int(order[0])]]
+    for idx in order[1:].tolist():
+        if abs(vals[idx] - vals[clusters[-1][-1]]) <= tol * max(1.0, scale):
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return clusters
+
+
+class TestClusterValues:
+    def test_matches_the_sorted_walk(self, rng):
+        for k in range(60):
+            n = int(rng.integers(1, 9))
+            vals = np.round(rng.normal(size=n), 1) + rng.normal(size=n) * 1e-10
+            if k % 2:
+                vals = vals + 1j * np.round(rng.normal(size=n), 1)
+            for tol in (1e-12, 1e-9, 1e-2):
+                got = cluster_values(vals, tol, 2.0)
+                want = _clusters_by_walk(vals, tol, 2.0)
+                assert [idx for _, idx in got] == want
+                assert [rep for rep, _ in got] == [np.mean(vals[c]).item() for c in want]
+
+    def test_nan_gap_splits(self):
+        vals = np.array([1.0, np.nan, 1.0 + 1e-12])
+        got = cluster_values(vals, 1e-9, 1.0)
+        assert [idx for _, idx in got] == _clusters_by_walk(vals, 1e-9, 1.0) == [[0, 2], [1]]
+
+
 class TestSpectralProjection:
     def test_diagonal(self):
         p = spectral_projection(np.diag([1.0, 2.0]).astype(complex), 1.0)
@@ -114,6 +151,21 @@ class TestSpectralProjection:
     def test_not_an_eigenvalue(self):
         with pytest.raises(EigenvalueNotFoundError):
             spectral_projection(np.diag([1.0, 2.0]).astype(complex), 5.0)
+
+
+class TestNormalEig:
+    def test_non_hermitian_normal_matrix(self, rng):
+        # a repeated eigenvalue: its eigenvectors are orthonormalised together
+        lams = np.array([1j, 1j, -1, 0.5 + 0.5j, 2, -2j])
+        w = random_unitary(rng, 6)
+        a = w @ np.diag(lams) @ w.conj().T
+        values, v = normal_eig(a)
+        assert np.abs(np.sort_complex(values.round(12)) - np.sort_complex(lams)).max() == 0.0
+        assert hs_norm(v.conj().T @ v - np.eye(6)) <= 1e-14
+        assert hs_norm(v.conj().T @ a @ v - np.diag(values)) <= 1e-14
+        p = spectral_projection(a, 1j)
+        assert np.linalg.matrix_rank(p) == 2
+        assert hs_norm(p @ a - 1j * p) <= 1e-14
 
 
 class TestHsNorm:
@@ -186,6 +238,15 @@ class TestMatrixJson:
         bad = {"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}
         with pytest.raises(ValueError, match="ragged"):
             matrix_from_json(bad)
+
+    @pytest.mark.parametrize("blob,message", [
+        ({"n": 1.5, "entries": [[[0.0, 0.0]]]}, "^'n' must be a positive integer$"),
+        ({"n": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]]]}, "^expected 2 rows, got 1$"),
+        ({"n": 1, "entries": [[[0.0, 0.0, 0.0]]]}, r"^entry \(0,0\) must be a \[re, im\] pair$"),
+    ], ids=["non-integer-n", "row-count", "three-element-entry"])
+    def test_malformed_rejected(self, blob, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_from_json(blob)
 
 
 _SL2 = sl2_generators(4)

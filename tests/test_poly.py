@@ -138,3 +138,12 @@ class TestJson:
         exps = [tuple(t["exp"]) for t in blob["terms"]]
         assert exps == sorted(exps)
         assert poly_equal(poly_from_json(blob), p, 1e-15)
+
+    def test_missing_terms_rejected(self):
+        with pytest.raises(ValueError, match="^poly JSON must be an object with 'vars' and 'terms'$"):
+            poly_from_json({"vars": ["x"]})
+
+    def test_short_exponent_rejected(self):
+        blob = {"vars": ["x", "y"], "terms": [{"exp": [1], "re": 1.0, "im": 0.0}]}
+        with pytest.raises(ValueError, match=r"^exponent \(1,\) does not match 2 variables$"):
+            poly_from_json(blob)

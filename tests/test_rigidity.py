@@ -433,6 +433,27 @@ class TestCertifyEquivalence:
         with pytest.raises(NotUnitaryError):
             certify_equivalence(t, t, 2.0 * np.eye(3))
 
+    def test_overflowing_slot_is_not_certified(self):
+        # w r w* overflows in the second slot; Python's max dropped that
+        # slot's NaN and called the pair certified (0.0)
+        c = np.sqrt(0.5)
+        w = np.array([[c, -c], [c, c]])
+        h, zero = np.diag([1.0, -1.0]), np.zeros((2, 2))
+        with np.errstate(all="ignore"):
+            resid = certify_equivalence((w @ h @ w.conj().T, zero, zero),
+                                        (h, 1.5e308 * np.ones((2, 2)), zero), w, 1e-9)
+        assert not resid <= 1e-9
+        assert np.isnan(resid)
+
+    @pytest.mark.parametrize("s", [1e155, 1e200])
+    def test_large_witness_rejected_without_overflow(self, s):
+        # ||w||^2 overflowed: a warning from matmul, then an OverflowError
+        g = snu2_generators(4, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitaryError):
+                certify_equivalence(g, g, s * np.eye(4))
+
 
 class TestVerifySl2:
     def test_reference_passes(self):
@@ -594,10 +615,10 @@ class TestStackedVerification:
             alone = det_pencil([entry.s1 * h, s2 * rigidity._PRODUCTS[name](e, f)]).coeffs
             assert np.abs(coeffs - alone).max() <= 1e-13 * np.abs(coeffs).max(), name
 
-    def test_memory_stays_within_blocks(self, monkeypatch, rng):
+    def test_memory_stays_within_blocks(self, rng):
         n, nu = 40, 0.9
         cand = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
-        monkeypatch.setattr(rigidity, "_references", {})
+        rigidity._reference.cache_clear()  # the reference is built cold
         tracemalloc.start()
         try:
             cond = _verify("snu2", cand, n, nu)
@@ -656,44 +677,105 @@ def test_vanishing_ladder_step_fails_without_warnings(n, nu):
         assert rep.basis is None and rep.residual is None
 
 
+class TestReconstructionBranches:
+    """Candidates that pass verification at the default tol and fail one
+    named reconstruction check."""
+
+    @pytest.mark.parametrize("family,n,nu", [("snu2", 5, 0.5), ("snu2", 6, -0.7),
+                                             ("sl2", 4, None)])
+    def test_padded_candidate_fails_dimension(self, family, n, nu):
+        # a 2x2 zero block leaves every det(x1 A1 + x2 B - I) unchanged; a
+        # 1x1 block flips its sign, so the constant terms differ
+        ref = _reference(family, n, nu)
+        rep = _rigidity(family, tuple(np.pad(m, (0, 2)) for m in ref.matrices), n, nu,
+                        DEFAULT_TOL)
+        assert rep.verdict == RECONSTRUCTION_FAILED
+        assert rep.diagnostics[0] == f"step1: candidate dimension {n + 2} != n={n}"
+        rep = _rigidity(family, tuple(np.pad(m, (0, 1)) for m in ref.matrices), n, nu,
+                        DEFAULT_TOL)
+        assert rep.verdict == HYPOTHESIS_FAILED
+
+    @pytest.mark.parametrize("n,nu", [(5, 0.5), (8, 0.3), (6, -0.7)])
+    def test_normal_non_hermitian_a1_fails_step1(self, n, nu):
+        # A1 stays normal and its pencils still match, but its
+        # anti-Hermitian part exceeds tol * max(1, ||A1||)
+        t = snu2_generators(n, nu)
+        s = 1e-9 * max(1.0, hs_norm(t.h))
+        a1 = t.h + 1j * s * np.diag([1.0, -1.0] + [0.0] * (n - 2))
+        rep = snu2_rigidity((a1, t.e, t.f), n, nu)
+        assert rep.verdict == RECONSTRUCTION_FAILED
+        assert rep.diagnostics[0] == "step1: A1 is not Hermitian/normal within tolerance"
+
+    @pytest.mark.parametrize("n,drop,message", [
+        (5, 2e-9, "step4: A3 subdiagonal entry (1,0) is not unimodular"),
+        (3, 1e-9, "step5: hs-budget violation: trace(A3 A3*) = 2 "
+                  "carries 2e-09 off the subdiagonal")])
+    def test_sl2_a3_turned_off_subdiagonal(self, n, drop, message):
+        # row 1 of A3 turns toward the unused last column:
+        # A3[1,0] = cos(theta), A3[1,n-1] = sin(theta), 1 - cos(theta) = drop
+        t = sl2_generators(n)
+        a3 = t.f.copy()
+        a3[1, 0] = 1.0 - drop
+        a3[1, n - 1] = np.sqrt(1.0 - (1.0 - drop) ** 2)
+        rep = sl2_rigidity((t.h, t.e, a3), n)
+        assert rep.verdict == RECONSTRUCTION_FAILED
+        assert rep.diagnostics[0] == message
+
+
 class TestReferenceCache:
-    def test_reference_built_once_and_read_only(self, monkeypatch, rng):
-        monkeypatch.setattr(rigidity, "_references", {})
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """An empty cache, and the list of (n, nu) it builds from now on."""
+        rigidity._reference.cache_clear()
         builds = []
 
         def counted(n, nu):
             builds.append((n, nu))
             return snu2_generators(n, nu)
         monkeypatch.setattr(rigidity, "snu2_generators", counted)
+        return builds
+
+    def test_reference_built_once_and_read_only(self, builds, rng):
         n, nu = 6, 0.35
         cand = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
         assert snu2_rigidity(cand, n, nu).verdict == EQUIVALENT
-        assert len(builds) == 1
+        assert builds == [(n, nu)]
         assert snu2_rigidity(cand, n, nu).verdict == EQUIVALENT
-        assert len(builds) == 1
+        assert builds == [(n, nu)]
         for m in rigidity._reference("snu2", n, nu).ref.matrices:
             with pytest.raises(ValueError):
                 m[0, 0] = 1.0
         assert all(m.flags.writeable for m in snu2_generators(n, nu).matrices)
 
-    def test_cache_is_bounded(self, monkeypatch):
-        # the rigidity-grid workload uses 36 references: none may be evicted
-        assert rigidity._REFERENCES_KEPT >= 36
-        monkeypatch.setattr(rigidity, "_references", {})
-        for nu in np.linspace(0.2, 0.9, 100).tolist():
+    def test_cache_is_bounded(self, builds):
+        # the rigidity-grid workload uses 36 references: none may be
+        # evicted; the 100 keys below overflow the bound
+        maxsize = rigidity._reference.cache_info().maxsize
+        assert 36 <= maxsize < 100
+        nus = np.linspace(0.2, 0.9, 100).tolist()
+        for k, nu in enumerate(nus):
             rigidity._reference("snu2", 4, nu)
-            assert len(rigidity._references) <= rigidity._REFERENCES_KEPT
-            assert next(reversed(rigidity._references)) == ("snu2", 4, nu)
-        assert ("snu2", 4, 0.2) not in rigidity._references
+            assert len(builds) == k + 1  # one build per fresh key
+            assert rigidity._reference.cache_info().currsize <= maxsize
+        rigidity._reference("snu2", 4, nus[-1])  # a repeat builds nothing
+        assert len(builds) == len(nus)
+        rigidity._reference("snu2", 4, nus[0])  # the oldest was evicted
+        assert len(builds) == len(nus) + 1
 
-    def test_cache_evicts_least_recently_used(self, monkeypatch):
-        monkeypatch.setattr(rigidity, "_references", {})
-        monkeypatch.setattr(rigidity, "_REFERENCES_KEPT", 2)
-        first = rigidity._reference("sl2", 3)
-        rigidity._reference("sl2", 4)
-        assert rigidity._reference("sl2", 3) is first  # now the most recent
-        rigidity._reference("sl2", 5)
-        assert list(rigidity._references) == [("sl2", 3, None), ("sl2", 5, None)]
+    def test_cache_evicts_least_recently_used(self, builds):
+        maxsize = rigidity._reference.cache_info().maxsize
+        nus = np.linspace(0.2, 0.9, maxsize + 1).tolist()
+        first = rigidity._reference("snu2", 3, nus[0])
+        for nu in nus[1:maxsize]:
+            rigidity._reference("snu2", 3, nu)
+        assert rigidity._reference("snu2", 3, nus[0]) is first  # now the most recent
+        rigidity._reference("snu2", 3, nus[maxsize])  # evicts nus[1]
+        assert len(builds) == maxsize + 1
+        assert rigidity._reference("snu2", 3, nus[0]) is first
+        assert len(builds) == maxsize + 1
+        rigidity._reference("snu2", 3, nus[1])
+        assert builds[-1] == (3, nus[1])
+        assert len(builds) == maxsize + 2
 
 
 class TestArguments:

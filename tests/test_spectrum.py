@@ -42,6 +42,11 @@ class TestParsePencil:
         with pytest.raises(PencilSyntaxError):
             parse_pencil("A1,,A2")
 
+    def test_adjoint_of_nothing(self):
+        with pytest.raises(PencilSyntaxError, match="^'\\^H' with nothing to adjoin") as err:
+            parse_pencil("^H")
+        assert err.value.offset == 0
+
     def test_adjoint_evaluates(self):
         t = sl2_generators(4)
         expr = parse_pencil("A2^H")[0]
@@ -118,6 +123,14 @@ class TestDetPencil:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             det_pencil([np.eye(2), np.eye(3)])
+
+    def test_no_matrix(self):
+        with pytest.raises(ValueError, match="^pencil needs at least one matrix$"):
+            det_pencil([])
+
+    def test_one_name_per_matrix(self):
+        with pytest.raises(ValueError, match="^need one variable name per pencil matrix$"):
+            det_pencil([np.eye(2), np.eye(2)], ("x",))
 
     def test_array_prune_matches_dict_prune(self, rng, monkeypatch):
         # det_pencil prunes the interpolated coefficient array; the result
@@ -223,6 +236,22 @@ class TestLinesOfPair:
     def test_first_matrix_must_be_normal(self, rng):
         with pytest.raises(NotNormalError, match="^first matrix of the pair must be normal$"):
             lines_of_pair(random_complex(rng, 3), np.eye(3))
+
+    def test_pair_must_share_one_dimension(self):
+        with pytest.raises(ValueError, match="^pair matrices must share one dimension$"):
+            lines_of_pair(np.eye(2), np.eye(3))
+
+    @pytest.mark.xfail(strict=True, reason="mu is read off b in the arbitrary basis that "
+                       "the eigensolver returns for a repeated eigenspace of a")
+    def test_commuting_pair_with_repeated_eigenvalue(self, rng):
+        # the docstring's claim: commuting normal pairs certify
+        for lams in ([1, 1, 2, 3], [0.5, 0.5, 0.5, -1, 2, 3], [1j, 1j, 2, -1]):
+            n = len(lams)
+            w = random_unitary(rng, n)
+            a = w @ np.diag(np.array(lams, dtype=complex)) @ w.conj().T
+            b = w @ np.diag(rng.normal(size=n)).astype(complex) @ w.conj().T
+            _, certified = lines_of_pair(a, b)
+            assert certified, lams
 
 
 class TestSpectraEqual:
