@@ -14,15 +14,59 @@ The exceptional set is S = {+-sqrt(z_ij)} together with {+-1}, where the
 
 All R ~ n^2/4 pairs of a dimension are bisected at once, as arrays.  A
 step is the scalar one for every pair: mid = 0.5 (lo + hi), Horner
-acc = acc * mid + c over the degrees n-1 .. 0, then keep the half where
-acc > 0.  So each root is the same float, bit for bit, as one pair's
-bisection gives.  The coefficients are built for a block of pairs at a
-time, which bounds the working memory to about ``_BLOCK`` floats however
-large n is.  Bisection stops at the first step that moves no interval
-end: from there mid rounds to an end and every later step repeats it, so
-``BISECT_ITERATIONS`` is only a cap (about 53 steps are taken).
-``z_root`` takes the same steps for one pair on Python floats: there a
-numpy call per degree would cost 5-10 times the arithmetic it does.
+acc = acc * mid + c over the degrees n-1 .. 0 (a multiply, then an add:
+no FMA), then keep the half where acc > 0.  So each root is the same
+float, bit for bit, as one pair's bisection from [0, 1] gives
+(``z_root``, on Python floats: there a numpy call per degree would cost
+5-10 times the arithmetic it does).  Bisection stops at the first step
+that moves no interval end: from there mid rounds to an end and every
+later step repeats it, so ``BISECT_ITERATIONS`` is only a cap.  The
+coefficients are built for a block of pairs at a time, which bounds the
+working memory to about ``_BLOCK`` floats however large n is.
+
+From [0, 1] that takes 54 steps (53 that move an end), and only the last
+dozen or so come close enough to the root for rounding to decide a sign.
+So each pair starts instead from a dyadic bracket [a, b] = [k, k+1] 2^-L
+that the bisection from [0, 1] provably passes through; it then returns
+the same float and skips the first L steps.  The certificate, for one
+pair (i, j):
+
+- f(z) = sum_{k<n-j} z^k - sum_{k=n-i}^{n-1} z^k (the columns of
+  ``_coefficients``), and f^ its value as ``_step`` computes it.  On
+  [0, 1], |f^ - f| <= E = n gamma_2n, where gamma_m = m u / (1 - m u)
+  and u = 2^-53 (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, sec. 5.1).
+- Left of the root.  Put P = sum_{k<n-j} z^k, Q = sum_{k=n-i}^{n-1} z^k
+  and S_m = sum_{k<m} z^k.  Then f/P = 1 - Q/P with Q/P =
+  z^(n-i) S_i / S_(n-j) and S_i / S_(n-j) = 1 + z^(n-j) S_(i-n+j) / S_(n-j);
+  each factor is positive and increasing (i > n - j), so f/P decreases on
+  (0, 1).  As 1 <= P <= n - j, f(p) > 0 gives f(m) >= f(p) / (n-j) for
+  every m <= p.  So f^(p) > (n-j+1) E gives f^(m) > 0 for every m <= p.
+- Right of the root.  h = f / z^(n-i) strictly decreases (P / z^(n-i) has
+  only negative powers, and S_i increases), so f(p) < 0 gives
+  f(m) <= f(p) for every m >= p.  So f^(p) < -2E gives f^(m) < 0 for
+  every m >= p.
+- The mids the bisection evaluates before level L are exact dyadics: the
+  ends of [a, b]'s ancestors.  Left of the bracket they are a (unless
+  a = 0) and ends <= a' = a - 2^-l, where a = k' 2^-l with k' odd (a is
+  the mid of the ancestor [a', a + 2^-l]).  Each of them gets f^ > 0, so
+  lo moves to it, if a = 0, or f^(a) > (n-j+1) E, or f^(a) > 0 (the very
+  value the bisection computes at a) and a' = 0 or f^(a') > (n-j+1) E.
+  Right of the bracket they are b (unless b = 1) and ends >= b' =
+  b + 2^-l, b = k' 2^-l; each gets f^ <= 0, so hi moves to it, if b = 1,
+  or f^(b) < -2E, or f^(b) <= 0 and b' = 1 or f^(b') < -2E.  Then after L
+  steps the bisection holds exactly [a, b], and ``_step`` and
+  ``_scalar_root`` continuing from there return its result.
+
+``_certified`` snaps approximate roots (``_approximate``) to the level L
+with 2^-L in (E/4, E/2]: L = 45, 43 and 41 at n = 16, 32 and 64.  A pair
+that fails moves to the next bracket if an end's own sign sends the
+bisection through that end, and otherwise up to the level at which a
+failed end is a mid; level 0, [0, 1], needs no certificate.  Of the 2.2
+million pairs of n = 9..300, all but nine certify at level L and those
+nine at L - 1, so ``exceptional_set`` takes 9, 11 and 13 lockstep steps
+at n = 16, 32 and 64.  The approximation only buys speed: a NaN or a
+wrong value fails the certificate.
 
 ``is_exceptional`` and ``corollary_check`` read only the roots near their
 question, so they step the pairs in lockstep and drop a pair once its
@@ -32,18 +76,23 @@ so the answers are those of the full bisection, bit for bit:
 - ``is_exceptional``: np.sqrt and float subtraction are monotone under
   rounding, so fl(nu - sqrt(hi)) > tol or fl(nu - sqrt(lo)) < -tol
   rules out |nu - sqrt(z)| <= tol, and likewise for -sqrt(z).
-- ``corollary_check``: after the first step all brackets lie in [1/2, 1]
-  with dyadic ends, so lo_q - hi_p is exact and bounds |z_q - z_p| from
-  below.  In lo order, a pair with brackets more than tol away on both
-  sides (the largest hi before it, the next lo after it) can join no
-  close pair.  The survivors' roots are sorted once and scanned for
-  neighbours within ``tol``, instead of testing every pair and triple.
+- ``corollary_check``: every bracket has ends k 2^-l in [0, 1] with
+  l <= 53, so lo_q - hi_p is exact and bounds |z_q - z_p| from below.  In
+  lo order, a pair with brackets more than tol away on both sides (the
+  largest hi before it, the next lo after it) can join no close pair.
+  The survivors' roots are sorted once and scanned for neighbours within
+  ``tol``, instead of testing every pair and triple.
 
-The last ``_SCALAR_FINISH`` pairs, or in ``exceptional_set`` up to
-``_SCALAR_PAIRS`` (n <= 13, where that beats the array steps), run on
-``z_root``'s loop from their brackets.  Above one block, each block runs
-``_ROUND`` steps per build of its coefficients, so memory stays within
-``_BLOCK`` floats plus a bracket per pair.
+``exceptional_set`` and ``corollary_check`` take the certified start.
+``is_exceptional`` keeps the start [0, 1]: its pruning rules out every
+pair in a step or a few when nu is not near a root, and there the start
+(about 150 numpy calls) would cost more than it saves (at n = 32, 372 us
+a query from [0, 1] against 493 us from certified brackets).  The last
+``_SCALAR_FINISH`` pairs, or in ``exceptional_set`` up to
+``_SCALAR_PAIRS`` (all of them for n <= 13, where that beats the array
+steps), run on ``z_root``'s loop from their brackets.  Above one block,
+each block runs ``_ROUND`` steps per build of its coefficients, so memory
+stays within ``_BLOCK`` floats plus a bracket per pair.
 """
 
 from __future__ import annotations
@@ -116,12 +165,79 @@ def _steps(coeffs, lo, hi, count):
     return lo, hi
 
 
-def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
+def _approximate(n, i, j):
+    """Approximate roots z = exp(-t) of the pairs.  With S_m = 1 + ... +
+    z^(m-1), f = S_(n-j) - z^(n-i) S_i, so f = 0 where
+
+        phi(t) = log(1 - z^i) - log(1 - z^(n-j)) - (n-i) t = 0.
+
+    phi is decreasing and convex (i > n-j), so Newton steps from the
+    tangent at t = 0, t0 = log(i/(n-j)) / (n-i + (i-n+j)/2), rise to the
+    root without passing it; six of them reach it to within 2.3e-16 for
+    every pair of n = 2..120, 150, 200 and 400.  Only speed depends on the
+    result (see ``_certified``)."""
+    k = np.array([i, n - j], dtype=float)
+    q = n - i
+    t = np.log(k[0] / k[1]) / (q + 0.5 * (k[0] - k[1]))
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            e = -np.expm1(-k * t)  # 1 - z^i, 1 - z^(n-j)
+            slope = k * (1.0 - e) / e
+            t = t - (np.log(e[0] / e[1]) - q * t) / (slope[0] - slope[1] - q)
+    return np.exp(-t)
+
+
+def _certified(coeffs, n, i, j):
+    """Dyadic brackets [lo, hi] that the plain bisection of each column of
+    ``coeffs`` from [0, 1] passes through (see the module docstring)."""
+    u = 2.0 ** -53
+    bound = n * (2 * n * u) / (1.0 - 2 * n * u)  # E = n gamma_2n
+    above = (n - j + 1) * bound
+    z = _approximate(n, i, j)
+    z = np.where((z >= 0.0) & (z < 1.0), z, 0.5)  # a NaN or an end starts anywhere
+    lo, hi = np.zeros(i.size), np.ones(i.size)
+    level = np.full(i.size, 2 - math.frexp(bound)[1])  # 2^-level in (E/4, E/2]
+    todo, rounds = np.arange(i.size), 0
+    while todo.size:
+        scale = np.ldexp(1.0, level[todo])
+        a = np.floor(z[todo] * scale) / scale
+        b = a + 1.0 / scale
+        # a (b) is first an end at the level l with 2^-l = width[0]
+        # (width[1]), and the mid of [a - 2^-l, a + 2^-l] one level up
+        k = (np.array([a, b]) * scale).astype(np.int64)
+        width = (k & -k) / scale
+        x = np.array([a, a - width[0], b, np.minimum(1.0, b + width[1])])
+        f = np.zeros(x.shape)
+        for c in coeffs if rounds == 0 else coeffs[:, todo]:
+            f *= x
+            f += c
+        ok_a = (a == 0.0) | (f[0] > above[todo]) | (
+            (f[0] > 0.0) & ((x[1] == 0.0) | (f[1] > above[todo])))
+        ok_b = (b == 1.0) | (f[2] < -2.0 * bound) | (
+            (f[2] <= 0.0) & ((x[3] == 1.0) | (f[3] < -2.0 * bound)))
+        ok = ok_a & ok_b
+        lo[todo[ok]], hi[todo[ok]] = a[ok], b[ok]
+        # a pair whose bisection leaves [a, b] through an end, by that
+        # end's own sign, moves to the bracket beside it; any other pair
+        # moves up to where its failed ends are mids, and at least 2^rounds
+        # levels (shifts stop after two rounds, so this ends)
+        left, right = (a > 0.0) & (f[0] <= 0.0), (b < 1.0) & (f[2] > 0.0)
+        shift = (left ^ right) & (rounds < 2)
+        z[todo] += np.where(shift, np.where(left, -1.0, 1.0) / scale, 0.0)
+        up = -np.frexp(width)[1]  # the levels l - 1
+        up = np.minimum(np.where(ok_a, level[todo], up[0]), np.where(ok_b, level[todo], up[1]))
+        level[todo] = np.where(shift, level[todo], np.minimum(up, level[todo] - (1 << rounds)))
+        todo, rounds = todo[~ok & (level[todo] > 0)], rounds + 1
+    return lo, hi
+
+
+def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None, start=True) -> np.ndarray:
     """Roots z of the pairs (i[k], j[k]) of dimension n, bisected together
-    (see the module docstring).
+    (see the module docstring), each from its certified bracket if
+    ``start``, else from [0, 1]; the floats are the same either way.
 
     The pairs step in lockstep until no interval end moves.  With
-    ``needed``, after each step only the pairs whose brackets pass
+    ``needed``, before each step only the pairs whose brackets pass
     ``needed(lo, hi)`` (a boolean mask) go on; the others come back as
     NaN.  The last ``_SCALAR_FINISH`` or fewer (``_SCALAR_PAIRS`` without
     ``needed``) finish on Python floats from their brackets."""
@@ -132,7 +248,18 @@ def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
                      else (_ROUND, _SCALAR_FINISH))
     live, coeffs = np.arange(i.size), None
     lo, hi = np.zeros(i.size), np.ones(i.size)
+    if start:
+        for b in (slice(s, s + rows) for s in range(0, i.size, rows)):
+            coeffs = _coefficients(n, i[b], j[b])
+            lo[b], hi[b] = _certified(coeffs, n, i[b], j[b])
+        if i.size > rows:  # keep only a single block's coefficients
+            coeffs = None
+    keep = needed(lo, hi) if start and needed is not None else None
     for _ in range(BISECT_ITERATIONS):
+        if keep is not None and not keep.all():
+            live, lo, hi = live[keep], lo[keep], hi[keep]
+            if coeffs is not None:
+                coeffs = coeffs[:, keep]
         if live.size <= finish:
             break
         if coeffs is None and live.size <= rows:
@@ -148,10 +275,6 @@ def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
             break
         lo, hi = new_lo, new_hi
         keep = needed(lo, hi) if needed is not None else None
-        if keep is not None and not keep.all():
-            live, lo, hi = live[keep], lo[keep], hi[keep]
-            if coeffs is not None:
-                coeffs = coeffs[:, keep]
     out = np.full(i.size, np.nan)
     if live.size > finish:
         out[live] = 0.5 * (lo + hi)
@@ -185,9 +308,10 @@ def _scalar_root(coeffs, lo=0.0, hi=1.0):
 def z_root(n: int, i: int, j: int) -> ExceptionalRoot:
     """The unique root of the sign-change polynomial in (0, 1).
 
-    Bisection on the guaranteed sign change (value 1 at z=0, negative at
-    z=1 since i + j > n); unconditionally convergent, final interval far
-    below 1e-16.
+    Bisection on Python floats from [0, 1], on the guaranteed sign change
+    (value 1 at z=0, negative at z=1 since i + j > n), until a step moves
+    neither end.  It takes no certified start, so it is the plain
+    bisection that ``exceptional_set`` reproduces bit for bit.
     """
     z = _scalar_root(root_polynomial(n, i, j)[::-1].tolist())
     return ExceptionalRoot(n=n, i=i, j=j, z=z, nu=float(np.sqrt(z)))
@@ -238,7 +362,7 @@ def is_exceptional(n: int, nu: float, tol: float = DEFAULT_TOL) -> bool:
     def needed(lo, hi):
         a, b = np.sqrt(lo), np.sqrt(hi)
         return ~(((nu - b > tol) | (nu - a < -tol)) & ((nu + a > tol) | (nu + b < -tol)))
-    s = np.sqrt(_bisect(n, i, j, needed))
+    s = np.sqrt(_bisect(n, i, j, needed, start=False))
     return bool(np.any(np.abs(nu - s) <= tol) or np.any(np.abs(nu + s) <= tol))
 
 

@@ -472,10 +472,12 @@ def compression_check(a1, b, lam, mu, tol: float = DEFAULT_TOL) -> bool:
     sample has sigma_min <= tol max(1, sigma_max).  It is simple iff some
     sample also has sigma_(n-1) above that floor and |u* N v| > tol ||N||
     (u, v the last singular vectors, N the pencil along the line's normal):
-    by Jacobi's formula d/ds det(M + sN) is then nonzero.  An unresolved
-    lam, within tol max(1, ||a1||) of another eigenvalue, cannot pass: P is
-    the cluster's, and P b P = mu P would make the cluster's lines one line
-    of multiplicity > 1 at this tol.
+    by Jacobi's formula d/ds det(M + sN) is then nonzero.  A line in the
+    spectrum whose lam is unresolved (its cluster in ``spectral_projection``,
+    at tol max(1, ||a1||), holds more than one eigenvalue of a1) raises
+    ``MultiplicityError`` before that test: P would be the cluster's, and
+    P b P = mu P would make the cluster's lines one line of multiplicity
+    > 1 at this tol.
     """
     _check_tol(tol)
     a1, b = as_matrix(a1), as_matrix(b)
@@ -497,12 +499,17 @@ def compression_check(a1, b, lam, mu, tol: float = DEFAULT_TOL) -> bool:
     if not (sv[:, -1] <= floor).all():
         raise LineNotInSpectrumError(
             f"line {lam} x1 + {mu} x2 = 1 is not in the pair spectrum")
+    proj = spectral_projection(a1, lam, tol)
+    rank = round(np.trace(proj).real)
+    if rank > 1:
+        raise MultiplicityError(
+            f"lambda {lam} is unresolved: {rank} eigenvalues of a1 cluster within "
+            f"tol max(1, ||a1||) = {tol * max(1.0, hs_norm(a1)):.3g}")
     normal = np.tensordot(unit.conj(), pencil, 1)
     slope = np.abs(np.einsum("ki,ij,kj->k", u[:, :, -1].conj(), normal, vh[:, -1].conj()))
     if not ((slope > tol * hs_norm(normal)) & (n == 1 or sv[:, -2] > floor)).any():
         raise MultiplicityError("line has multiplicity > 1; the compression "
                                 "identity requires multiplicity 1")
-    proj = spectral_projection(a1, lam, tol)
     resid = hs_norm(proj @ b @ proj - mu * proj)
     return resid <= tol * max(1.0, hs_norm(b))
 

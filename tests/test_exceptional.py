@@ -91,10 +91,11 @@ class TestExceptionalSet:
         # S~ is symmetric under nu -> -nu and excludes +-1 counting
         assert len(exceptional_nus(n)) == 2 * len(pairs) + 2
 
-    @pytest.mark.parametrize("n", range(2, 15))
+    @pytest.mark.parametrize("n", range(2, 41))
     def test_scalar_and_array_kernels_match_z_root(self, n):
-        # n <= 13 runs the scalar loop (at most _SCALAR_PAIRS pairs), n = 14
-        # the array steps; both give z_root's floats
+        # n <= 13 runs the scalar loop (at most _SCALAR_PAIRS pairs), from
+        # n = 14 the array steps, both from certified brackets; all give
+        # z_root's floats, bisected from [0, 1]
         pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if i + j > n]
         assert (len(pairs) <= exceptional._SCALAR_PAIRS) == (n <= 13)
         roots = exceptional_set(n)
@@ -132,6 +133,66 @@ class TestExceptionalSet:
                     bound = (1.0 - grid**i) * (1.0 - grid ** (n - i))
                     assert np.all(vals >= bound - 1e-12)
                     assert np.all(bound > 0.0)
+
+
+def _plain_lockstep(n, i, j):
+    """The pairs' roots bisected from [0, 1] with ``exceptional._step``
+    until no end moves, and the brackets held after each step."""
+    coeffs = exceptional._coefficients(n, i, j)
+    lo, hi = np.zeros(i.size), np.ones(i.size)
+    path = [(lo, hi)]
+    while True:
+        new_lo, new_hi = exceptional._step(coeffs, lo, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            return 0.5 * (lo + hi), path
+        lo, hi = new_lo, new_hi
+        path.append((lo, hi))
+
+
+def _hex(zs):
+    return [float(z).hex() for z in zs]
+
+
+class TestCertifiedStart:
+    """Each pair's bisection starts from a dyadic bracket that the plain
+    bisection from [0, 1] passes through, so the roots do not change."""
+
+    @pytest.mark.parametrize("n", [32, 40, 64, 101, 150, 200])
+    def test_roots_match_plain_lockstep(self, n):
+        i, j = exceptional._index_pairs(n)
+        if n > 100:  # a seeded sample of 200 pairs
+            pick = np.sort(np.random.default_rng(n).choice(i.size, 200, replace=False))
+            i, j = i[pick], j[pick]
+        got = {(r.i, r.j): r.z for r in exceptional_set(n)}
+        assert _hex(got[p] for p in zip(i.tolist(), j.tolist())) == _hex(_plain_lockstep(n, i, j)[0])
+
+    @pytest.mark.parametrize("n", range(2, 81))
+    def test_brackets_lie_on_plain_path(self, n):
+        i, j = exceptional._index_pairs(n)
+        lo, hi = exceptional._certified(exceptional._coefficients(n, i, j), n, i, j)
+        levels = -np.log2(hi - lo)
+        assert np.array_equal(levels, np.round(levels))
+        path = _plain_lockstep(n, i, j)[1]
+        for k, level in enumerate(levels.astype(int).tolist()):
+            assert (lo[k], hi[k]) == (path[level][0][k], path[level][1][k]), (i[k], j[k])
+        if n >= 8:  # every pair starts at most 18 steps from its fixed point
+            assert levels.min() >= 36
+
+    @pytest.mark.parametrize("kind", ["nan", "half", "one", "left_end", "right_end"])
+    def test_any_approximation_gives_the_same_roots(self, monkeypatch, kind):
+        # the approximation only buys speed; a bad one fails the certificate
+        pairs = {n: exceptional._index_pairs(n) for n in (9, 16, 33, 64)}
+        plain = {n: _plain_lockstep(n, *p)[0] for n, p in pairs.items()}
+        ends = {n: exceptional._certified(exceptional._coefficients(n, *p), n, *p)
+                for n, p in pairs.items()}
+        fake = {"nan": lambda n, i: np.full(i.size, np.nan),
+                "half": lambda n, i: np.full(i.size, 0.5),
+                "one": lambda n, i: np.ones(i.size),
+                "left_end": lambda n, i: ends[n][0],
+                "right_end": lambda n, i: ends[n][1]}[kind]
+        monkeypatch.setattr(exceptional, "_approximate", lambda n, i, j: fake(n, i))
+        for n in pairs:
+            assert _hex(r.z for r in exceptional_set(n)) == _hex(plain[n]), n
 
 
 class TestMultiplicityProfile:
