@@ -20,7 +20,9 @@ Everything is evaluated through the equivalent product form
     c_k = nu * |nu|^(-k) * sqrt(g_k g_(n-k)),   g_m = 1 + u + ... + u^(m-1),
 
 with u = nu^2, which is free of the catastrophic cancellation the raw
-formula suffers near |nu| = 1.
+formula suffers near |nu| = 1.  ``c_coeff`` gives one coefficient;
+``_ladder`` gives c_0 .. c_n by the same rule from one g_m per m, for
+``snu2_generators`` and ``exceptional.multiplicity_profile``.
 """
 
 from __future__ import annotations
@@ -113,6 +115,14 @@ def _float64(coeff):
     return checked
 
 
+def _c(n, k, nu, g):
+    """c_k for 0 < k < n at a checked nu, with g(m) = g_m, called after
+    |nu|^-k so that an overflow of the power is raised first."""
+    if abs(nu) == 1.0:
+        return math.sqrt(k * (n - k))
+    return nu * abs(nu) ** (-k) * math.sqrt(g(k) * g(n - k))
+
+
 @_float64
 def c_coeff(n: int, k: int, nu: float) -> float:
     """Ladder coefficient c_k(nu); 0 at k in {0, n}, sqrt(k(n-k)) at |nu| = 1."""
@@ -121,10 +131,25 @@ def c_coeff(n: int, k: int, nu: float) -> float:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     if k == 0 or k == n:
         return 0.0
-    if abs(nu) == 1.0:
-        return math.sqrt(k * (n - k))
-    u = nu * nu
-    return nu * abs(nu) ** (-k) * math.sqrt(_geom(k, u) * _geom(n - k, u))
+    return _c(n, k, nu, lambda m: _geom(m, nu * nu))
+
+
+def _ladder(n: int, nu: float) -> list:
+    """[c_0, ..., c_n] for n >= 1, each as ``c_coeff`` gives it and raising
+    as it would, from one g_m per m < n (``c_coeff`` n times would compute
+    2(n-1) of them)."""
+    x = _check_nu(nu)
+    u = x * x
+    if u == 0.0:  # _geom's log(u) fails, unless c_1's |nu|^-1 overflows first
+        return [c_coeff(n, k, nu) for k in range(n + 1)]
+    g = [_geom(m, u) for m in range(n)]
+    try:
+        c = [0.0] + [_c(n, k, x, g.__getitem__) for k in range(1, n)] + [0.0]
+        if all(map(math.isfinite, c)):
+            return c
+    except OverflowError:
+        pass
+    raise _overflow(n, nu)
 
 
 @_float64
@@ -156,10 +181,10 @@ def snu2_generators(n: int, nu: float) -> GeneratorTuple:
     f = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         h[k, k] = h_coeff(n, k, nu)
+    c = _ladder(n, nu)
     for k in range(1, n):
-        e[k - 1, k] = nu * c_coeff(n, k, nu)
-    for k in range(n - 1):
-        f[k + 1, k] = -c_coeff(n, k + 1, nu)
+        e[k - 1, k] = nu * c[k]
+        f[k, k - 1] = -c[k]
     family = "limit_nu1" if abs(nu) == 1.0 else "snu2"
     return GeneratorTuple(h=h, e=e, f=f, n=n, nu=nu, family=family)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specrig import exceptional
-from specrig.exceptional import (corollary_check, exceptional_nus,
+from specrig.exceptional import (ExceptionalRoot, corollary_check, exceptional_nus,
                                  exceptional_set, is_exceptional,
                                  multiplicity_profile, root_polynomial,
                                  z_root)
@@ -71,6 +71,39 @@ class TestZRoot:
             for i, j in itertools.combinations(range(n), 2):
                 if i + j > n:
                     assert sign_changes(root_polynomial(n, i, j)) == 1
+
+
+class TestRootContract:
+    """An ExceptionalRoot is a NamedTuple of (n, i, j, z, nu), and the
+    cached index pairs cannot be changed by a caller."""
+
+    def test_fields_and_repr(self):
+        assert ExceptionalRoot._fields == ("n", "i", "j", "z", "nu")
+        assert repr(z_root(4, 2, 3)) == (
+            "ExceptionalRoot(n=4, i=2, j=3, z=0.7548776662466927, nu=0.8688369618327093)")
+
+    def test_hashable_immutable_and_tuple_equal(self):
+        r = z_root(4, 2, 3)
+        assert r == (4, 2, 3, r.z, r.nu) and hash(r) == hash((4, 2, 3, r.z, r.nu))
+        assert {r, exceptional_set(4)[0]} == {r}
+        with pytest.raises(AttributeError):
+            r.nu = 0.5
+
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    def test_index_pairs_cached_read_only(self, n):
+        i, j = exceptional._index_pairs(n)
+        again = exceptional._index_pairs(n)
+        assert again[0] is i and again[1] is j
+        for a in (i, j):
+            with pytest.raises(ValueError):
+                a[:1] = 0
+
+    @pytest.mark.parametrize("n", [4, 9, 40])
+    def test_returned_list_is_the_callers(self, n):
+        roots = exceptional_set(n)
+        roots.clear()
+        pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if i + j > n]
+        assert exceptional_set(n) == [z_root(n, i, j) for i, j in pairs]
 
 
 class TestExceptionalSet:
@@ -219,6 +252,12 @@ class TestMultiplicityProfile:
         for r in exceptional_set(n):
             profile = multiplicity_profile(n, r.nu)
             assert sorted(m for _, m in profile) == [1] * (n - 2) + [2], (r.i, r.j)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_dimension_checked_first(self, n):
+        for nu in (0.5, math.nan):
+            with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+                multiplicity_profile(n, nu)
 
     def test_is_exceptional_iff_doubled(self):
         n = 6

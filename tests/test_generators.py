@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from specrig.exceptional import multiplicity_profile
+from specrig import exceptional, generators
+from specrig.exceptional import exceptional_set, multiplicity_profile
 from specrig.generators import (c_coeff, counterexample_tuple,
                                 fundamental_generators, h_coeff, one_dim_rep,
                                 relation_residuals, sl2_generators,
@@ -83,6 +84,83 @@ class TestFloat64Range:
     def test_overflow_named(self, build):
         with pytest.raises(ValueError, match=r"^the ladder at n=\d+, nu=\S+ overflows float64$"):
             build()
+
+
+def _per_k_ladder(n, nu):
+    return [c_coeff(n, k, nu) for k in range(n + 1)]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# every interior root parameter at n <= 40 (a double eigenvalue of E E*)
+# and the fixed set, at each n of 1..70
+_FIXED_NUS = (1.0, -1.0, 0.5, -0.5, -0.3, 0.9999999)
+_LADDER_CASES = [(n, nu) for n in range(1, 71) for nu in _FIXED_NUS] + [
+    (n, r.nu) for n in range(2, 41) for r in exceptional_set(n)]
+
+
+class TestLadder:
+    """``generators._ladder`` computes each g_m once and each c_k once by
+    ``c_coeff``'s rule: every float is the one the per-k calls give."""
+
+    def test_matches_per_k_coefficients(self):
+        for n, nu in _LADDER_CASES:
+            assert _bits(generators._ladder(n, nu)) == _bits(_per_k_ladder(n, nu)), (n, nu)
+
+    def test_profile_matches_per_k_coefficients(self, monkeypatch):
+        got = [multiplicity_profile(n, nu) for n, nu in _LADDER_CASES]
+        monkeypatch.setattr(exceptional, "_ladder", _per_k_ladder)
+        for (n, nu), profile in zip(_LADDER_CASES, got):
+            want = multiplicity_profile(n, nu)
+            assert [m for _, m in profile] == [m for _, m in want], (n, nu)
+            assert _bits(v for v, _ in profile) == _bits(v for v, _ in want), (n, nu)
+
+    def test_generators_match_per_k_coefficients(self):
+        for n, nu in _LADDER_CASES:
+            t = snu2_generators(n, nu)
+            c = _per_k_ladder(n, nu)
+            h = np.diag([h_coeff(n, k, nu) for k in range(n)]).astype(complex)
+            e = np.diag([nu * x for x in c[1:n]], 1).astype(complex)
+            f = np.diag([-x for x in c[1:n]], -1).astype(complex)
+            for got, want in zip(t.matrices, (h, e, f)):
+                assert got.tobytes() == want.tobytes(), (n, nu)
+
+    def test_overflow_message(self):
+        # at n = 55, nu = 1e-3 every c_k is finite and squaring one
+        # overflows: the profile names the point as the ladder does
+        assert all(map(math.isfinite, generators._ladder(55, 1e-3)))
+        for n, build in ((55, multiplicity_profile), (55, snu2_generators),
+                         (200, generators._ladder)):
+            with pytest.raises(ValueError, match=rf"^the ladder at n={n}, nu=0\.001 overflows float64$"):
+                build(n, 1e-3)
+
+    @pytest.mark.parametrize("nu", [1e-170, -1e-300, 5e-324])
+    def test_underflowing_square(self, monkeypatch, nu):
+        # nu^2 rounds to 0, where _geom's log fails: the ladder and the
+        # profile fail as the per-k coefficients do (on the overflow of
+        # c_1's |nu|^-1 at |nu| < 5.6e-309, else on the log)
+        def outcome(build, n):
+            try:
+                return repr(build(n, nu))  # a float's repr is exact
+            except ValueError as err:
+                return str(err)
+        for n in range(1, 5):
+            got = [outcome(generators._ladder, n), outcome(multiplicity_profile, n)]
+            with monkeypatch.context() as m:
+                m.setattr(exceptional, "_ladder", _per_k_ladder)
+                assert got == [outcome(_per_k_ladder, n), outcome(multiplicity_profile, n)], n
+
+    @pytest.mark.parametrize("nu", [math.nan, 0.0, 2.0])
+    def test_nu_message(self, nu):
+        with pytest.raises(ValueError) as want:
+            c_coeff(5, 2, nu)
+        for build in (lambda: generators._ladder(5, nu), lambda: snu2_generators(5, nu),
+                      lambda: multiplicity_profile(5, nu)):
+            with pytest.raises(ValueError) as got:
+                build()
+            assert str(got.value) == str(want.value)
 
 
 class TestSnu2:
