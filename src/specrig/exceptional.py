@@ -354,22 +354,14 @@ def _roots(n, i, j, z):
 def exceptional_set(n: int):
     """All interior exceptional roots for dimension n, in lexicographic
     (i, j) order.  The parameters +-1 are always exceptional as well but
-    are tagged separately (see ``exceptional_nus``)."""
+    are not listed."""
     i, j = _index_pairs(n)
     return _roots(n, i, j, _bisect(n, i, j))
 
 
-def exceptional_nus(n: int):
-    """Sorted list of every exceptional parameter: +-sqrt(z_ij) plus +-1."""
-    nus = {1.0, -1.0}
-    for r in exceptional_set(n):
-        nus.add(r.nu)
-        nus.add(-r.nu)
-    return sorted(nus)
-
-
 def is_exceptional(n: int, nu: float, tol: float = DEFAULT_TOL) -> bool:
-    """Whether nu lies within tol of one of ``exceptional_nus(n)``;
+    """Whether nu lies within tol of an exceptional parameter of
+    dimension n: +-1, or +-nu of a root in ``exceptional_set(n)``;
     pairs are bisected only while their root may (see the module
     docstring).  A NaN nu is never exceptional."""
     _check_tol(tol)

@@ -91,6 +91,8 @@ def _geom(m: int, u: float) -> float:
     # 1 + u + ... + u^(m-1), stable for u near 1 via expm1
     if m <= 0:
         return 0.0
+    if u == 0.0:  # nu^2 underflowed: the sum is its leading 1
+        return 1.0
     lu = math.log(u)
     if lu == 0.0:
         return float(m)
@@ -103,13 +105,14 @@ def _overflow(n, nu):
 
 def _float64(coeff):
     """``coeff`` raising ``_overflow`` where its value leaves float64
-    (Python's float ``**`` raises OverflowError, a product gives inf)."""
+    (Python's float ``**`` raises OverflowError, or ZeroDivisionError on
+    a negative power of an underflowed nu^2; a product gives inf)."""
     @functools.wraps(coeff)
     def checked(n, k, nu):
         try:
             if math.isfinite(value := coeff(n, k, nu)):
                 return value
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             pass
         raise _overflow(n, nu)
     return checked
@@ -139,10 +142,7 @@ def _ladder(n: int, nu: float) -> list:
     as it would, from one g_m per m < n (``c_coeff`` n times would compute
     2(n-1) of them)."""
     x = _check_nu(nu)
-    u = x * x
-    if u == 0.0:  # _geom's log(u) fails, unless c_1's |nu|^-1 overflows first
-        return [c_coeff(n, k, nu) for k in range(n + 1)]
-    g = [_geom(m, u) for m in range(n)]
+    g = [_geom(m, x * x) for m in range(n)]
     try:
         c = [0.0] + [_c(n, k, x, g.__getitem__) for k in range(1, n)] + [0.0]
         if all(map(math.isfinite, c)):
@@ -156,6 +156,8 @@ def _ladder(n: int, nu: float) -> list:
 def h_coeff(n: int, k: int, nu: float) -> float:
     """Diagonal entry h_k(nu); 2k+1-n at |nu| = 1.  Strictly increasing in k."""
     nu = _check_nu(nu)
+    if not 0 <= k < n:
+        raise ValueError(f"k must lie in 0..{n - 1}, got {k}")
     if abs(nu) == 1.0:
         return float(2 * k + 1 - n)
     u = nu * nu
@@ -250,21 +252,6 @@ def counterexample_tuple(alpha, beta, gamma, delta) -> GeneratorTuple:
     e = np.array([[0, alpha, 0], [0, 0, 0], [0, beta, 0]], dtype=np.complex128)
     f = np.array([[0, 0, 0], [gamma, 0, delta], [0, 0, 0]], dtype=np.complex128)
     return GeneratorTuple(h=h, e=e, f=f, n=3, nu=None, family="counterexample")
-
-
-def structural_matrices(n: int, i: int, j: int):
-    """The cyclic permutation matrix P (ones on the superdiagonal plus a
-    one in the bottom-left corner) and the transposition Q_ij swapping
-    rows i and j.  Conjugation by P shifts a diagonal cyclically."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
-    p = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n - 1):
-        p[k, k + 1] = 1.0
-    p[n - 1, 0] = 1.0
-    q = np.eye(n, dtype=np.complex128)
-    q[[i, j]] = q[[j, i]]
-    return p, q
 
 
 def relation_residuals(t: GeneratorTuple, orientation: str = "paper") -> RelationResidual:

@@ -371,11 +371,12 @@ def _phases(fr):
 
 def _compressions(fr):
     """sl2: the spectral compressions on the lines
-    (n-1-2j) x1 + (j+1)(n-1-j) x2 = 1 of (A1, A2 A3) pin the subdiagonal
-    of A3, whose entries must then be unimodular."""
-    n, ahat, tol = fr.entry.ref.n, fr.ahat, fr.tol
+    (n-1-2j) x1 + (j+1)(n-1-j) x2 = 1 of (A1, A2 A3), with (j+1)(n-1-j)
+    the reference's (E F)_jj, pin the subdiagonal of A3, whose entries
+    must then be unimodular."""
+    entry, ahat, tol = fr.entry, fr.ahat, fr.tol
     prod23 = ahat[1] @ ahat[2]
-    mus = np.array([(j + 1) * (n - 1 - j) for j in range(n - 1)], dtype=float)
+    mus = (entry.e_sd * entry.f_sd).real
     comp_gap = np.abs(prod23.diagonal()[:-1] - mus)
     if _exceeds(float(comp_gap.max()), tol * max(1.0, hs_norm(prod23))):
         j = int(np.argmax(comp_gap))

@@ -160,7 +160,7 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
     var_names = tuple(var_names) if var_names is not None else tuple(f"x{i + 1}" for i in range(k))
     if len(var_names) != k:
         raise ValueError("need one variable name per pencil matrix")
-    return MultiPoly.from_dense(var_names, _det_stack([mats], affine)[0])
+    return MultiPoly(var_names, _det_stack([mats], affine)[0])
 
 
 def _det_stack(pencils, affine=True):
@@ -333,5 +333,5 @@ def x2_dependence(a1, a2) -> bool:
     """
     s1, s2 = slot_scales((as_matrix(a1), as_matrix(a2)))
     p = det_pencil([s1 * as_matrix(a1), s2 * as_matrix(a2)], _PAIR_VARS)
-    cut = 1e-10 * max(1.0, p.max_abs_coeff())
+    cut = 1e-10 * max(1.0, np.abs(p.coeffs).max(initial=0.0))
     return bool(np.any(np.abs(p.coeffs[:, 1:]) > cut))

@@ -44,3 +44,35 @@ def cofactor_det(a):
         minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
         total += (-1) ** j * a[0, j] * cofactor_det(minor)
     return total
+
+
+def poly_value(coeffs, point):
+    """The polynomial whose coefficient of x^e is ``coeffs[e]`` at
+    ``point``, by numpy's ``polyval`` one axis at a time."""
+    c = np.asarray(coeffs)
+    for x in point:
+        c = np.polynomial.polynomial.polyval(complex(x), c)
+    return complex(c)
+
+
+def showcase_coeffs():
+    """t(4x^2 + 4yz - t^2), det(x H + y E + z F - t I) of the n = 3 sl(2)
+    triple, as det_pencil's (4, 4, 4, 4) coefficient array over (x, y, z, t)."""
+    c = np.zeros((4, 4, 4, 4), dtype=np.complex128)
+    c[2, 0, 0, 1] = c[0, 1, 1, 1] = 4.0
+    c[0, 0, 0, 3] = -1.0
+    return c
+
+
+def coeff_gap(p, q):
+    """max |p - q| over two coefficient arrays of one shape, relative to
+    max(1, the larger of their largest moduli)."""
+    scale = max(1.0, np.abs(p).max(initial=0.0), np.abs(q).max(initial=0.0))
+    return float(np.abs(p - q).max(initial=0.0) / scale)
+
+
+def cyclic_permutation(n):
+    """The cyclic permutation matrix: ones on the superdiagonal plus a one
+    in the bottom-left corner; conjugation by it shifts a diagonal
+    cyclically."""
+    return np.roll(np.eye(n, dtype=np.complex128), 1, axis=1)

@@ -7,7 +7,6 @@ from specrig.cli import main
 from specrig.exceptional import exceptional_set
 from specrig.generators import tuple_from_json
 from specrig.linalg import hs_norm
-from specrig.poly import poly_from_json
 
 
 def run(capsys, *argv):
@@ -52,6 +51,11 @@ class TestGen:
         t = tuple_from_json(json.loads(out))
         assert t.e[0, 1] == 2.0
 
+    def test_underflowing_nu_named(self, capsys):
+        # nu^2 rounds to 0 and h_2 = nu^-2 leaves float64
+        code, out, err = run(capsys, "gen", "--family", "snu2", "--n", "3", "--nu", "1e-170")
+        assert (code, out, err) == (1, "", "error: the ladder at n=3, nu=1e-170 overflows float64\n")
+
     def test_onedim_family(self, capsys):
         code, out, _ = run(capsys, "gen", "--family", "onedim", "--c", "2", "--nu", "0.5")
         assert code == 0
@@ -67,12 +71,13 @@ class TestDet:
         code, out, _ = run(capsys, "det", "--tuple", str(path),
                            "--pencil", "A1, A2, A3", "--vars", "x,y,z")
         assert code == 0
-        p = poly_from_json(json.loads(out))
+        blob = json.loads(out)
+        terms = {tuple(t["exp"]): complex(t["re"], t["im"]) for t in blob["terms"]}
         # det(x H3 + y E3 + z F3 - I) = 4x^2 + 4yz - 1
-        assert p.vars == ("x", "y", "z")
-        assert p.terms[(2, 0, 0)] == pytest.approx(4.0, abs=1e-10)
-        assert p.terms[(0, 1, 1)] == pytest.approx(4.0, abs=1e-10)
-        assert p.terms[(0, 0, 0)] == pytest.approx(-1.0, abs=1e-10)
+        assert blob["vars"] == ["x", "y", "z"]
+        assert terms[(2, 0, 0)] == pytest.approx(4.0, abs=1e-10)
+        assert terms[(0, 1, 1)] == pytest.approx(4.0, abs=1e-10)
+        assert terms[(0, 0, 0)] == pytest.approx(-1.0, abs=1e-10)
 
     def test_vars_must_name_every_slot(self, capsys, tmp_path):
         path = tmp_path / "t.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specrig import exceptional
-from specrig.exceptional import (ExceptionalRoot, corollary_check, exceptional_nus,
+from specrig.exceptional import (ExceptionalRoot, corollary_check,
                                  exceptional_set, is_exceptional,
                                  multiplicity_profile, root_polynomial,
                                  z_root)
@@ -18,6 +18,12 @@ PLASTIC_ROOT = 0.7548776662466927
 
 def poly_value(coeffs, z):
     return sum(c * z**d for d, c in enumerate(coeffs))
+
+
+def exceptional_nus(n):
+    """Sorted list of every exceptional parameter: +-sqrt(z_ij) plus +-1."""
+    nus = [r.nu for r in exceptional_set(n)]
+    return sorted({1.0, -1.0, *nus, *(-nu for nu in nus)})
 
 
 def sign_changes(coeffs):
@@ -323,7 +329,6 @@ class TestIsExceptionalPruned:
         def refuse(*args):
             raise AssertionError("full bisection")
         monkeypatch.setattr(exceptional, "exceptional_set", refuse)
-        monkeypatch.setattr(exceptional, "exceptional_nus", refuse)
         assert is_exceptional(32, z_root(32, 20, 30).nu)
         assert corollary_check(24)
 

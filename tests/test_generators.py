@@ -8,11 +8,11 @@ from specrig.exceptional import exceptional_set, multiplicity_profile
 from specrig.generators import (c_coeff, counterexample_tuple,
                                 fundamental_generators, h_coeff, one_dim_rep,
                                 relation_residuals, sl2_generators,
-                                snu2_generators, structural_matrices,
-                                tuple_from_json, tuple_to_json)
+                                snu2_generators, tuple_from_json,
+                                tuple_to_json)
 from specrig.linalg import hs_norm
 
-from conftest import random_complex
+from conftest import cyclic_permutation, random_complex
 
 
 def brute_residuals(t, orientation):
@@ -67,6 +67,14 @@ class TestCCoeff:
     def test_nan_nu_message(self):
         with pytest.raises(ValueError, match=r"^nu must lie in \[-1, 1\] excluding 0, got nan$"):
             snu2_generators(4, math.nan)
+
+    @pytest.mark.parametrize("coeff,k,last", [
+        (c_coeff, -1, 3), (c_coeff, 4, 3), (h_coeff, -2, 2), (h_coeff, 3, 2), (h_coeff, 7, 2)])
+    @pytest.mark.parametrize("nu", [0.5, 1.0])
+    def test_index_out_of_range(self, coeff, k, last, nu):
+        # c_k has k = 0..n (c_0 = c_n = 0), h_k has k = 0..n-1
+        with pytest.raises(ValueError, match=rf"^k must lie in 0\.\.{last}, got {k}$"):
+            coeff(3, k, nu)
 
 
 class TestFloat64Range:
@@ -137,20 +145,29 @@ class TestLadder:
                 build(n, 1e-3)
 
     @pytest.mark.parametrize("nu", [1e-170, -1e-300, 5e-324])
-    def test_underflowing_square(self, monkeypatch, nu):
-        # nu^2 rounds to 0, where _geom's log fails: the ladder and the
-        # profile fail as the per-k coefficients do (on the overflow of
-        # c_1's |nu|^-1 at |nu| < 5.6e-309, else on the log)
-        def outcome(build, n):
-            try:
-                return repr(build(n, nu))  # a float's repr is exact
-            except ValueError as err:
-                return str(err)
-        for n in range(1, 5):
-            got = [outcome(generators._ladder, n), outcome(multiplicity_profile, n)]
-            with monkeypatch.context() as m:
-                m.setattr(exceptional, "_ladder", _per_k_ladder)
-                assert got == [outcome(_per_k_ladder, n), outcome(multiplicity_profile, n)], n
+    def test_underflowing_square(self, nu):
+        # nu^2 rounds to 0, so g_m = 1 for m >= 1 and the ladder is exact
+        # while |nu|^-k stays finite: at n = 2, H = diag(-0.0, 1) and
+        # c_1 = sign(nu), unless c_1's |nu|^-1 overflows (|nu| < 5.6e-309);
+        # from n = 3 on h_(n-1) = nu^-2 overflows
+        def overflows(n):
+            return pytest.raises(ValueError, match=rf"^the ladder at n={n}, nu={nu} overflows float64$")
+        if abs(nu) < 5.6e-309:
+            for build in (snu2_generators, multiplicity_profile, generators._ladder):
+                with overflows(2):
+                    build(2, nu)
+        else:
+            t = snu2_generators(2, nu)
+            assert list(map(repr, t.h.diagonal().tolist())) == ["(-0+0j)", "(1+0j)"]
+            c = generators._ladder(2, nu)
+            assert c == [0.0, pytest.approx(math.copysign(1.0, nu)), 0.0]
+            assert t.f[1, 0] == -c[1]
+            assert multiplicity_profile(2, nu) == [(0.0, 2)]
+        for build in (snu2_generators, multiplicity_profile):
+            with overflows(3):
+                build(3, nu)
+        with overflows(3):
+            h_coeff(3, 2, nu)
 
     @pytest.mark.parametrize("nu", [math.nan, 0.0, 2.0])
     def test_nu_message(self, nu):
@@ -323,14 +340,13 @@ class TestCounterexample:
 class TestStructural:
     def test_cyclic_permutation(self):
         n = 5
-        p, q = structural_matrices(n, 1, 3)
+        p = cyclic_permutation(n)
         assert hs_norm(p @ p.conj().T - np.eye(n)) <= 1e-15
         assert np.array_equal(np.linalg.matrix_power(p, n), np.eye(n))
-        assert np.array_equal(q @ q, np.eye(n))
 
     def test_conjugation_shifts_diagonal(self):
         n = 4
-        p, _ = structural_matrices(n, 0, 1)
+        p = cyclic_permutation(n)
         d = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         shifted = p.conj().T @ d @ p
         assert np.allclose(np.diag(shifted).real, [4.0, 1.0, 2.0, 3.0])
@@ -339,14 +355,10 @@ class TestStructural:
     def test_ladder_permutation_identity(self, n, nu):
         # A2* A2 = P* (A2 A2*) P for the ladder E
         t = snu2_generators(n, nu)
-        p, _ = structural_matrices(n, 0, 1)
+        p = cyclic_permutation(n)
         lhs = t.e.conj().T @ t.e
         rhs = p.conj().T @ (t.e @ t.e.conj().T) @ p
         assert hs_norm(lhs - rhs) <= 1e-12 * max(1, hs_norm(lhs))
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            structural_matrices(4, 2, 2)
 
 
 class TestRelationResiduals:

@@ -6,18 +6,17 @@ import pytest
 
 import specrig
 from specrig.exceptional import corollary_check, is_exceptional, multiplicity_profile
-from specrig.generators import h_coeff, sl2_generators, snu2_generators, structural_matrices
+from specrig.generators import h_coeff, sl2_generators, snu2_generators
 from specrig.linalg import (DimensionMismatchError, EigenvalueNotFoundError,
                             NotHermitianError, as_matrix, classify, cluster_values,
                             commutator, hermitian_eig, hs_norm,
                             matrix_from_json, matrix_to_json, normal_eig,
                             spectral_projection)
-from specrig.poly import poly_equal
 from specrig.rigidity import (certify_equivalence, compression_check, sl2_rigidity,
                               snu2_rigidity)
-from specrig.spectrum import det_pencil, lines_of_pair, spectra_equal
+from specrig.spectrum import lines_of_pair, spectra_equal
 
-from conftest import random_complex, random_hermitian, random_unitary
+from conftest import cyclic_permutation, random_complex, random_hermitian, random_unitary
 
 
 class TestMatOp:
@@ -223,7 +222,7 @@ class TestClassify:
         assert not e.normal and not e.unitary
 
     def test_cyclic_permutation_flags(self):
-        p, _ = structural_matrices(5, 1, 3)
+        p = cyclic_permutation(5)
         flags = classify(p)
         assert flags.normal and flags.unitary
         assert not flags.hermitian and not flags.diagonal
@@ -258,7 +257,6 @@ TOL_CALLS = {
     "classify": lambda tol: classify(_SL2.e, tol),
     "lines_of_pair": lambda tol: lines_of_pair(_SL2.h, _SL2.e @ _SL2.f, tol),
     "spectra_equal": lambda tol: spectra_equal(_SL2, _SL2, ["A1, A2 A3"], tol),
-    "poly_equal": lambda tol: poly_equal(det_pencil([_DIAG]), det_pencil([_DIAG]), tol),
     "compression_check": lambda tol: compression_check(_DIAG, 3.0 * _DIAG, 1.0, 3.0, tol),
     "certify_equivalence": lambda tol: certify_equivalence(_SL2, _SL2, np.eye(4), tol),
     "is_exceptional": lambda tol: is_exceptional(12, 0.5, tol),
