@@ -12,17 +12,18 @@ changes sign on (0, 1), so bisection isolates the unique root z_ij.
 The exceptional set is S = {+-sqrt(z_ij)} together with {+-1}, where the
 |nu| = 1 collisions follow the pairing i + j = n instead.
 
-All R ~ n^2/4 pairs of a dimension are bisected at once, as arrays.  A
-step is the scalar one for every pair: mid = 0.5 (lo + hi), Horner
+The R ~ n^2/4 pairs of a dimension are bisected as arrays.  A step is
+the scalar one for every pair: mid = 0.5 (lo + hi), Horner
 acc = acc * mid + c over the degrees n-1 .. 0 (a multiply, then an add:
 no FMA), then keep the half where acc > 0.  So each root is the same
 float, bit for bit, as one pair's bisection from [0, 1] gives
 (``z_root``, on Python floats: there a numpy call per degree would cost
 5-10 times the arithmetic it does).  Bisection stops at the first step
 that moves no interval end: from there mid rounds to an end and every
-later step repeats it, so ``BISECT_ITERATIONS`` is only a cap.  The
-coefficients are built for a block of pairs at a time, which bounds the
-working memory to about ``_BLOCK`` floats however large n is.
+later step repeats it, so ``BISECT_ITERATIONS`` is only a cap.  Each
+block of ``_BLOCK // n`` pairs (``_blocks``) is bisected on its own: it
+builds its coefficients once and steps to its own fixed point, so the
+working memory stays within about ``_BLOCK`` floats however large n is.
 
 From [0, 1] that takes 54 steps (53 that move an end), and only the last
 dozen or so come close enough to the root for rounding to decide a sign.
@@ -69,30 +70,31 @@ at n = 16, 32 and 64.  The approximation only buys speed: a NaN or a
 wrong value fails the certificate.
 
 ``is_exceptional`` and ``corollary_check`` read only the roots near their
-question, so they step the pairs in lockstep and drop a pair once its
-bracket [lo, hi] rules it out.  The final root stays inside the bracket,
-so the answers are those of the full bisection, bit for bit:
+question, so they drop a pair once its bracket [lo, hi] rules it out.
+The final root stays inside the bracket, so the answers are those of the
+full bisection, bit for bit:
 
-- ``is_exceptional``: np.sqrt and float subtraction are monotone under
-  rounding, so fl(nu - sqrt(hi)) > tol or fl(nu - sqrt(lo)) < -tol
-  rules out |nu - sqrt(z)| <= tol, and likewise for -sqrt(z).
-- ``corollary_check``: every bracket has ends k 2^-l in [0, 1] with
-  l <= 53, so lo_q - hi_p is exact and bounds |z_q - z_p| from below.  In
-  lo order, a pair with brackets more than tol away on both sides (the
-  largest hi before it, the next lo after it) can join no close pair.
-  The survivors' roots are sorted once and scanned for neighbours within
-  ``tol``, instead of testing every pair and triple.
+- ``is_exceptional`` steps each block from [0, 1] and prunes after every
+  step: np.sqrt and float subtraction are monotone under rounding, so
+  fl(nu - sqrt(hi)) > tol or fl(nu - sqrt(lo)) < -tol rules out
+  |nu - sqrt(z)| <= tol, and likewise for -sqrt(z).  Its pruning rules
+  out every pair in a step or a few when nu is not near a root, and there
+  the certified start (about 150 numpy calls) would cost more than it
+  saves (at n = 32, 372 us a query from [0, 1] against 493 us from
+  certified brackets).
+- ``corollary_check`` certifies every pair, a block at a time, prunes
+  once on those brackets and bisects only the survivors (none at n = 12,
+  16, 24, 40 and 64; 6 of 9801 at n = 200).  Every bracket has ends
+  k 2^-l in [0, 1] with l <= 53, so lo_q - hi_p is exact and bounds
+  |z_q - z_p| from below.  In lo order, a pair with brackets more than
+  tol away on both sides (the largest hi before it, the next lo after
+  it) can join no close pair.  The survivors' roots are sorted once and
+  scanned for neighbours within ``tol``, instead of testing every pair
+  and triple.
 
-``exceptional_set`` and ``corollary_check`` take the certified start.
-``is_exceptional`` keeps the start [0, 1]: its pruning rules out every
-pair in a step or a few when nu is not near a root, and there the start
-(about 150 numpy calls) would cost more than it saves (at n = 32, 372 us
-a query from [0, 1] against 493 us from certified brackets).  The last
-``_SCALAR_FINISH`` pairs, or in ``exceptional_set`` up to
-``_SCALAR_PAIRS`` (all of them for n <= 13, where that beats the array
-steps), run on ``z_root``'s loop from their brackets.  Above one block,
-each block runs ``_ROUND`` steps per build of its coefficients, so memory
-stays within ``_BLOCK`` floats plus a bracket per pair.
+The last ``_SCALAR_FINISH`` pairs of a pruned block, or up to
+``_SCALAR_PAIRS`` of an unpruned one (all of them for n <= 13, where that
+beats the array steps), run on ``z_root``'s loop from their brackets.
 
 With the bisection this short, the work around it counts too.  The index
 pairs of a dimension are built once, as read-only arrays
@@ -119,8 +121,7 @@ from .linalg import DEFAULT_TOL, _check_tol, _cluster_starts
 BISECT_ITERATIONS = 200
 _BLOCK = 2 ** 18  # coefficient floats per block of pairs (2 MB)
 _SCALAR_FINISH = 4  # pruned bisection finishes this many pairs on Python floats
-_SCALAR_PAIRS = 32  # exceptional_set runs this many pairs or fewer on Python floats
-_ROUND = 4  # pruned bisection steps per coefficient build, above one block
+_SCALAR_PAIRS = 32  # unpruned bisection finishes this many pairs on Python floats
 
 
 class ExceptionalRoot(NamedTuple):
@@ -167,16 +168,6 @@ def _step(coeffs, lo, hi):
         acc += c
     pos = acc > 0.0
     return np.where(pos, mid, lo), np.where(pos, hi, mid)
-
-
-def _steps(coeffs, lo, hi, count):
-    """Up to ``count`` steps, stopping at the first that moves no end."""
-    for _ in range(count):
-        new_lo, new_hi = _step(coeffs, lo, hi)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return lo, hi
 
 
 def _approximate(n, i, j):
@@ -245,57 +236,44 @@ def _certified(coeffs, n, i, j):
     return lo, hi
 
 
-def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None, start=True) -> np.ndarray:
-    """Roots z of the pairs (i[k], j[k]) of dimension n, bisected together
-    (see the module docstring), each from its certified bracket if
-    ``start``, else from [0, 1]; the floats are the same either way.
-
-    The pairs step in lockstep until no interval end moves.  With
-    ``needed``, before each step only the pairs whose brackets pass
-    ``needed(lo, hi)`` (a boolean mask) go on; the others come back as
-    NaN.  The last ``_SCALAR_FINISH`` or fewer (``_SCALAR_PAIRS`` without
-    ``needed``) finish on Python floats from their brackets."""
+def _blocks(n, size):
+    """Consecutive slices over ``size`` pairs, ``_BLOCK // n`` (at least one)
+    each, so that a block's coefficients take at most about ``_BLOCK`` floats."""
     rows = max(1, _BLOCK // n)
-    # above one block, a block's coefficients are built once per _ROUND
-    # steps, or once in all when every pair runs to its fixed point anyway
-    count, finish = ((BISECT_ITERATIONS, _SCALAR_PAIRS) if needed is None
-                     else (_ROUND, _SCALAR_FINISH))
-    live, coeffs = np.arange(i.size), None
-    lo, hi = np.zeros(i.size), np.ones(i.size)
-    if start:
-        for b in (slice(s, s + rows) for s in range(0, i.size, rows)):
-            coeffs = _coefficients(n, i[b], j[b])
-            lo[b], hi[b] = _certified(coeffs, n, i[b], j[b])
-        if i.size > rows:  # keep only a single block's coefficients
-            coeffs = None
-    keep = needed(lo, hi) if start and needed is not None else None
-    for _ in range(BISECT_ITERATIONS):
-        if keep is not None and not keep.all():
-            live, lo, hi = live[keep], lo[keep], hi[keep]
-            if coeffs is not None:
-                coeffs = coeffs[:, keep]
-        if live.size <= finish:
-            break
-        if coeffs is None and live.size <= rows:
-            coeffs = _coefficients(n, i[live], j[live])
-        if coeffs is not None:
+    return (slice(s, s + rows) for s in range(0, size, rows))
+
+
+def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
+    """Roots z of the pairs (i[k], j[k]) of dimension n (see the module
+    docstring), bisected a block of pairs at a time.
+
+    A block's pairs start from their certified brackets, or from [0, 1]
+    when the caller passes ``needed``; the floats are the same either way.
+    They step in lockstep until no interval end moves.  With ``needed``,
+    after each step only the pairs whose brackets pass ``needed(lo, hi)``
+    (a boolean mask) go on; the others come back as NaN.  The last
+    ``_SCALAR_FINISH`` or fewer (``_SCALAR_PAIRS`` without ``needed``)
+    finish on Python floats from their brackets."""
+    finish = _SCALAR_PAIRS if needed is None else _SCALAR_FINISH
+    out, index = np.full(i.size, np.nan), np.arange(i.size)
+    for b in _blocks(n, i.size):
+        live, coeffs = index[b], _coefficients(n, i[b], j[b])
+        lo, hi = (_certified(coeffs, n, i[b], j[b]) if needed is None
+                  else (np.zeros(live.size), np.ones(live.size)))
+        for _ in range(BISECT_ITERATIONS):
+            if live.size <= finish:
+                break
             new_lo, new_hi = _step(coeffs, lo, hi)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
+            if needed is not None and not (keep := needed(lo, hi)).all():
+                live, lo, hi, coeffs = live[keep], lo[keep], hi[keep], coeffs[:, keep]
+        if live.size > finish:
+            out[live] = 0.5 * (lo + hi)
         else:
-            new_lo, new_hi = lo.copy(), hi.copy()
-            for b in (slice(s, s + rows) for s in range(0, live.size, rows)):
-                new_lo[b], new_hi[b] = _steps(_coefficients(n, i[live[b]], j[live[b]]),
-                                              lo[b], hi[b], count)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-        keep = needed(lo, hi) if needed is not None else None
-    out = np.full(i.size, np.nan)
-    if live.size > finish:
-        out[live] = 0.5 * (lo + hi)
-        return out
-    # the live pairs' coefficients, if the lockstep loop built them
-    cols = (_coefficients(n, i[live], j[live]) if coeffs is None else coeffs).T.tolist()
-    out[live] = [_scalar_root(c, a, b) for c, a, b in zip(cols, lo.tolist(), hi.tolist())]
+            out[live] = [_scalar_root(c, x, y)
+                         for c, x, y in zip(coeffs.T.tolist(), lo.tolist(), hi.tolist())]
     return out
 
 
@@ -374,7 +352,7 @@ def is_exceptional(n: int, nu: float, tol: float = DEFAULT_TOL) -> bool:
     def needed(lo, hi):
         a, b = np.sqrt(lo), np.sqrt(hi)
         return ~(((nu - b > tol) | (nu - a < -tol)) & ((nu + a > tol) | (nu + b < -tol)))
-    s = np.sqrt(_bisect(n, i, j, needed, start=False))
+    s = np.sqrt(_bisect(n, i, j, needed))
     return bool(np.any(np.abs(nu - s) <= tol) or np.any(np.abs(nu + s) <= tol))
 
 
@@ -419,20 +397,19 @@ def corollary_check(n: int, tol: float = 1e-10) -> CorollaryCheck:
     """
     _check_tol(tol)
     i, j = _index_pairs(n)
-
-    def needed(lo, hi):
-        # in lo order, near[k] says a bracket before gap k may come within
-        # tol of one after it; a pair stays while a gap beside it is near
-        order = np.argsort(lo)
-        near = np.zeros(lo.size + 1, dtype=bool)
-        near[1:-1] = lo[order[1:]] - np.maximum.accumulate(hi[order[:-1]]) <= tol
-        keep = np.empty(lo.size, dtype=bool)
-        keep[order] = near[:-1] | near[1:]
-        return keep
-    z = _bisect(n, i, j, needed)
-    kept = ~np.isnan(z)  # the survivors, still in lexicographic order
-    roots = _roots(n, i[kept], j[kept], z[kept])
-    z = z[kept]
+    lo, hi = np.empty(i.size), np.empty(i.size)
+    for b in _blocks(n, i.size):
+        lo[b], hi[b] = _certified(_coefficients(n, i[b], j[b]), n, i[b], j[b])
+    # in lo order, near[k] says a bracket before gap k may come within tol
+    # of one after it; only a pair with a near gap beside it is bisected
+    order = np.argsort(lo)
+    near = np.zeros(i.size + 1, dtype=bool)
+    near[1:-1] = lo[order[1:]] - np.maximum.accumulate(hi[order[:-1]]) <= tol
+    keep = np.empty(i.size, dtype=bool)
+    keep[order] = near[:-1] | near[1:]
+    i, j = i[keep], j[keep]  # still in lexicographic order
+    z = _bisect(n, i, j)
+    roots = _roots(n, i, j, z)
     order = np.argsort(z).tolist()
     zs = z[order]
     # every root lies in (1/2, 1) (the polynomial is positive at 1/2), so

@@ -20,9 +20,10 @@ Everything is evaluated through the equivalent product form
     c_k = nu * |nu|^(-k) * sqrt(g_k g_(n-k)),   g_m = 1 + u + ... + u^(m-1),
 
 with u = nu^2, which is free of the catastrophic cancellation the raw
-formula suffers near |nu| = 1.  ``c_coeff`` gives one coefficient;
-``_ladder`` gives c_0 .. c_n by the same rule from one g_m per m, for
-``snu2_generators`` and ``exceptional.multiplicity_profile``.
+formula suffers near |nu| = 1.  ``c_coeff`` and ``h_coeff`` give one
+coefficient; ``_ladder`` gives c_0 .. c_n by the same rule from one g_m
+per m, for ``snu2_generators`` and ``exceptional.multiplicity_profile``,
+and h_0 .. h_(n-1) from the same g_m for ``snu2_generators``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hs_norm, matrix_from_json, matrix_to_json
+from .linalg import _check_size, as_matrix, hs_norm, matrix_from_json, matrix_to_json
 
 FAMILIES = ("snu2", "sl2", "limit_nu1", "fundamental", "one_dim", "counterexample")
 
@@ -137,17 +138,30 @@ def c_coeff(n: int, k: int, nu: float) -> float:
     return _c(n, k, nu, lambda m: _geom(m, nu * nu))
 
 
-def _ladder(n: int, nu: float) -> list:
+def _h(n, k, nu, g):
+    """h_k for 0 <= k < n at a checked nu, with g(m) = g_m."""
+    if abs(nu) == 1.0:
+        return float(2 * k + 1 - n)
+    u = nu * nu
+    m = n - 2 * k - 1
+    if m >= 0:
+        return -u * g(m)
+    return u ** (1 + m) * g(-m)
+
+
+def _ladder(n: int, nu: float, diagonal: bool = False):
     """[c_0, ..., c_n] for n >= 1, each as ``c_coeff`` gives it and raising
     as it would, from one g_m per m < n (``c_coeff`` n times would compute
-    2(n-1) of them)."""
+    2(n-1) of them).  With ``diagonal``, the pair of that list and
+    [h_0, ..., h_(n-1)] as ``h_coeff`` gives them, from the same g_m."""
     x = _check_nu(nu)
-    g = [_geom(m, x * x) for m in range(n)]
+    g = [_geom(m, x * x) for m in range(n)].__getitem__
     try:
-        c = [0.0] + [_c(n, k, x, g.__getitem__) for k in range(1, n)] + [0.0]
-        if all(map(math.isfinite, c)):
-            return c
-    except OverflowError:
+        c = [0.0] + [_c(n, k, x, g) for k in range(1, n)] + [0.0]
+        h = [_h(n, k, x, g) for k in range(n)] if diagonal else []
+        if all(map(math.isfinite, c + h)):
+            return (c, h) if diagonal else c
+    except (OverflowError, ZeroDivisionError):
         pass
     raise _overflow(n, nu)
 
@@ -158,13 +172,7 @@ def h_coeff(n: int, k: int, nu: float) -> float:
     nu = _check_nu(nu)
     if not 0 <= k < n:
         raise ValueError(f"k must lie in 0..{n - 1}, got {k}")
-    if abs(nu) == 1.0:
-        return float(2 * k + 1 - n)
-    u = nu * nu
-    m = n - 2 * k - 1
-    if m >= 0:
-        return -u * _geom(m, u)
-    return u ** (1 + m) * _geom(-m, u)
+    return _h(n, k, nu, lambda m: _geom(m, nu * nu))
 
 
 def snu2_generators(n: int, nu: float) -> GeneratorTuple:
@@ -178,15 +186,10 @@ def snu2_generators(n: int, nu: float) -> GeneratorTuple:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     nu = _check_nu(nu)
-    h = np.zeros((n, n), dtype=np.complex128)
-    e = np.zeros((n, n), dtype=np.complex128)
-    f = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        h[k, k] = h_coeff(n, k, nu)
-    c = _ladder(n, nu)
-    for k in range(1, n):
-        e[k - 1, k] = nu * c[k]
-        f[k, k - 1] = -c[k]
+    c, d = _ladder(n, nu, diagonal=True)
+    h = np.diag(np.array(d, dtype=np.complex128))
+    e = np.diag(np.array([nu * x for x in c[1:n]], dtype=np.complex128), 1)
+    f = np.diag(np.array([-x for x in c[1:n]], dtype=np.complex128), -1)
     family = "limit_nu1" if abs(nu) == 1.0 else "snu2"
     return GeneratorTuple(h=h, e=e, f=f, n=n, nu=nu, family=family)
 
@@ -312,8 +315,8 @@ def tuple_from_json(obj) -> GeneratorTuple:
     h = matrix_from_json(mats["H"])
     e = matrix_from_json(mats["E"])
     f = matrix_from_json(mats["F"])
-    n = obj.get("n", h.shape[0])
+    n = _check_size(obj.get("n", h.shape[0]))
     nu = obj.get("nu")
     family = obj.get("family", "snu2")
-    return GeneratorTuple(h=h, e=e, f=f, n=int(n),
-                          nu=None if nu is None else float(nu), family=family)
+    return GeneratorTuple(h=h, e=e, f=f, n=n,
+                          nu=None if nu is None else _check_nu(nu), family=family)

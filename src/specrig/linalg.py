@@ -230,13 +230,18 @@ def matrix_to_json(a) -> dict:
     return {"n": n, "entries": entries}
 
 
+def _check_size(n) -> int:
+    """A dimension read from JSON: an integer >= 1 (a boolean is not one)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError("'n' must be a positive integer")
+    return n
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
-    n = obj["n"]
+    n = _check_size(obj["n"])
     rows = obj["entries"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("'n' must be a positive integer")
     if len(rows) != n:
         raise ValueError(f"expected {n} rows, got {len(rows)}")
     m = np.zeros((n, n), dtype=np.complex128)

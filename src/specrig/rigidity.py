@@ -151,8 +151,8 @@ def _reference(family, n, nu) -> _Reference:
     for name, b in products.items():
         if hs_norm(b - np.diag(np.diag(b))) != 0.0:
             raise AssertionError(f"reference product for {name} is not diagonal")
-    s1 = 1.0 / max(1.0, hs_norm(ref.h))
-    s2 = tuple(1.0 / max(1.0, hs_norm(b)) for b in products.values())
+    scales = slot_scales([ref.h, *products.values()])
+    s1, s2 = scales[0], scales[1:]
     coeffs = _line_products([np.stack([np.diag(ref.h) * s1, np.diag(b) * s], axis=1)
                              for b, s in zip(products.values(), s2)])
     diag, sds = np.diag(ref.h).real, (ref.e.diagonal(1), ref.f.diagonal(-1))

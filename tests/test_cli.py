@@ -5,7 +5,7 @@ import pytest
 
 from specrig.cli import main
 from specrig.exceptional import exceptional_set
-from specrig.generators import tuple_from_json
+from specrig.generators import snu2_generators, tuple_from_json, tuple_to_json
 from specrig.linalg import hs_norm
 
 
@@ -93,11 +93,21 @@ class TestDet:
         assert "/nonexistent.json" in err
 
     def test_malformed_file_reported(self, capsys, tmp_path):
+        # a missing matrix, an n that is no JSON integer or does not match
+        # the matrices, a nu outside [-1, 1] \ {0}, an unknown family
+        good = tuple_to_json(snu2_generators(2, 0.5))
+        blobs = [{"matrices": {"H": {"n": 2, "entries": [[[1, 0]], [[0, 0]]]}}},
+                 *({**good, key: value} for key, value in (
+                     ("n", 2.5), ("n", "2"), ("n", True), ("n", 3), ("nu", "nan"),
+                     ("nu", 1.5), ("nu", 0), ("family", "su3")))]
         path = tmp_path / "bad.json"
-        path.write_text('{"matrices": {"H": {"n": 2, "entries": [[[1,0]],[[0,0]]]}}}')
-        code, _, err = run(capsys, "det", "--tuple", str(path), "--pencil", "A1")
-        assert code == 1
-        assert "bad.json" in err
+        for blob in blobs:
+            path.write_text(json.dumps(blob))
+            code, _, err = run(capsys, "det", "--tuple", str(path), "--pencil", "A1")
+            assert code == 1, blob
+            assert "bad.json" in err, blob
+        path.write_text(json.dumps(good))
+        assert run(capsys, "det", "--tuple", str(path), "--pencil", "A1")[0] == 0
 
 
 class TestLines:

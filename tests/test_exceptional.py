@@ -305,11 +305,14 @@ class TestIsExceptionalPruned:
     """is_exceptional bisects a pair only while its root may lie within tol
     of nu; the answer must be the full scan's over exceptional_nus."""
 
-    @pytest.mark.parametrize("n", [*range(2, 41), 64])
+    @pytest.mark.parametrize("n", [*range(2, 41), 64, 104])
     def test_matches_full_scan(self, n):
-        # every parameter up to n = 10, then six seeded ones and +-1
+        # every parameter up to n = 10, then six seeded ones, +-1 and the
+        # last pair's root: from n = 103 the pairs span two blocks, each
+        # bisected on its own, and that root lies in the last
         nus = exceptional_nus(n)
-        picks = nus if n <= 10 else [*np.random.default_rng(n).choice(nus, 6).tolist(), -1.0, 1.0]
+        picks = nus if n <= 10 else [*np.random.default_rng(n).choice(nus, 6).tolist(),
+                                     -1.0, 1.0, exceptional_set(n)[-1].nu]
         for tol in TOLS:
             queries = [math.nan, math.inf, -math.inf, 0.0, 0.5, -0.3]
             for s in picks:

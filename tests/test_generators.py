@@ -110,12 +110,16 @@ _LADDER_CASES = [(n, nu) for n in range(1, 71) for nu in _FIXED_NUS] + [
 
 
 class TestLadder:
-    """``generators._ladder`` computes each g_m once and each c_k once by
-    ``c_coeff``'s rule: every float is the one the per-k calls give."""
+    """``generators._ladder`` computes each g_m once and each c_k (and h_k)
+    once by ``c_coeff``'s (``h_coeff``'s) rule: every float is the one the
+    per-k calls give."""
 
     def test_matches_per_k_coefficients(self):
         for n, nu in _LADDER_CASES:
-            assert _bits(generators._ladder(n, nu)) == _bits(_per_k_ladder(n, nu)), (n, nu)
+            c, h = generators._ladder(n, nu, diagonal=True)
+            assert _bits(generators._ladder(n, nu)) == _bits(c), (n, nu)
+            assert _bits(c) == _bits(_per_k_ladder(n, nu)), (n, nu)
+            assert _bits(h) == _bits(h_coeff(n, k, nu) for k in range(n)), (n, nu)
 
     def test_profile_matches_per_k_coefficients(self, monkeypatch):
         got = [multiplicity_profile(n, nu) for n, nu in _LADDER_CASES]

@@ -240,9 +240,10 @@ class TestMatrixJson:
 
     @pytest.mark.parametrize("blob,message", [
         ({"n": 1.5, "entries": [[[0.0, 0.0]]]}, "^'n' must be a positive integer$"),
+        ({"n": True, "entries": [[[0.0, 0.0]]]}, "^'n' must be a positive integer$"),
         ({"n": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]]]}, "^expected 2 rows, got 1$"),
         ({"n": 1, "entries": [[[0.0, 0.0, 0.0]]]}, r"^entry \(0,0\) must be a \[re, im\] pair$"),
-    ], ids=["non-integer-n", "row-count", "three-element-entry"])
+    ], ids=["non-integer-n", "boolean-n", "row-count", "three-element-entry"])
     def test_malformed_rejected(self, blob, message):
         with pytest.raises(ValueError, match=message):
             matrix_from_json(blob)
