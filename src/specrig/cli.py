@@ -74,7 +74,7 @@ def _load_tuple(path) -> GeneratorTuple:
         return tuple_from_json(data)
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror or exc}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"{path}: malformed tuple JSON ({exc})")
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_size, as_matrix, hs_norm, matrix_from_json, matrix_to_json
+from .linalg import _check_size, _is_number, as_matrix, hs_norm, matrix_from_json, matrix_to_json
 
 FAMILIES = ("snu2", "sl2", "limit_nu1", "fundamental", "one_dim", "counterexample")
 
@@ -317,6 +317,8 @@ def tuple_from_json(obj) -> GeneratorTuple:
     f = matrix_from_json(mats["F"])
     n = _check_size(obj.get("n", h.shape[0]))
     nu = obj.get("nu")
+    if not (nu is None or _is_number(nu)):
+        raise ValueError(f"'nu' must be a JSON number, got {nu!r}")
     family = obj.get("family", "snu2")
     return GeneratorTuple(h=h, e=e, f=f, n=n,
                           nu=None if nu is None else _check_nu(nu), family=family)

@@ -117,7 +117,7 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     scale = max(1.0, hs_norm(a))
     if hs_norm(a - a.conj().T) > tol * scale:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)  # halves first: the sum cannot overflow
     return EigenDecomposition(values=w, vectors=_phase_fixed(v))
 
 
@@ -237,6 +237,11 @@ def _check_size(n) -> int:
     return n
 
 
+def _is_number(x) -> bool:
+    """Whether ``x`` is a JSON number: an int or a float, not a bool or a string."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
@@ -251,5 +256,7 @@ def matrix_from_json(obj) -> np.ndarray:
         for j, pair in enumerate(row):
             if len(pair) != 2:
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] pair")
-            m[i, j] = complex(float(pair[0]), float(pair[1]))
+            if not (_is_number(pair[0]) and _is_number(pair[1])):
+                raise ValueError(f"entry ({i},{j}) must be a pair of JSON numbers, got {pair!r}")
+            m[i, j] = complex(pair[0], pair[1])
     return as_matrix(m)

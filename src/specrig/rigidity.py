@@ -28,10 +28,10 @@ certified witness or the first failing step with diagnostics:
 sl2 has no (A1, A3* A3) pencil, so the compressions on the (A1, A2 A3)
 lines and the Hilbert-Schmidt budget pin A3.
 
-``snu2_rigidity`` / ``sl2_rigidity`` are the entry points: they chain
-the two private stages, ``_verify_conditions`` and ``_reconstruct``,
-into the verdicts ``equivalent``, ``hypothesis_failed`` and
-``reconstruction_failed``.
+``snu2_rigidity`` / ``sl2_rigidity`` reconstruct and certify first and
+verify the hypotheses only when certification fails (a certified
+witness proves the equivalence); the verdicts are ``equivalent``,
+``hypothesis_failed`` and ``reconstruction_failed``.
 """
 
 from __future__ import annotations
@@ -99,7 +99,9 @@ class RigidityReport:
     ``witness`` is the canonical diagonal unitary (first entry 1) and
     ``basis`` the A1-eigenbasis unitary; their product conjugates the
     reference triple onto the candidate.  ``residual`` is the certified
-    reconstruction residual, normalized per slot by max(1, ||ref slot||).
+    reconstruction residual, normalized per slot by max(1, ||ref slot||);
+    ``condition_residuals`` holds it per slot for ``equivalent``, else
+    the pencils' residuals (after the per-slot ones if certification failed).
     """
 
     verdict: str
@@ -245,22 +247,24 @@ def _eigenbasis_matched(a1, a2, entry, tol):
 class _Frame:
     """What the reconstruction steps read and write: the reference entry,
     the candidate in A1's matched eigenbasis (``ahat``, ``basis``,
-    ``values``), the phases read off A2 and the final report."""
+    ``values``), whether the hypotheses hold (``verified()``), the phases
+    read off A2 and the final report."""
 
     entry: _Reference
     tol: float
     values: np.ndarray
     basis: np.ndarray
     ahat: tuple
+    verified: object
     phases: np.ndarray | None = None
     report: RigidityReport | None = None
 
 
-def _reconstruct(mats, entry, tol) -> RigidityReport:
+def _reconstruct(mats, entry, tol, verified) -> RigidityReport:
     """The dimension check and step 1, then each (name, step) of the
     family's ``entry.steps`` in order.  A step returns None when it
     passes, else the arguments of ``_fail`` after the step name; the last
-    step stores the report."""
+    step stores the report.  ``verified()``: do the hypotheses hold?"""
     n = entry.ref.n
     a1, a2, a3 = mats
     if a1.shape != (n, n):
@@ -272,7 +276,7 @@ def _reconstruct(mats, entry, tol) -> RigidityReport:
     if not ok:
         return _fail("step1", f"spectrum of A1 does not match the reference "
                               f"diagonal (max gap {gap:.3g})")
-    frame = _Frame(entry, tol, values, v, tuple(v.conj().T @ a @ v for a in mats))
+    frame = _Frame(entry, tol, values, v, tuple(v.conj().T @ a @ v for a in mats), verified)
     for name, step in entry.steps:
         failure = step(frame)
         if failure:
@@ -312,11 +316,11 @@ def _superdiagonal_support(label, mat, ref_moduli, tol):
 def _a2_support(fr):
     """A2 is supported on the superdiagonal with the reference moduli;
     off-diagonal mass of finite scale triggers the x2-dependence
-    diagnostic.  The entrywise support checks run before the coarser
-    product checks, so a bumped modulus is reported as the support
-    violation it is."""
+    diagnostic if the hypotheses hold (``fr.verified()``).  The entrywise
+    support checks run before the coarser product checks, so a bumped
+    modulus is reported as the support violation it is."""
     msg = _superdiagonal_support("A2", fr.ahat[1], fr.entry.e_mod, fr.tol)
-    if msg and np.isfinite(hs_norm(fr.ahat[1])):
+    if msg and np.isfinite(hs_norm(fr.ahat[1])) and fr.verified():
         dep = x2_dependence(np.diag(fr.values).astype(np.complex128), fr.ahat[1])
         return msg, [f"x2_dependence detected: {dep}"]
     return (msg,) if msg else None
@@ -433,13 +437,17 @@ _SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products),
 
 def _drive(t, tol, family, n, nu=None) -> RigidityReport:
     """Both stages on one reference lookup and one validation of the
-    slots: verification, then reconstruction if every hypothesis holds."""
+    slots: reconstruct and certify first; verify the hypotheses only when
+    certification fails (a certified witness proves the equivalence)."""
     _check_tol(tol)
     entry, mats = _reference(family, n, nu), _slot_matrices(t)
-    cond = _verify_conditions(mats, entry, tol)
-    if cond.all_passed:
-        rep = _reconstruct(mats, entry, tol)
-    else:
+    verify = functools.cache(lambda: _verify_conditions(mats, entry, tol))
+    with np.errstate(over="ignore", invalid="ignore"):  # unverified products fail closed
+        rep = _reconstruct(mats, entry, tol, lambda: verify().all_passed)
+    if rep.verdict == EQUIVALENT:
+        return rep
+    cond = verify()
+    if not cond.all_passed:
         rep = RigidityReport(verdict=HYPOTHESIS_FAILED)
         if not cond.a1_normal:
             rep.diagnostics.append("A1 is not normal")
@@ -450,8 +458,8 @@ def _drive(t, tol, family, n, nu=None) -> RigidityReport:
 
 
 def snu2_rigidity(t, n: int, nu: float, tol: float = DEFAULT_TOL) -> RigidityReport:
-    """Full pipeline: hypothesis verification, then reconstruction.
-    ``tol`` must be finite and positive."""
+    """Reconstruct and certify first; verify the hypotheses only when
+    certification fails.  ``tol`` must be finite and positive."""
     return _drive(t, tol, "snu2", n, nu)
 
 

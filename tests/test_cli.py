@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +378,44 @@ class TestArgumentChecks:
                              "--n", "10", "--nu", "0.5")
         assert (code, out, err) == (1, "", "error: the candidate's pencil products "
                                            "overflow float64\n")
+
+    @pytest.mark.parametrize("family,n,key", [("sl2", 6, "F"), ("snu2", 10, "E"),
+                                              ("snu2", 10, "F")])
+    def test_overflowing_products_print_one_line(self, capsys, tmp_path, family, n, key):
+        # a child process, so numpy's warnings would reach its stderr
+        path = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", family, "--n", str(n), "--nu", "0.5", "-o", str(path))
+        blob = json.loads(path.read_text())
+        for row in blob["matrices"][key]["entries"]:
+            for pair in row:
+                pair[0] += 1e300
+        path.write_text(json.dumps(blob))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "specrig.cli", "rigidity", "--tuple",
+                               str(path), "--family", family, "--n", str(n), "--nu", "0.5"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: the candidate's pencil products overflow float64\n")
+
+    @pytest.mark.parametrize("where,value,message", [
+        ("nu", "0.5", "'nu' must be a JSON number, got '0.5'"),
+        ("entry", ["0.75", "0"], "entry (0,0) must be a pair of JSON numbers, "
+                                 "got ['0.75', '0']"),
+        ("entry", [10 ** 400, 0], "int too large to convert to float")])
+    def test_non_number_json_exits_one(self, capsys, tmp_path, where, value, message):
+        path = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", "snu2", "--n", "3", "--nu", "0.5", "-o", str(path))
+        blob = json.loads(path.read_text())
+        if where == "nu":
+            blob["nu"] = value
+        else:
+            blob["matrices"]["H"]["entries"][0][0] = value
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "rigidity", "--tuple", str(path), "--family", "snu2",
+                             "--n", "3", "--nu", "0.5")
+        assert (code, out, err) == (1, "", f"error: {path}: malformed tuple JSON ({message})\n")
 
     def test_overflowing_pencil_product_named(self, capsys, tmp_path):
         path = self._overflowing_fixture(capsys, tmp_path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,6 +407,20 @@ class TestTupleJson:
     def test_missing_matrix_rejected(self):
         with pytest.raises(ValueError):
             tuple_from_json({"matrices": {"H": {"n": 1, "entries": [[[0.0, 0.0]]]}}})
+
+    @pytest.mark.parametrize("nu", ["0.5", True, [0.5]])
+    def test_non_number_nu_rejected(self, nu):
+        blob = tuple_to_json(snu2_generators(2, 0.5))
+        blob["nu"] = nu
+        message = f"^'nu' must be a JSON number, got {re.escape(repr(nu))}$"
+        with pytest.raises(ValueError, match=message):
+            tuple_from_json(blob)
+
+    def test_number_nu_accepted(self):
+        blob = tuple_to_json(snu2_generators(2, 1.0))
+        blob["nu"] = 1  # a JSON integer is a number
+        assert tuple_from_json(blob).nu == 1.0
+        assert snu2_generators(3, np.float64(0.5)).nu == 0.5  # library callers keep numpy floats
 
     def test_missing_matrices_rejected(self):
         with pytest.raises(ValueError, match="^tuple JSON must be an object with 'matrices'$"):

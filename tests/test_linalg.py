@@ -233,6 +233,10 @@ class TestMatrixJson:
         m = random_complex(rng, 3)
         assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
 
+    def test_integer_parts_accepted(self):
+        m = matrix_from_json({"n": 1, "entries": [[[3, -2]]]})
+        assert m[0, 0] == 3 - 2j and m.dtype == np.complex128
+
     def test_ragged_rejected(self):
         bad = {"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}
         with pytest.raises(ValueError, match="ragged"):
@@ -243,7 +247,15 @@ class TestMatrixJson:
         ({"n": True, "entries": [[[0.0, 0.0]]]}, "^'n' must be a positive integer$"),
         ({"n": 2, "entries": [[[0.0, 0.0], [0.0, 0.0]]]}, "^expected 2 rows, got 1$"),
         ({"n": 1, "entries": [[[0.0, 0.0, 0.0]]]}, r"^entry \(0,0\) must be a \[re, im\] pair$"),
-    ], ids=["non-integer-n", "boolean-n", "row-count", "three-element-entry"])
+        # float() would read these as numbers
+        ({"n": 1, "entries": [[["0.75", "0"]]]},
+         r"^entry \(0,0\) must be a pair of JSON numbers, got \['0.75', '0'\]$"),
+        ({"n": 2, "entries": [[[0.0, 0.0], [1, 0]], [[0.0, True], [0.0, 0.0]]]},
+         r"^entry \(1,0\) must be a pair of JSON numbers, got \[0.0, True\]$"),
+        ({"n": 1, "entries": [[[None, 0.0]]]},
+         r"^entry \(0,0\) must be a pair of JSON numbers, got \[None, 0.0\]$"),
+    ], ids=["non-integer-n", "boolean-n", "row-count", "three-element-entry",
+            "string-parts", "boolean-part", "null-part"])
     def test_malformed_rejected(self, blob, message):
         with pytest.raises(ValueError, match=message):
             matrix_from_json(blob)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specrig import rigidity, spectrum
 from specrig.generators import (counterexample_tuple, sl2_generators,
@@ -34,9 +36,10 @@ def _verify(family, cand, n, nu=None, tol=DEFAULT_TOL):
 
 
 def _reconstruct(family, cand, n, nu=None, tol=DEFAULT_TOL):
-    """The reconstruction stage, entered as the drivers enter it."""
+    """The reconstruction stage, entered as the drivers enter it once the
+    hypotheses hold, so every diagnostic is computed."""
     return rigidity._reconstruct(spectrum._slot_matrices(cand),
-                                 rigidity._reference(family, n, nu), tol)
+                                 rigidity._reference(family, n, nu), tol, lambda: True)
 
 
 class TestVerifyConditionsSnu2:
@@ -541,7 +544,7 @@ class TestLargeDimension:
         ref = _reference(family, n, nu)
         rep = _rigidity(family, ref.matrices, n, nu, 1e-9)
         assert rep.verdict == EQUIVALENT, rep.diagnostics
-        assert max(rep.condition_residuals.values()) <= 1e-12
+        assert rep.residual <= 1e-12
 
     @pytest.mark.parametrize("n,family,nu,tol", LARGE_CONJUGATES)
     def test_conjugate_accepted_and_tamper_rejected(self, rng, n, family, nu, tol):
@@ -811,3 +814,138 @@ class TestArguments:
         ref = snu2_generators(n, nu)
         with pytest.raises(ValueError, match="^the candidate's pencil products overflow float64$"):
             snu2_rigidity((ref.h, ref.e + 1e300, ref.f), n, nu)
+
+    @pytest.mark.parametrize("family,n,nu,slot", [
+        ("sl2", 6, None, 2), ("snu2", 10, 0.5, 1), ("snu2", 10, 0.5, 2)])
+    def test_overflowing_products_raise_without_warnings(self, family, n, nu, slot):
+        # reconstruction runs first, and its products overflow too
+        mats = list(_reference(family, n, nu).matrices)
+        mats[slot] = mats[slot] + 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError,
+                               match="^the candidate's pencil products overflow float64$"):
+                _rigidity(family, tuple(mats), n, nu, DEFAULT_TOL)
+
+
+def _tampered(family, n, nu, slot, i, j):
+    """The reference with 1e-6 ||slot|| added to entry (i, j) of ``slot``."""
+    mats = [m.copy() for m in _reference(family, n, nu).matrices]
+    mats[slot][i, j] += 1e-6 * hs_norm(mats[slot])
+    return tuple(mats)
+
+
+def _verify_then_reconstruct(family, cand, n, nu, tol):
+    """Verdict and first diagnostic in the order the proof states the
+    theorem: verify the hypotheses, reconstruct only if they all hold."""
+    mats, entry = spectrum._slot_matrices(cand), rigidity._reference(family, n, nu)
+    cond = rigidity._verify_conditions(mats, entry, tol)
+    if cond.all_passed:
+        rep = rigidity._reconstruct(mats, entry, tol, lambda: True)
+        return rep.verdict, rep.diagnostics[:1]
+    if not cond.a1_normal:
+        return HYPOTHESIS_FAILED, ["A1 is not normal"]
+    return HYPOTHESIS_FAILED, [next(f"pencil equality failed: {c.pencil}"
+                                    for c in cond.checks if not c.equal)]
+
+
+class TestCertificateFirst:
+    """The drivers reconstruct and certify first and verify the
+    hypotheses only when certification fails."""
+
+    @pytest.fixture
+    def no_diagnostic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("x2_dependence computed for a dropped diagnostic")
+        monkeypatch.setattr(rigidity, "x2_dependence", refuse)
+
+    @pytest.mark.parametrize("family,n,nu", [("snu2", 6, -0.7), ("snu2", 10, 0.3),
+                                             ("sl2", 7, None)])
+    def test_certified_conjugate_skips_verification(self, monkeypatch, rng, family, n, nu):
+        def refuse(*args):
+            raise AssertionError("verification ran on a certified candidate")
+        monkeypatch.setattr(rigidity, "_verify_conditions", refuse)
+        ref = _reference(family, n, nu)
+        cand = conjugated(ref, random_unitary(rng, n))
+        rep = _rigidity(family, cand, n, nu, DEFAULT_TOL)
+        assert rep.verdict == EQUIVALENT, rep.diagnostics
+        assert list(rep.condition_residuals) == ["certify A1", "certify A2", "certify A3"]
+        assert max(rep.condition_residuals.values()) == rep.residual
+        assert certify_equivalence(cand, ref, rep.global_witness) <= DEFAULT_TOL
+
+    @pytest.mark.parametrize("family,slot,i,j,diagnostics", [
+        ("snu2", 0, 2, 1, ["A1 is not normal"]),
+        ("snu2", 1, 1, 2, ["pencil equality failed: A1, A2 A2^H",
+                           "pencil equality failed: A1, A2^H A2",
+                           "pencil equality failed: A1, A2 A3"]),
+        ("snu2", 2, 2, 1, ["pencil equality failed: A1, A3 A3^H",
+                           "pencil equality failed: A1, A3^H A3",
+                           "pencil equality failed: A1, A2 A3"]),
+        ("sl2", 0, 1, 2, ["A1 is not normal"]),
+        ("sl2", 1, 1, 2, ["pencil equality failed: A1, A2 A2^H",
+                          "pencil equality failed: A1, A2^H A2",
+                          "pencil equality failed: A1, A2 A3"]),
+        ("sl2", 2, 2, 1, ["pencil equality failed: A1, A3 A3^H",
+                          "pencil equality failed: A1, A2 A3"])])
+    def test_failing_hypothesis_decides(self, no_diagnostic, family, slot, i, j, diagnostics):
+        # the (1, 2) A2 tamper fails step3 first, whose x2-dependence
+        # diagnostic the hypothesis_failed verdict would drop
+        n, nu = 5, (0.5 if family == "snu2" else None)
+        cand = _tampered(family, n, nu, slot, i, j)
+        rep = _rigidity(family, cand, n, nu, DEFAULT_TOL)
+        assert rep.verdict == HYPOTHESIS_FAILED
+        assert rep.diagnostics == diagnostics
+        assert rep.witness is None and rep.residual is None
+        assert rep.condition_residuals == _verify(family, cand, n, nu).residuals()
+
+    @pytest.mark.parametrize("family,slot,i,j,diagnostics,certify", [
+        ("snu2", 1, 2, 1, ["step3: A2: A2 support off the superdiagonal at (2,1) "
+                           "(HS norm 5.46e-06 > 5.46e-09)", "x2_dependence detected: True"],
+         False),
+        ("snu2", 1, 0, 4, ["step3: A2: A2 support off the superdiagonal at (0,4) "
+                           "(HS norm 5.46e-06 > 5.46e-09)", "x2_dependence detected: False"],
+         False),
+        ("sl2", 2, 0, 4, ["step6: certification residual 1e-06 exceeds tolerance"], True)])
+    def test_reconstruction_failure_keeps_pencil_residuals(self, family, slot, i, j,
+                                                           diagnostics, certify):
+        # second-order tampers: every pencil still matches at tol
+        n, nu = 5, (0.5 if family == "snu2" else None)
+        cand = _tampered(family, n, nu, slot, i, j)
+        cond = _verify(family, cand, n, nu)
+        assert cond.all_passed
+        rep = _rigidity(family, cand, n, nu, DEFAULT_TOL)
+        assert rep.verdict == RECONSTRUCTION_FAILED
+        assert rep.diagnostics == diagnostics
+        slots = ["certify A1", "certify A2", "certify A3"] if certify else []
+        assert list(rep.condition_residuals) == slots + list(cond.residuals())
+        assert {k: rep.condition_residuals[k] for k in cond.residuals()} == cond.residuals()
+
+    def test_a1_of_overflowing_norm_falls_back_to_verification(self):
+        # ||A1|| overflows: (A1 + A1*) / 2 would hold inf, and eigh would
+        # raise LinAlgError before verification names the failure
+        n, nu = 5, 0.5
+        ref = snu2_generators(n, nu)
+        rep = snu2_rigidity((np.full((n, n), 1e308), ref.e, ref.f), n, nu)
+        assert rep.verdict == HYPOTHESIS_FAILED
+        assert rep.diagnostics == [f"pencil equality failed: {name}"
+                                   for name in rigidity.SNU2_PENCILS]
+        with pytest.raises(ValueError, match="^the candidate's pencil products overflow"):
+            sl2_rigidity((np.full((n, n), 1e308),) * 3, n)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=st.one_of(st.tuples(st.just("snu2"), st.integers(2, 8),
+                                    st.floats(0.2, 1.0) | st.floats(-1.0, -0.2)),
+                          st.tuples(st.just("sl2"), st.integers(2, 8), st.none())),
+           seed=st.integers(0, 2**32 - 1),
+           size=st.sampled_from([0.0, 1e-7, 1e-6, 1e-4, 1e-2]))
+    def test_verdicts_match_verification_first(self, case, seed, size):
+        # conjugates (size 0) and tampers of at least 100 tol
+        family, n, nu = case
+        gen = np.random.default_rng(seed)
+        mats = [m.copy() for m in conjugated(_reference(family, n, nu), random_unitary(gen, n))]
+        slot, i, j = (int(x) for x in gen.integers((3, n, n)))
+        mats[slot][i, j] += size * max(1.0, hs_norm(mats[slot])) \
+            * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi))
+        rep = _rigidity(family, tuple(mats), n, nu, DEFAULT_TOL)
+        assert (rep.verdict, rep.diagnostics[:1]) \
+            == _verify_then_reconstruct(family, tuple(mats), n, nu, DEFAULT_TOL)
