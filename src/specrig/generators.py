@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_size, _is_number, as_matrix, hs_norm, matrix_from_json, matrix_to_json
+from .linalg import (_check_size, _check_slot_shapes, _is_number, as_matrix, hs_norm,
+                     matrix_from_json, matrix_to_json)
 
 FAMILIES = ("snu2", "sl2", "limit_nu1", "fundamental", "one_dim", "counterexample")
 
@@ -53,7 +54,8 @@ class GeneratorTuple:
     family: str
 
     def __post_init__(self):
-        for m in (self.h, self.e, self.f):
+        _check_slot_shapes(self.matrices)
+        for m in self.matrices:
             if m.shape != (self.n, self.n):
                 raise ValueError(f"matrix shape {m.shape} does not match n={self.n}")
         if self.family not in FAMILIES:

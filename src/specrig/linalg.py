@@ -43,6 +43,13 @@ def _check_tol(tol, name="tol") -> float:
     return tol
 
 
+def _check_slot_shapes(mats) -> None:
+    """Raise ``ValueError`` naming all three unless the slots share one shape."""
+    if not mats[0].shape == mats[1].shape == mats[2].shape:
+        shapes = ", ".join(f"A{k} {'x'.join(map(str, m.shape))}" for k, m in enumerate(mats, 1))
+        raise ValueError(f"the three slots must share one shape, got {shapes}")
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and coerce ``a`` to a square complex128 matrix.
 
@@ -68,6 +75,15 @@ def hs_norm(a) -> float:
     if sq == math.inf and (big := float(np.max(np.abs(x)))) < math.inf:
         return big * hs_norm(x / big)
     return math.sqrt(sq)
+
+
+def hs_norms(stack) -> np.ndarray:
+    """``hs_norm`` of each matrix of a stack, by one sum of squares each;
+    if a sum overflows or is NaN, by ``hs_norm`` (its rescale, its NaN)."""
+    x = np.asarray(stack, dtype=np.complex128)
+    flat = x.reshape(len(x), -1).view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    return norms if norms.max() < math.inf else np.array([hs_norm(m) for m in x])
 
 
 def _is_normal(a, tol: float, scale=None) -> bool:
@@ -114,11 +130,25 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     """
     _check_tol(tol)
     a = as_matrix(a)
-    scale = max(1.0, hs_norm(a))
-    if hs_norm(a - a.conj().T) > tol * scale:
+    return EigenDecomposition(*_checked_eigh(a, tol, hs_norm(a)))
+
+
+def _is_hermitian(a, tol, norm) -> bool:
+    """||a - a*|| <= tol * max(1, norm) for the finite ``a`` of HS norm
+    ``norm``.  If ``norm`` overflows, the test runs on a / max|a_ij|, so it
+    cannot compare inf with inf; a NaN or infinite residual fails."""
+    if norm < math.inf:
+        return hs_norm(a - a.conj().T) <= tol * max(1.0, norm)
+    b = a / np.abs(a).max()
+    return hs_norm(b - b.conj().T) <= tol * hs_norm(b)
+
+
+def _checked_eigh(a, tol, norm):
+    """``hermitian_eig``'s values and vectors of a validated ``a`` of HS norm ``norm``."""
+    if not _is_hermitian(a, tol, norm):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)  # halves first: the sum cannot overflow
-    return EigenDecomposition(values=w, vectors=_phase_fixed(v))
+    return w, _phase_fixed(v)
 
 
 def _phase_fixed(v) -> np.ndarray:
@@ -162,7 +192,7 @@ def normal_eig(a, tol: float = DEFAULT_TOL):
     scale = max(1.0, hs_norm(a))
     if not _is_normal(a, tol, scale):
         raise NotNormalError("matrix is not normal within tolerance")
-    if hs_norm(a - a.conj().T) <= tol * scale:
+    if _is_hermitian(a, tol, scale):
         dec = hermitian_eig(a, tol)
         return dec.values.astype(np.complex128), dec.vectors
     w, v = np.linalg.eig(a)
@@ -209,7 +239,7 @@ def classify(a, tol: float = DEFAULT_TOL) -> MatrixFlags:
     n = a.shape[0]
     s = max(1.0, hs_norm(a))
     normal = _is_normal(a, tol, s)
-    hermitian = hs_norm(a - a.conj().T) <= tol * s
+    hermitian = _is_hermitian(a, tol, s)
     unitary = _is_unitary(a, tol, s)
     diagonal = hs_norm(a - np.diag(np.diag(a))) <= tol * s
     simple = False

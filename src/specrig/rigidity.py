@@ -16,8 +16,9 @@ A1's normality, then evaluates the family's pencils (``SNU2_PENCILS``,
 stack, compared with the reference's in one array expression.
 Reconstruction, ``_reconstruct``, checks the dimension, runs step 1
 (A1's eigenbasis in the reference order, unresolved clusters built down
-the A2 ladder), then the family's named steps, and returns the
-certified witness or the first failing step with diagnostics:
+the A2 ladder), reads the phases off A2 and certifies their witness.  A
+certified witness ends reconstruction; only when certification fails do
+the family's named steps run, in order, to name the first that fails:
 
   snu2  step3 A2 support, step3 A3^H support, step2 adjoint products,
         step4 phases, step5 certification;
@@ -43,9 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import sl2_generators, snu2_generators
-from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _cluster_starts, _is_normal,
-                     _is_unitary, _phase_fixed, as_matrix, hermitian_eig, hs_norm,
-                     matrix_to_json, spectral_projection)
+from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _checked_eigh,
+                     _cluster_starts, _is_normal, _is_unitary, _phase_fixed, as_matrix,
+                     hs_norm, hs_norms, matrix_to_json, spectral_projection)
 from .spectrum import (_compare_stacks, _det_stack, _line_products, _slot_matrices,
                        slot_scales, x2_dependence)
 
@@ -99,9 +100,11 @@ class RigidityReport:
     ``witness`` is the canonical diagonal unitary (first entry 1) and
     ``basis`` the A1-eigenbasis unitary; their product conjugates the
     reference triple onto the candidate.  ``residual`` is the certified
-    reconstruction residual, normalized per slot by max(1, ||ref slot||);
-    ``condition_residuals`` holds it per slot for ``equivalent``, else
-    the pencils' residuals (after the per-slot ones if certification failed).
+    reconstruction residual, normalized per slot by max(1, ||ref slot||).
+    ``equivalent`` means exactly that it is within tol (a certified witness
+    ends reconstruction; the named steps run only to explain a failure);
+    ``condition_residuals`` then holds it per slot, else the pencils'
+    residuals (after the per-slot ones if certification failed).
     """
 
     verdict: str
@@ -133,9 +136,9 @@ class RigidityReport:
 # a cached reference: the read-only triple and what every call reads of it (its
 # pencils' coefficient stack, largest moduli and slot scales, the product
 # diagonals, H's diagonal and its scale, the ladder diagonals with their moduli
-# and least moduli, max(1, ||slot||) per slot)
+# and least moduli, the (3, n, n) slot stack and max(1, ||slot||) per slot)
 _Reference = namedtuple("_Reference", "ref pencils steps coeffs coeff_max s1 s2 expected "
-                        "diag diag_scale e_sd f_sd e_mod f_mod e_min f_min slot_norms")
+                        "diag diag_scale e_sd f_sd e_mod f_mod e_min f_min slots slot_norms")
 
 
 @functools.lru_cache(maxsize=64)
@@ -147,7 +150,8 @@ def _reference(family, n, nu) -> _Reference:
     ref, pencils, steps = ((snu2_generators(n, nu), SNU2_PENCILS, _SNU2_STEPS)
                            if family == "snu2" else
                            (sl2_generators(n), SL2_PENCILS, _SL2_STEPS))
-    for m in ref.matrices:
+    slots = np.stack(ref.matrices)
+    for m in (*ref.matrices, slots):
         m.flags.writeable = False
     products = {name: _PRODUCTS[name](ref.e, ref.f) for name in pencils}
     for name, b in products.items():
@@ -164,7 +168,7 @@ def _reference(family, n, nu) -> _Reference:
          if name != "A1, A2 A3"},
         diag, max(1.0, float(np.max(np.abs(diag)))), *sds, *map(np.abs, sds),
         *(float(np.abs(sd).min(initial=np.inf)) for sd in sds),
-        tuple(max(1.0, hs_norm(m)) for m in ref.matrices))
+        slots, np.maximum(1.0, hs_norms(slots)))
 
 
 def _verify_conditions(mats, entry, tol):
@@ -213,19 +217,20 @@ def _eigenbasis_matched(a1, a2, entry, tol):
     the one above, twice orthogonalized against the columns built so far
     and projected onto the cluster's span (each pass projects: A2 amplifies
     rounding), normalized and phase-fixed as in ``hermitian_eig``.  If a
-    step vanishes (or is NaN), the cluster keeps A1's columns.  Every
-    structural check downstream still has to pass, so the basis cannot
-    manufacture a witness that is not there.
+    step vanishes (or is NaN), the cluster keeps A1's columns.  The
+    certificate still has to pass, so the basis cannot manufacture a
+    witness that is not there.  One HS norm of A1 serves both the
+    Hermitian test and the cluster threshold.
     """
-    dec = hermitian_eig(a1, tol)
-    values, vectors = dec.values, dec.vectors.copy()
+    norm = hs_norm(a1)
+    values, vectors = _checked_eigh(a1, tol, norm)
     if entry.diag[0] > entry.diag[-1]:
         values, vectors = values[::-1], vectors[:, ::-1]
     gap = float(np.abs(values - entry.diag).max())
     if _exceeds(gap, tol * entry.diag_scale):
         return values, vectors, gap, False
 
-    theta = max(tol, float(np.finfo(np.float64).eps) / tol) * max(1.0, hs_norm(a1))
+    theta = max(tol, float(np.finfo(np.float64).eps) / tol) * max(1.0, norm)
     cuts = _cluster_starts(values, theta).tolist()
     for start, stop in reversed(list(zip([0, *cuts], cuts))):  # each cluster below a column
         if stop - start > 1:
@@ -246,42 +251,47 @@ def _eigenbasis_matched(a1, a2, entry, tol):
 @dataclass
 class _Frame:
     """What the reconstruction steps read and write: the reference entry,
-    the candidate in A1's matched eigenbasis (``ahat``, ``basis``,
-    ``values``), whether the hypotheses hold (``verified()``), the phases
-    read off A2 and the final report."""
+    the candidate stack in A1's matched eigenbasis (``ahat``, ``basis``,
+    ``values``), the phases read off A2's superdiagonal, whether the
+    hypotheses hold (``verified()``) and the final report."""
 
     entry: _Reference
     tol: float
     values: np.ndarray
     basis: np.ndarray
-    ahat: tuple
+    ahat: np.ndarray
+    phases: np.ndarray
     verified: object
-    phases: np.ndarray | None = None
     report: RigidityReport | None = None
 
 
 def _reconstruct(mats, entry, tol, verified) -> RigidityReport:
-    """The dimension check and step 1, then each (name, step) of the
-    family's ``entry.steps`` in order.  A step returns None when it
-    passes, else the arguments of ``_fail`` after the step name; the last
-    step stores the report.  ``verified()``: do the hypotheses hold?"""
+    """The dimension check, step 1 and the certificate of the witness built
+    from A2's phases, whose ``equivalent`` report ends reconstruction.  If
+    it fails, each (name, step) of ``entry.steps`` runs in order to explain
+    it: None when it passes, else the arguments of ``_fail`` after the name
+    (certification reuses the certificate).  ``verified()``: do the
+    hypotheses hold?"""
     n = entry.ref.n
-    a1, a2, a3 = mats
-    if a1.shape != (n, n):
-        return _fail("step1", f"candidate dimension {a1.shape[0]} != n={n}")
+    if mats[0].shape != (n, n):
+        return _fail("step1", f"candidate dimension {mats[0].shape[0]} != n={n}")
     try:
-        values, v, gap, ok = _eigenbasis_matched(a1, a2, entry, tol)
+        values, v, gap, ok = _eigenbasis_matched(mats[0], mats[1], entry, tol)
     except NotHermitianError:
         return _fail("step1", "A1 is not Hermitian/normal within tolerance")
     if not ok:
         return _fail("step1", f"spectrum of A1 does not match the reference "
                               f"diagonal (max gap {gap:.3g})")
-    frame = _Frame(entry, tol, values, v, tuple(v.conj().T @ a @ v for a in mats), verified)
+    ahat = v.conj().T @ mats @ v
+    frame = _Frame(entry, tol, values, v, ahat,
+                   _unit_phases(ahat[1].diagonal(1), entry.e_sd), verified)
+    certificate = _certified(frame)
+    if certificate is None:
+        return frame.report
     for name, step in entry.steps:
-        failure = step(frame)
+        failure = certificate if step is _certified else step(frame)
         if failure:
             return _fail(name, *failure)
-    return frame.report
 
 
 def _superdiagonal_support(label, mat, ref_moduli, tol):
@@ -360,7 +370,6 @@ def _phases(fr):
     """The phases read off A2's superdiagonal and A3's subdiagonal
     agree."""
     ahat, entry = fr.ahat, fr.entry
-    fr.phases = _unit_phases(ahat[1].diagonal(1), entry.e_sd)
     if not fr.phases.size:
         return None
     sigma = np.conj(_unit_phases(ahat[2].diagonal(-1), entry.f_sd))
@@ -405,22 +414,24 @@ def _hs_budget(fr):
 
 
 def _slot_residuals(mats, refs, w, norms) -> np.ndarray:
-    """||a_i - w r_i w*||_HS / norms_i for each slot; NaN where a product
-    overflows, so the maximum over the slots (with numpy) is NaN too."""
-    return np.array([hs_norm(a - w @ r @ w.conj().T) / s for a, r, s in zip(mats, refs, norms)])
+    """||a_i - w r_i w*||_HS / norms_i over the slot stacks, ``w`` a unitary
+    or its diagonal; NaN where a product overflows, so the maximum over
+    the slots (with numpy) is NaN too."""
+    images = refs * (w[:, None] * w.conj()) if w.ndim == 1 else w @ refs @ w.conj().T
+    return hs_norms(mats - images) / norms
 
 
 def _certified(fr):
     """Certify all three slots with the witness diag(1, conj(p0),
     conj(p0 p1), ...), the canonical diagonal unitary with first entry 1
     built from the superdiagonal phases p."""
-    w = np.diag(np.concatenate([[1.0 + 0j], np.conj(np.cumprod(fr.phases))]))
-    resids = _slot_residuals(fr.ahat, fr.entry.ref.matrices, w, fr.entry.slot_norms)
+    w = np.concatenate([[1.0 + 0j], np.conj(np.cumprod(fr.phases))])
+    resids = _slot_residuals(fr.ahat, fr.entry.slots, w, fr.entry.slot_norms)
     per_slot = dict(zip(("certify A1", "certify A2", "certify A3"), resids.tolist()))
     resid = float(resids.max())
     if _exceeds(resid, fr.tol):
         return f"certification residual {resid:.3g} exceeds tolerance", None, per_slot
-    fr.report = RigidityReport(verdict=EQUIVALENT, witness=w, basis=fr.basis,
+    fr.report = RigidityReport(verdict=EQUIVALENT, witness=np.diag(w), basis=fr.basis,
                                condition_residuals=per_slot, residual=resid)
     return None
 
@@ -535,4 +546,4 @@ def certify_equivalence(t, ref, w, tol: float = DEFAULT_TOL) -> float:
     w = as_matrix(w)
     if not _is_unitary(w, tol):
         raise NotUnitaryError("witness is not unitary within tolerance")
-    return float(_slot_residuals(mats, refs, w, [max(1.0, hs_norm(r)) for r in refs]).max())
+    return float(_slot_residuals(mats, refs, w, np.maximum(1.0, hs_norms(refs))).max())

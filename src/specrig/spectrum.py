@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NotNormalError, _check_tol, as_matrix, hs_norm, normal_eig
+from .linalg import (DEFAULT_TOL, NotNormalError, _check_slot_shapes, _check_tol, as_matrix,
+                     hs_norm, normal_eig)
 from .poly import MultiPoly, _prune, _widen
 
 MAX_PENCIL_VARS = 4
@@ -114,13 +115,13 @@ def parse_pencil(src: str):
 
 
 def _slot_matrices(t):
-    """The three validated slot matrices of a tuple or a triple."""
-    if hasattr(t, "matrices"):
-        return tuple(as_matrix(m) for m in t.matrices)
-    mats = tuple(as_matrix(m) for m in t)
+    """The three validated slot matrices of a tuple or a triple, as one
+    (3, n, n) stack."""
+    mats = tuple(as_matrix(m) for m in (t.matrices if hasattr(t, "matrices") else t))
     if len(mats) != 3:
         raise ValueError("expected a triple (A1, A2, A3)")
-    return mats
+    _check_slot_shapes(mats)
+    return np.array(mats)
 
 
 def evaluate_expr(expr, mats):

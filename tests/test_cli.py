@@ -178,6 +178,17 @@ class TestRigidity:
                              "--family", "snu2", "--n", "4")
         assert (code, out, err) == (1, "", "error: --family snu2 requires --nu\n")
 
+    def test_mixed_slot_shapes_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "mixed.json"
+        blob = tuple_to_json(snu2_generators(5, 0.5))
+        blob["matrices"]["E"] = tuple_to_json(snu2_generators(4, 0.5))["matrices"]["E"]
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "rigidity", "--tuple", str(path),
+                             "--family", "snu2", "--n", "5", "--nu", "0.5")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}: malformed tuple JSON (the three slots must share one "
+                       "shape, got A1 5x5, A2 4x4, A3 5x5)\n")
+
     def test_wrong_reference_exit_two(self, capsys, tmp_path):
         path = tmp_path / "fix.json"
         run(capsys, "gen", "--family", "snu2", "--n", "5", "--nu", "0.5",

@@ -9,7 +9,7 @@ from specrig.exceptional import corollary_check, is_exceptional, multiplicity_pr
 from specrig.generators import h_coeff, sl2_generators, snu2_generators
 from specrig.linalg import (DimensionMismatchError, EigenvalueNotFoundError,
                             NotHermitianError, as_matrix, classify, cluster_values,
-                            commutator, hermitian_eig, hs_norm,
+                            commutator, hermitian_eig, hs_norm, hs_norms,
                             matrix_from_json, matrix_to_json, normal_eig,
                             spectral_projection)
 from specrig.rigidity import (certify_equivalence, compression_check, sl2_rigidity,
@@ -83,6 +83,20 @@ class TestHermitianEig:
     def test_not_hermitian_rejected(self, rng):
         with pytest.raises(NotHermitianError):
             hermitian_eig(random_complex(rng, 3))
+
+    def test_overflowing_norm_fails_closed(self):
+        # ||a|| and ||a - a*|| both overflow: comparing inf with tol * inf
+        # passed this matrix
+        a = np.full((4, 4), 1e308)
+        a[0, 1] = -1e308
+        with pytest.raises(NotHermitianError):
+            hermitian_eig(a)
+
+    def test_hermitian_matrix_of_overflowing_norm_passes(self):
+        a = np.full((4, 4), 1e308)
+        a[0, 1] = a[1, 0] = -1e308
+        assert hs_norm(a) == np.inf
+        assert hermitian_eig(a).values.shape == (4,)
 
 
 def _clusters_by_walk(vals, tol, scale):
@@ -185,6 +199,23 @@ class TestHsNorm:
 
     def test_zero_matrix(self):
         assert hs_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+
+    def test_stacked_norms_match(self, rng):
+        for n in (1, 3, 10):
+            stack = np.array([s * random_complex(rng, n) for s in (1e-8, 1.0, 1e60)])
+            assert hs_norms(stack).tolist() == pytest.approx([hs_norm(m) for m in stack],
+                                                             rel=1e-15)
+        assert hs_norms(np.array([[[3.0, 0.0], [0.0, -4.0]]])).tolist() == [5.0]
+
+    def test_stacked_overflow_is_rescaled_and_nan_propagates(self, rng):
+        stack = np.array([random_complex(rng, 4), 1e200 * random_complex(rng, 4),
+                          random_complex(rng, 4)])
+        stack[2, 1, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = hs_norms(stack)
+        assert norms[:2].tolist() == [hs_norm(stack[0]), hs_norm(stack[1])]
+        assert np.isfinite(norms[1]) and np.isnan(norms[2])
 
     def test_real_and_integer_input(self):
         assert hs_norm(np.array([[3.0, 0.0], [0.0, -4.0]])) == 5.0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from specrig import rigidity, spectrum
 from specrig.generators import (counterexample_tuple, sl2_generators,
                                 snu2_generators)
-from specrig.linalg import DEFAULT_TOL, hs_norm
+from specrig.linalg import DEFAULT_TOL, NotHermitianError, hs_norm
 from specrig.rigidity import (EQUIVALENT, HYPOTHESIS_FAILED,
                               RECONSTRUCTION_FAILED, ConditionReport, LineNotInSpectrumError,
                               MultiplicityError, NotUnitaryError,
@@ -849,9 +849,44 @@ def _verify_then_reconstruct(family, cand, n, nu, tol):
                                     for c in cond.checks if not c.equal)]
 
 
+def _steps_then_certify(family, cand, n, nu, tol):
+    """The report with reconstruction's named steps run as gates in front
+    of its certificate, each in order, then the hypotheses verified when
+    reconstruction fails, as the drivers do.  Step 1 comes before the
+    certificate in either order, so its failures are ``_reconstruct``'s."""
+    mats, entry = spectrum._slot_matrices(cand), rigidity._reference(family, n, nu)
+    cond = rigidity._verify_conditions(mats, entry, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            values, v, _, ok = rigidity._eigenbasis_matched(mats[0], mats[1], entry, tol)
+        except NotHermitianError:
+            ok = False
+        if not ok:
+            rep = rigidity._reconstruct(mats, entry, tol, lambda: cond.all_passed)
+        else:
+            ahat = v.conj().T @ mats @ v
+            frame = rigidity._Frame(entry, tol, values, v, ahat,
+                                    rigidity._unit_phases(ahat[1].diagonal(1), entry.e_sd),
+                                    lambda: cond.all_passed)
+            failed = next(((name, f) for name, step in entry.steps if (f := step(frame))), None)
+            rep = frame.report if failed is None else rigidity._fail(failed[0], *failed[1])
+    if rep.verdict == EQUIVALENT:
+        return rep
+    if not cond.all_passed:
+        rep = rigidity.RigidityReport(verdict=HYPOTHESIS_FAILED)
+        if not cond.a1_normal:
+            rep.diagnostics.append("A1 is not normal")
+        rep.diagnostics.extend(f"pencil equality failed: {c.pencil}"
+                               for c in cond.checks if not c.equal)
+    rep.condition_residuals.update(cond.residuals())
+    return rep
+
+
 class TestCertificateFirst:
     """The drivers reconstruct and certify first and verify the
-    hypotheses only when certification fails."""
+    hypotheses only when certification fails.  Inside reconstruction a
+    certified witness ends it, and the named steps run only to explain a
+    failed certificate."""
 
     @pytest.fixture
     def no_diagnostic(self, monkeypatch):
@@ -862,16 +897,42 @@ class TestCertificateFirst:
     @pytest.mark.parametrize("family,n,nu", [("snu2", 6, -0.7), ("snu2", 10, 0.3),
                                              ("sl2", 7, None)])
     def test_certified_conjugate_skips_verification(self, monkeypatch, rng, family, n, nu):
+        # and every named step of reconstruction: a certified witness ends it
         def refuse(*args):
-            raise AssertionError("verification ran on a certified candidate")
-        monkeypatch.setattr(rigidity, "_verify_conditions", refuse)
+            raise AssertionError("verification or a named step ran on a certified candidate")
         ref = _reference(family, n, nu)
         cand = conjugated(ref, random_unitary(rng, n))
-        rep = _rigidity(family, cand, n, nu, DEFAULT_TOL)
+        expected = _steps_then_certify(family, cand, n, nu, DEFAULT_TOL)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(rigidity, "_verify_conditions", refuse)
+                for name in ("_SNU2_STEPS", "_SL2_STEPS"):
+                    patch.setattr(rigidity, name,
+                                  tuple((label, refuse) for label, _ in getattr(rigidity, name)))
+                rigidity._reference.cache_clear()  # the cached entry holds the steps
+                rep = _rigidity(family, cand, n, nu, DEFAULT_TOL)
+        finally:
+            rigidity._reference.cache_clear()
         assert rep.verdict == EQUIVALENT, rep.diagnostics
+        assert json.dumps(rep.to_json()) == json.dumps(expected.to_json())
         assert list(rep.condition_residuals) == ["certify A1", "certify A2", "certify A3"]
         assert max(rep.condition_residuals.values()) == rep.residual
         assert certify_equivalence(cand, ref, rep.global_witness) <= DEFAULT_TOL
+
+    def test_tol_size_tamper_that_certifies_is_equivalent(self):
+        # 0.7 tol ||A2|| on A2's (1, 0) entry passes the support checks and
+        # certifies at 0.7 tol, but A2* A2 is off-diagonal by more than
+        # tol ||A2* A2||: with the steps as gates, step2 rejected it
+        n, nu = 3, 0.5
+        mats = [m.copy() for m in _reference("snu2", n, nu).matrices]
+        mats[1][1, 0] += 0.7 * DEFAULT_TOL * max(1.0, hs_norm(mats[1]))
+        gated = _steps_then_certify("snu2", tuple(mats), n, nu, DEFAULT_TOL)
+        assert (gated.verdict, gated.diagnostics) == (
+            RECONSTRUCTION_FAILED, ["step2: A2^H A2 is not diagonal in the A1 eigenbasis"])
+        rep = snu2_rigidity(tuple(mats), n, nu)
+        assert rep.verdict == EQUIVALENT and rep.residual <= DEFAULT_TOL
+        assert certify_equivalence(tuple(mats), _reference("snu2", n, nu),
+                                   rep.global_witness) <= DEFAULT_TOL
 
     @pytest.mark.parametrize("family,slot,i,j,diagnostics", [
         ("snu2", 0, 2, 1, ["A1 is not normal"]),
@@ -949,3 +1010,24 @@ class TestCertificateFirst:
         rep = _rigidity(family, tuple(mats), n, nu, DEFAULT_TOL)
         assert (rep.verdict, rep.diagnostics[:1]) \
             == _verify_then_reconstruct(family, tuple(mats), n, nu, DEFAULT_TOL)
+        # and the whole report is the one of the named steps run as gates
+        # in front of the certificate
+        expected = _steps_then_certify(family, tuple(mats), n, nu, DEFAULT_TOL)
+        assert json.dumps(rep.to_json()) == json.dumps(expected.to_json())
+
+
+class TestSlotShapes:
+    @pytest.mark.parametrize("sizes,shapes", [((5, 4, 5), "A1 5x5, A2 4x4, A3 5x5"),
+                                              ((4, 5, 5), "A1 4x4, A2 5x5, A3 5x5")])
+    def test_mixed_shapes_named(self, sizes, shapes):
+        # these ended in numpy's "matmul: Input operand 1 has a mismatch ..."
+        # and "setting an array element with a sequence ..."
+        refs = {k: snu2_generators(k, 0.5) for k in (4, 5)}
+        mats = tuple(refs[k].matrices[slot] for slot, k in enumerate(sizes))
+        calls = (lambda: snu2_rigidity(mats, 5, 0.5), lambda: sl2_rigidity(mats, 5),
+                 lambda: certify_equivalence(mats, refs[5], np.eye(5)),
+                 lambda: spectra_equal(mats, refs[5], ["A1, A2"]))
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match=f"^the three slots must share one shape, got {shapes}$"):
+                call()
