@@ -70,18 +70,25 @@ at n = 16, 32 and 64.  The approximation only buys speed: a NaN or a
 wrong value fails the certificate.
 
 ``is_exceptional`` and ``corollary_check`` read only the roots near their
-question, so they drop a pair once its bracket [lo, hi] rules it out.
-The final root stays inside the bracket, so the answers are those of the
-full bisection, bit for bit:
+question and bisect only the pairs that a bound cannot settle, so their
+answers are those of the full bisection, bit for bit:
 
-- ``is_exceptional`` steps each block from [0, 1] and prunes after every
-  step: np.sqrt and float subtraction are monotone under rounding, so
-  fl(nu - sqrt(hi)) > tol or fl(nu - sqrt(lo)) < -tol rules out
-  |nu - sqrt(z)| <= tol, and likewise for -sqrt(z).  Its pruning rules
-  out every pair in a step or a few when nu is not near a root, and there
-  the certified start (about 150 numpy calls) would cost more than it
-  saves (at n = 32, 372 us a query from [0, 1] against 493 us from
-  certified brackets).
+- ``is_exceptional`` sweeps once.  Rounded sqrt and subtraction are
+  monotone, so the floats z of [0, 1] with |fl(nu - fl(sqrt z))| <= tol
+  form a band [z_a, z_b] (``_band``; likewise for -nu), whose ends
+  ``_edge`` finds by testing that condition beside fl((nu -+ tol)^2); an
+  end not within 8 floats (nu +- tol nearly cancels) leaves every pair
+  undecided.  f~ = S_(n-j) - (S_n - S_(n-i)) from running sums of running
+  powers (``_power_sums``) is within 4E of f: each S_m is within
+  gamma_(2n-3) S_m <= E of its value, and the two subtractions add at
+  most 3nu(1 + 2 gamma_2n)(1 + u) <= E (underflow aside).  The
+  bisection keeps f^ > 0 at lo and f^ <= 0 at hi, and its root is lo or
+  hi where no float lies between them, so by the bounds above f~(p) >
+  (n-j+4) E puts the root at or above p, and f~(p) < -5E at or below p.
+  A pair so placed in [z_a, z_b] answers True; one at or below z_a^- or
+  at or above z_b^+ (the floats beside the ends) of every band is out
+  (beside an end 0 or 1, f~ is about 1 or n-i-j and rules nothing out);
+  only the rest are bisected and tested with np.sqrt.
 - ``corollary_check`` certifies every pair, a block at a time, prunes
   once on those brackets and bisects only the survivors (none at n = 12,
   16, 24, 40 and 64; 6 of 9801 at n = 200).  Every bracket has ends
@@ -92,9 +99,8 @@ full bisection, bit for bit:
   scanned for neighbours within ``tol``, instead of testing every pair
   and triple.
 
-The last ``_SCALAR_FINISH`` pairs of a pruned block, or up to
-``_SCALAR_PAIRS`` of an unpruned one (all of them for n <= 13, where that
-beats the array steps), run on ``z_root``'s loop from their brackets.
+A block of up to ``_SCALAR_PAIRS`` pairs (all of them for n <= 13, where
+that beats the array steps) runs on ``z_root``'s loop from its brackets.
 
 With the bisection this short, the work around it counts too.  The index
 pairs of a dimension are built once, as read-only arrays
@@ -116,12 +122,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .generators import _ladder, _overflow
-from .linalg import DEFAULT_TOL, _check_tol, _cluster_starts
+from .linalg import DEFAULT_TOL, _check_tol
 
 BISECT_ITERATIONS = 200
 _BLOCK = 2 ** 18  # coefficient floats per block of pairs (2 MB)
-_SCALAR_FINISH = 4  # pruned bisection finishes this many pairs on Python floats
-_SCALAR_PAIRS = 32  # unpruned bisection finishes this many pairs on Python floats
+_SCALAR_PAIRS = 32  # a block of at most this many pairs is bisected on Python floats
 
 
 class ExceptionalRoot(NamedTuple):
@@ -157,6 +162,11 @@ def _coefficients(n, i, j):
     coeffs[degrees < n - j] = 1.0
     coeffs[degrees >= n - i] = -1.0
     return coeffs
+
+
+def _error_bound(n):
+    """E = n gamma_2n, which bounds |f^ - f| on [0, 1] (module docstring)."""
+    return n * (2 * n * 2.0 ** -53) / (1.0 - 2 * n * 2.0 ** -53)
 
 
 def _step(coeffs, lo, hi):
@@ -195,8 +205,7 @@ def _approximate(n, i, j):
 def _certified(coeffs, n, i, j):
     """Dyadic brackets [lo, hi] that the plain bisection of each column of
     ``coeffs`` from [0, 1] passes through (see the module docstring)."""
-    u = 2.0 ** -53
-    bound = n * (2 * n * u) / (1.0 - 2 * n * u)  # E = n gamma_2n
+    bound = _error_bound(n)
     above = (n - j + 1) * bound
     z = _approximate(n, i, j)
     z = np.where((z >= 0.0) & (z < 1.0), z, 0.5)  # a NaN or an end starts anywhere
@@ -243,37 +252,27 @@ def _blocks(n, size):
     return (slice(s, s + rows) for s in range(0, size, rows))
 
 
-def _bisect(n: int, i: np.ndarray, j: np.ndarray, needed=None) -> np.ndarray:
+def _bisect(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Roots z of the pairs (i[k], j[k]) of dimension n (see the module
     docstring), bisected a block of pairs at a time.
 
-    A block's pairs start from their certified brackets, or from [0, 1]
-    when the caller passes ``needed``; the floats are the same either way.
-    They step in lockstep until no interval end moves.  With ``needed``,
-    after each step only the pairs whose brackets pass ``needed(lo, hi)``
-    (a boolean mask) go on; the others come back as NaN.  The last
-    ``_SCALAR_FINISH`` or fewer (``_SCALAR_PAIRS`` without ``needed``)
-    finish on Python floats from their brackets."""
-    finish = _SCALAR_PAIRS if needed is None else _SCALAR_FINISH
-    out, index = np.full(i.size, np.nan), np.arange(i.size)
+    A block's pairs start from their certified brackets and step in
+    lockstep until no interval end moves; a block of ``_SCALAR_PAIRS`` or
+    fewer finishes on Python floats from its brackets instead."""
+    out = np.empty(i.size)
     for b in _blocks(n, i.size):
-        live, coeffs = index[b], _coefficients(n, i[b], j[b])
-        lo, hi = (_certified(coeffs, n, i[b], j[b]) if needed is None
-                  else (np.zeros(live.size), np.ones(live.size)))
+        coeffs = _coefficients(n, i[b], j[b])
+        lo, hi = _certified(coeffs, n, i[b], j[b])
+        if lo.size <= _SCALAR_PAIRS:
+            out[b] = [_scalar_root(c, x, y)
+                      for c, x, y in zip(coeffs.T.tolist(), lo.tolist(), hi.tolist())]
+            continue
         for _ in range(BISECT_ITERATIONS):
-            if live.size <= finish:
-                break
             new_lo, new_hi = _step(coeffs, lo, hi)
             if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
                 break
             lo, hi = new_lo, new_hi
-            if needed is not None and not (keep := needed(lo, hi)).all():
-                live, lo, hi, coeffs = live[keep], lo[keep], hi[keep], coeffs[:, keep]
-        if live.size > finish:
-            out[live] = 0.5 * (lo + hi)
-        else:
-            out[live] = [_scalar_root(c, x, y)
-                         for c, x, y in zip(coeffs.T.tolist(), lo.tolist(), hi.tolist())]
+        out[b] = 0.5 * (lo + hi)
     return out
 
 
@@ -337,22 +336,67 @@ def exceptional_set(n: int):
     return _roots(n, i, j, _bisect(n, i, j))
 
 
+def _edge(holds, z, toward):
+    """For a predicate that holds on the floats of [0, 1] from the end
+    1 - ``toward`` up to one edge, the last float from ``z`` toward
+    ``toward`` (0.0 or 1.0) at which it holds: +inf (toward 0) or -inf
+    (toward 1) if it holds nowhere, None if that is not within 8 floats."""
+    inside = holds(z)
+    end = toward if inside else 1.0 - toward
+    for _ in range(8):
+        if z == end:
+            return z if inside else math.copysign(math.inf, end - toward)
+        if holds(nxt := math.nextafter(z, end)) != inside:
+            return z if inside else nxt
+        z = nxt
+    return None
+
+
+def _band(m, tol):
+    """The floats z of [0, 1] with |fl(m - fl(sqrt z))| <= tol, as their
+    least and greatest (z_a, z_b), by ``_edge``: empty if z_a > z_b."""
+    lo, hi = max(0.0, m - tol), max(0.0, m + tol)
+    return (_edge(lambda z: m - math.sqrt(z) <= tol, min(1.0, lo * lo), 0.0),
+            _edge(lambda z: m - math.sqrt(z) >= -tol, min(1.0, hi * hi), 1.0))
+
+
+def _power_sums(n, x):
+    """s[p, m] = 1 + x_p + ... + x_p^(m-1) for m = 0..n: a running sum of
+    the running products."""
+    s, powers = np.zeros((len(x), n + 1)), np.ones((len(x), n))
+    powers[:, 1:] = np.reshape(x, (-1, 1))
+    np.cumsum(np.cumprod(powers, axis=1), axis=1, out=s[:, 1:])
+    return s
+
+
 def is_exceptional(n: int, nu: float, tol: float = DEFAULT_TOL) -> bool:
     """Whether nu lies within tol of an exceptional parameter of
-    dimension n: +-1, or +-nu of a root in ``exceptional_set(n)``;
-    pairs are bisected only while their root may (see the module
-    docstring).  A NaN nu is never exceptional."""
+    dimension n: +-1, or +-nu of a root in ``exceptional_set(n)``.  One
+    sweep at the ends of the band of such roots places most pairs, only
+    the others are bisected (see the module docstring), and the answer is
+    the full scan's.  A NaN nu is never exceptional."""
     _check_tol(tol)
     i, j = _index_pairs(n)
     if abs(nu - 1.0) <= tol or abs(nu + 1.0) <= tol:
         return True
     if math.isnan(nu):
         return False
-
-    def needed(lo, hi):
-        a, b = np.sqrt(lo), np.sqrt(hi)
-        return ~(((nu - b > tol) | (nu - a < -tol)) & ((nu + a > tol) | (nu + b < -tol)))
-    s = np.sqrt(_bisect(n, i, j, needed))
+    nu = float(nu)
+    bands = [_band(m, tol) for m in (nu, -nu)]
+    undecided = np.ones(i.size, dtype=bool)
+    if None not in bands[0] + bands[1]:
+        x = [z for a, b in bands if a <= b
+             for z in (math.nextafter(a, -1.0), a, b, math.nextafter(b, 2.0))]
+        s, bound = _power_sums(n, x), _error_bound(n)
+        for blk in _blocks(n, i.size):
+            f = s[:, n - j[blk]] - (s[:, n:] - s[:, n - i[blk]])  # f~ at each x
+            f, above = f.reshape(-1, 4, f.shape[1]), (n - j[blk] + 4) * bound
+            if ((f[:, 1] > above) & (f[:, 2] < -5.0 * bound)).any():
+                return True
+            undecided[blk] = ~((f[:, 0] < -5.0 * bound) | (f[:, 3] > above)).all(axis=0)
+        if not undecided.any():
+            return False
+    s = np.sqrt(_bisect(n, i[undecided], j[undecided]))
     return bool(np.any(np.abs(nu - s) <= tol) or np.any(np.abs(nu + s) <= tol))
 
 
@@ -368,14 +412,14 @@ def multiplicity_profile(n: int, nu: float, tol: float = DEFAULT_TOL):
     if n < 1:
         raise ValueError("dimension must be >= 1")
     try:
-        vals = np.sort([(nu * c) ** 2 for c in _ladder(n, nu)[1:]])
+        vals = sorted([(nu * c) ** 2 for c in _ladder(n, nu)[1:]])
     except OverflowError:
         raise _overflow(n, nu) from None
-    mags = np.abs(vals)
-    starts = np.concatenate(([0], _cluster_starts(
-        vals, tol * np.maximum(1.0, np.maximum(mags[:-1], mags[1:])))))
-    counts = np.diff(np.append(starts, vals.size))
-    return list(zip((np.add.reduceat(vals, starts) / counts).tolist(), counts.tolist()))
+    # on Python floats: numpy calls on n values cost more than the work;
+    # the values are >= 0, so max(1, |a|, |b|) is max(1, b)
+    starts = [0] + [k for k in range(1, n) if not vals[k] - vals[k - 1] <= tol * max(1.0, vals[k])]
+    counts = [b - a for a, b in zip(starts, starts[1:] + [n])]
+    return [(v / c, c) for v, c in zip(np.add.reduceat(vals, starts).tolist(), counts)]
 
 
 @dataclass

@@ -86,20 +86,31 @@ def hs_norms(stack) -> np.ndarray:
     return norms if norms.max() < math.inf else np.array([hs_norm(m) for m in x])
 
 
+def _finite_scale(a, scale):
+    """(a, scale) for a finite ``scale`` = max(1, ||a||), else a / max|a_ij|
+    and its norm: a scale-invariant test then compares no inf with inf."""
+    if scale < math.inf:
+        return a, scale
+    b = a / np.abs(a).max()
+    return b, hs_norm(b)
+
+
 def _is_normal(a, tol: float, scale=None) -> bool:
     """||a a* - a* a|| <= tol * scale^2, tested on a / scale so that
     neither the products nor the squared norm can overflow; ``scale``
-    is max(1, ||a||), computed here when not given."""
-    b = a / (max(1.0, hs_norm(a)) if scale is None else scale)
+    is max(1, ||a||), computed here when not given (``_finite_scale``)."""
+    a, s = _finite_scale(a, max(1.0, hs_norm(a)) if scale is None else scale)
+    b = a / s
     return hs_norm(b @ b.conj().T - b.conj().T @ b) <= tol
 
 
 def _is_unitary(a, tol: float, scale=None) -> bool:
     """||a a* - I|| <= tol * scale^2, tested on a / scale as ``_is_normal``
-    is, so nothing can overflow; ``scale`` as in ``_is_normal``."""
+    is, so nothing can overflow; ``scale`` as in ``_is_normal``, and
+    never inf: a matrix whose norm overflows is not unitary."""
     s = max(1.0, hs_norm(a)) if scale is None else scale
     u = a / s
-    return hs_norm(u @ u.conj().T - np.eye(a.shape[0]) / (s * s)) <= tol
+    return s < math.inf and hs_norm(u @ u.conj().T - np.eye(a.shape[0]) / (s * s)) <= tol
 
 
 def commutator(a, b) -> np.ndarray:
@@ -137,10 +148,8 @@ def _is_hermitian(a, tol, norm) -> bool:
     """||a - a*|| <= tol * max(1, norm) for the finite ``a`` of HS norm
     ``norm``.  If ``norm`` overflows, the test runs on a / max|a_ij|, so it
     cannot compare inf with inf; a NaN or infinite residual fails."""
-    if norm < math.inf:
-        return hs_norm(a - a.conj().T) <= tol * max(1.0, norm)
-    b = a / np.abs(a).max()
-    return hs_norm(b - b.conj().T) <= tol * hs_norm(b)
+    a, s = _finite_scale(a, max(1.0, norm))
+    return hs_norm(a - a.conj().T) <= tol * s
 
 
 def _checked_eigh(a, tol, norm):
@@ -238,9 +247,10 @@ def classify(a, tol: float = DEFAULT_TOL) -> MatrixFlags:
     a = as_matrix(a)
     n = a.shape[0]
     s = max(1.0, hs_norm(a))
+    unitary = _is_unitary(a, tol, s)
+    a, s = _finite_scale(a, s)  # every other flag is invariant under scaling
     normal = _is_normal(a, tol, s)
     hermitian = _is_hermitian(a, tol, s)
-    unitary = _is_unitary(a, tol, s)
     diagonal = hs_norm(a - np.diag(np.diag(a))) <= tol * s
     simple = False
     if normal:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,6 +298,10 @@ class TestCorollary:
 TOLS = (1e-9, 1e-6, 0.8)
 
 
+def _no_bisection(*args):
+    raise AssertionError("bisected")
+
+
 def _within_full_scan(nus, nu, tol):
     return any(abs(nu - s) <= tol for s in nus)
 
@@ -334,6 +339,71 @@ class TestIsExceptionalPruned:
         monkeypatch.setattr(exceptional, "exceptional_set", refuse)
         assert is_exceptional(32, z_root(32, 20, 30).nu)
         assert corollary_check(24)
+
+    @pytest.mark.parametrize("n", [10, 32])
+    def test_sweep_settles_roots_and_far_parameters(self, monkeypatch, n):
+        # at a root (either sign) and 1e-6 or more from every exceptional
+        # parameter, as the benchmark draws its queries, nothing is bisected
+        nus = np.array(exceptional_nus(n))
+        rng = np.random.default_rng(n)
+        far = [nu for nu in rng.uniform(-0.99, 0.99, 60) if np.abs(nus - nu).min() > 1e-6]
+        monkeypatch.setattr(exceptional, "_bisect", _no_bisection)
+        assert all(is_exceptional(n, nu) for nu in nus)
+        assert not any(is_exceptional(n, nu) for nu in far)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_band_edges_bisect_only_undecided_pairs(self, monkeypatch, tol):
+        # nu = s +- tol puts the root z = s^2 within an ulp or so of a band
+        # end, where no bound places it: that pair, and only pairs with a
+        # root that close to an end, are bisected
+        n, nus = 12, exceptional_nus(12)
+        bisect, bisected, total = exceptional._bisect, [], []
+
+        def spy(n, i, j):
+            bisected.extend(zip(i.tolist(), j.tolist()))
+            total.append(i.size)
+            return bisect(n, i, j)
+        monkeypatch.setattr(exceptional, "_bisect", spy)
+        roots = {(r.i, r.j): r.z for r in exceptional_set(n)}
+        for s in nus[1:-1]:
+            for edge in (s + tol, s - tol):
+                for q in (edge, math.nextafter(edge, 2.0), math.nextafter(edge, -2.0)):
+                    del bisected[:]
+                    assert is_exceptional(n, q, tol) == _within_full_scan(nus, q, tol), q
+                    ends = [z for m in (q, -q) for z in exceptional._band(m, tol)]
+                    for p in bisected:
+                        assert min(abs(roots[p] - z) for z in ends) <= 1e-14, (q, p)
+        assert 0 < sum(total) <= 2 * len(total)
+
+    def test_two_blocks_one_power_table(self, monkeypatch):
+        # n = 104 splits the pairs into two blocks, and the last pair's root
+        # lies in the second: one table of power sums serves both
+        i, _ = exceptional._index_pairs(104)
+        assert len(list(exceptional._blocks(104, i.size))) == 2
+        power_sums, tables = exceptional._power_sums, []
+        monkeypatch.setattr(exceptional, "_power_sums",
+                            lambda n, x: tables.append(x) or power_sums(n, x))
+        nu = -exceptional_set(104)[-1].nu
+        monkeypatch.setattr(exceptional, "_bisect", _no_bisection)
+        assert is_exceptional(104, nu)
+        assert not is_exceptional(104, 0.123456)
+        assert len(tables) == 2
+
+    @pytest.mark.parametrize("n", [5, 17, 40])
+    def test_sweep_values_within_four_error_bounds(self, n):
+        # f~ = S_(n-j) - (S_n - S_(n-i)) from the power table, against exact
+        # rational arithmetic at each point, and 4E with E = n gamma_2n
+        i, j = exceptional._index_pairs(n)
+        x = [0.0, 0.5, PLASTIC_ROOT, 0.9, math.nextafter(1.0, 0.0), 1.0]
+        s = exceptional._power_sums(n, x)
+        for row, p in zip(s, x):
+            exact = [Fraction(0)]
+            for k in range(n):
+                exact.append(exact[-1] + Fraction(p) ** k)
+            got = row[n - j] - (row[n] - row[n - i])
+            want = [exact[n - b] - (exact[n] - exact[n - a]) for a, b in zip(i, j)]
+            worst = max(abs(Fraction(g) - w) for g, w in zip(got.tolist(), want))
+            assert worst <= 4 * exceptional._error_bound(n), (n, p)
 
     def test_n200_memory_is_bounded(self):
         nu = z_root(200, 120, 150).nu

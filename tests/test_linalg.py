@@ -8,7 +8,8 @@ import specrig
 from specrig.exceptional import corollary_check, is_exceptional, multiplicity_profile
 from specrig.generators import h_coeff, sl2_generators, snu2_generators
 from specrig.linalg import (DimensionMismatchError, EigenvalueNotFoundError,
-                            NotHermitianError, as_matrix, classify, cluster_values,
+                            MatrixFlags, NotHermitianError, _is_normal, _is_unitary,
+                            as_matrix, classify, cluster_values,
                             commutator, hermitian_eig, hs_norm, hs_norms,
                             matrix_from_json, matrix_to_json, normal_eig,
                             spectral_projection)
@@ -257,6 +258,20 @@ class TestClassify:
         flags = classify(p)
         assert flags.normal and flags.unitary
         assert not flags.hermitian and not flags.diagonal
+
+    def test_overflowing_norm_fails_closed(self):
+        # ||a|| overflows: a / ||a|| was the zero matrix, so a was normal,
+        # unitary and diagonal, and its spectrum step warned (an error here)
+        a = np.full((4, 4), 1e308)
+        a[0, 1] = -1e308
+        assert not _is_normal(as_matrix(a), 1e-9) and not _is_unitary(as_matrix(a), 1e-9)
+        assert classify(a) == MatrixFlags(False, False, False, False, False)
+
+    def test_diagonal_of_overflowing_norm_keeps_its_flags(self):
+        flags = classify(np.diag([1e308, -1e308, 1e308, -1e308]))
+        assert flags.normal and flags.hermitian and flags.diagonal
+        assert not flags.unitary and not flags.simple_spectrum
+        assert classify(np.diag([1e308, -1e308, 3e307, 2.0])).simple_spectrum
 
 
 class TestMatrixJson:

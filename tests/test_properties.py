@@ -2,6 +2,7 @@
 the exceptional roots against the scalar reference computations."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -198,3 +199,24 @@ def test_corollary_check_at_n40_matches_pair_loop(n):
     for tol in (1e-10, 1e-4, 1e-3, float(gaps.min()), float(np.median(gaps))):
         res = corollary_check(n, tol)
         assert (res.ok, res.violations) == _close_pair_corollary(roots, tol)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(2, 40), tol=st.sampled_from([1e-12, 1e-9, 1e-3, 0.3, 2.0]),
+       data=st.data())
+def test_is_exceptional_matches_full_scan(n, tol, data):
+    # parameters at a band edge (+-sqrt(z) +- tol, then a few ulps either
+    # way), anywhere in [-3, 3], or a signed zero; at tol 2.0 both signs
+    # of every root are in reach of |nu| < 2
+    nus = [1.0] + [r.nu for r in exceptional_set(n)]
+    kind = data.draw(st.sampled_from(["edge", "wide", "zero"]))
+    if kind == "edge":
+        nu = (data.draw(st.sampled_from(nus)) * data.draw(st.sampled_from([1.0, -1.0]))
+              + data.draw(st.sampled_from([-tol, 0.0, tol])))
+        steps = data.draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            nu = math.nextafter(nu, math.copysign(3.0, steps))
+    else:
+        nu = data.draw(st.floats(-3.0, 3.0) if kind == "wide" else st.sampled_from([0.0, -0.0]))
+    scan = any(abs(nu - s) <= tol or abs(nu + s) <= tol for s in nus)
+    assert is_exceptional(n, nu, tol) == scan
