@@ -3,14 +3,13 @@ rigidity for deformed su(2) / sl(2) ladder generators."""
 
 from .exceptional import (CorollaryCheck, ExceptionalRoot, corollary_check,
                           exceptional_set, is_exceptional, multiplicity_profile,
-                          root_polynomial, z_root)
+                          z_root)
 from .generators import (GeneratorTuple, RelationResidual, c_coeff,
                          counterexample_tuple, fundamental_generators,
                          h_coeff, one_dim_rep, relation_residuals,
                          sl2_generators, snu2_generators, tuple_from_json,
                          tuple_to_json)
-from .linalg import (DEFAULT_TOL, EigenDecomposition, MatrixFlags, as_matrix,
-                     classify, commutator, hermitian_eig, hs_norm,
+from .linalg import (DEFAULT_TOL, as_matrix, commutator, hs_norm,
                      matrix_from_json, matrix_to_json, spectral_projection)
 from .poly import MultiPoly, poly_to_json
 from .rigidity import (EQUIVALENT, HYPOTHESIS_FAILED, RECONSTRUCTION_FAILED,

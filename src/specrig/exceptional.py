@@ -148,13 +148,6 @@ def _check_indices(n, i, j):
         raise ValueError(f"need i + j > n, got i={i}, j={j}, n={n}")
 
 
-def root_polynomial(n: int, i: int, j: int) -> np.ndarray:
-    """Ascending coefficient array: +1 for degrees 0..n-j-1, -1 for
-    degrees n-i..n-1, zeros between."""
-    _check_indices(n, i, j)
-    return _coefficients(n, np.array([i]), np.array([j]))[::-1, 0]
-
-
 def _coefficients(n, i, j):
     """(n, pairs) array; row k multiplies z^(n-1-k), Horner order."""
     degrees = np.arange(n - 1, -1, -1)[:, None]
@@ -304,7 +297,8 @@ def z_root(n: int, i: int, j: int) -> ExceptionalRoot:
     neither end.  It takes no certified start, so it is the plain
     bisection that ``exceptional_set`` reproduces bit for bit.
     """
-    z = _scalar_root(root_polynomial(n, i, j)[::-1].tolist())
+    _check_indices(n, i, j)
+    z = _scalar_root(_coefficients(n, np.array([i]), np.array([j]))[:, 0].tolist())
     return ExceptionalRoot(n, i, j, z, float(np.sqrt(z)))
 
 

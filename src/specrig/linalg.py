@@ -13,7 +13,6 @@ square for products like A A*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,38 +121,21 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix: real values ascending,
-    columns of ``vectors`` the matching orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a (numerically) Hermitian matrix.
-
-    Requires ``||a - a*|| <= tol * max(1, ||a||)``; the Hermitian part
-    (a + a*)/2 is then diagonalized.  Eigenvalues come back ascending and
-    each eigenvector is phase-normalized so that its largest-modulus
-    component is real positive, which makes the output deterministic.
-    """
-    _check_tol(tol)
-    a = as_matrix(a)
-    return EigenDecomposition(*_checked_eigh(a, tol, hs_norm(a)))
-
-
 def _is_hermitian(a, tol, norm) -> bool:
     """||a - a*|| <= tol * max(1, norm) for the finite ``a`` of HS norm
     ``norm``.  If ``norm`` overflows, the test runs on a / max|a_ij|, so it
     cannot compare inf with inf; a NaN or infinite residual fails."""
     a, s = _finite_scale(a, max(1.0, norm))
-    return hs_norm(a - a.conj().T) <= tol * s
+    with np.errstate(over="ignore"):  # an a - a* that overflows is not Hermitian
+        d = a - a.conj().T
+    return hs_norm(d) <= tol * s
 
 
 def _checked_eigh(a, tol, norm):
-    """``hermitian_eig``'s values and vectors of a validated ``a`` of HS norm ``norm``."""
+    """Eigenvalues (ascending) and eigenvectors of the Hermitian part of a
+    validated ``a`` of HS norm ``norm``, each column's largest-modulus
+    entry made real positive; ``NotHermitianError`` unless
+    ``||a - a*|| <= tol * max(1, norm)``."""
     if not _is_hermitian(a, tol, norm):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)  # halves first: the sum cannot overflow
@@ -192,18 +174,22 @@ def cluster_values(values, tol: float, scale: float):
 def normal_eig(a, tol: float = DEFAULT_TOL):
     """Eigenvalues and orthonormal eigenvectors of a normal matrix.
 
-    Hermitian inputs go through ``hermitian_eig``; otherwise the general
-    eigensolver is used and eigenvectors are re-orthonormalized inside
-    each eigenvalue cluster (for a normal matrix distinct eigenspaces are
-    already orthogonal).  Values are ordered by (real, imag).
+    Hermitian inputs go through ``_checked_eigh`` (values ascending,
+    vectors phase-fixed); otherwise the general eigensolver is used and
+    eigenvectors are re-orthonormalized inside each eigenvalue cluster
+    (for a normal matrix distinct eigenspaces are already orthogonal).
+    Values are ordered by (real, imag).
     """
+    _check_tol(tol)
     a = as_matrix(a)
     scale = max(1.0, hs_norm(a))
     if not _is_normal(a, tol, scale):
         raise NotNormalError("matrix is not normal within tolerance")
-    if _is_hermitian(a, tol, scale):
-        dec = hermitian_eig(a, tol)
-        return dec.values.astype(np.complex128), dec.vectors
+    try:
+        w, v = _checked_eigh(a, tol, scale)
+        return w.astype(np.complex128), v
+    except NotHermitianError:
+        pass
     w, v = np.linalg.eig(a)
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
@@ -220,7 +206,6 @@ def spectral_projection(a, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     eigenvalues within that distance of each other count as one spectral
     point, so the projection rank equals the multiplicity.
     """
-    _check_tol(tol)
     a = as_matrix(a)
     w, v = normal_eig(a, tol)
     scale = max(1.0, hs_norm(a))
@@ -229,35 +214,6 @@ def spectral_projection(a, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
             q = v[:, idxs]
             return q @ q.conj().T
     raise EigenvalueNotFoundError(f"{lam} is not an eigenvalue within tolerance")
-
-
-@dataclass(frozen=True)
-class MatrixFlags:
-    normal: bool
-    hermitian: bool
-    unitary: bool
-    diagonal: bool
-    simple_spectrum: bool
-
-
-def classify(a, tol: float = DEFAULT_TOL) -> MatrixFlags:
-    """Structural flags of a matrix, each tested at the tolerance scaled
-    by the natural magnitude of the residual being measured."""
-    _check_tol(tol)
-    a = as_matrix(a)
-    n = a.shape[0]
-    s = max(1.0, hs_norm(a))
-    unitary = _is_unitary(a, tol, s)
-    a, s = _finite_scale(a, s)  # every other flag is invariant under scaling
-    normal = _is_normal(a, tol, s)
-    hermitian = _is_hermitian(a, tol, s)
-    diagonal = hs_norm(a - np.diag(np.diag(a))) <= tol * s
-    simple = False
-    if normal:
-        w = hermitian_eig(a, tol).values if hermitian else np.linalg.eigvals(a)
-        simple = len(cluster_values(w, tol, s)) == n
-    return MatrixFlags(normal=normal, hermitian=hermitian, unitary=unitary,
-                       diagonal=diagonal, simple_spectrum=simple)
 
 
 # --- Matrix JSON: {"n": int, "entries": [[[re, im], ...], ...]} row-major ---

@@ -216,7 +216,7 @@ def _eigenbasis_matched(a1, a2, entry, tol):
     built down the ladder, as in the proof: the next column is A2 times
     the one above, twice orthogonalized against the columns built so far
     and projected onto the cluster's span (each pass projects: A2 amplifies
-    rounding), normalized and phase-fixed as in ``hermitian_eig``.  If a
+    rounding), normalized and phase-fixed as in ``_checked_eigh``.  If a
     step vanishes (or is NaN), the cluster keeps A1's columns.  The
     certificate still has to pass, so the basis cannot manufacture a
     witness that is not there.  One HS norm of A1 serves both the
@@ -537,7 +537,7 @@ def compression_check(a1, b, lam, mu, tol: float = DEFAULT_TOL) -> bool:
 def certify_equivalence(t, ref, w, tol: float = DEFAULT_TOL) -> float:
     """Max over the three slots of ||t_i - w ref_i w*||_HS, normalized by
     max(1, ||ref_i||_HS) so the figure is comparable across the scale
-    range of the ladder matrices.  ``w`` must be unitary (``classify``'s
+    range of the ladder matrices.  ``w`` must be unitary (``_is_unitary``'s
     test).  The result is NaN when a slot's product overflows float64, so
     it never compares <= tol."""
     _check_tol(tol)

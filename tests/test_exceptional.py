@@ -9,12 +9,22 @@ import pytest
 from specrig import exceptional
 from specrig.exceptional import (ExceptionalRoot, corollary_check,
                                  exceptional_set, is_exceptional,
-                                 multiplicity_profile, root_polynomial,
-                                 z_root)
+                                 multiplicity_profile, z_root)
 from specrig.generators import c_coeff
 
 # unique real root of z^3 + z^2 = 1 (cross-checked symbolically)
 PLASTIC_ROOT = 0.7548776662466927
+
+
+def root_polynomial(n, i, j):
+    """Ascending coefficients of the pair's polynomial, from its definition:
+    +1 on degrees 0..n-j-1, -1 on degrees n-i..n-1, zeros between."""
+    return np.array([1.0 if d < n - j else -1.0 if d >= n - i else 0.0 for d in range(n)])
+
+
+def library_coefficients(n, i, j):
+    """The pair's column of ``exceptional._coefficients``, in ascending order."""
+    return exceptional._coefficients(n, np.array([i]), np.array([j]))[::-1, 0]
 
 
 def poly_value(coeffs, z):
@@ -34,24 +44,29 @@ def sign_changes(coeffs):
 
 
 class TestRootPolynomial:
+    """The library's coefficients against the definition."""
+
     def test_n4_pair(self):
+        assert np.array_equal(library_coefficients(4, 2, 3), [1.0, 0.0, -1.0, -1.0])
         assert np.array_equal(root_polynomial(4, 2, 3), [1.0, 0.0, -1.0, -1.0])
 
     def test_n5_pair(self):
+        assert np.array_equal(library_coefficients(5, 3, 4), [1.0, 0.0, -1.0, -1.0, -1.0])
         assert np.array_equal(root_polynomial(5, 3, 4), [1.0, 0.0, -1.0, -1.0, -1.0])
 
     def test_leading_and_constant(self):
         for n in range(4, 10):
             for i, j in itertools.combinations(range(n), 2):
                 if i + j > n:
-                    c = root_polynomial(n, i, j)
+                    c = library_coefficients(n, i, j)
+                    assert np.array_equal(c, root_polynomial(n, i, j))
                     assert c[0] == 1.0 and c[-1] == -1.0
 
     def test_index_constraints(self):
         with pytest.raises(ValueError):
-            root_polynomial(4, 1, 2)  # i + j = 3 <= 4
+            z_root(4, 1, 2)  # i + j = 3 <= 4
         with pytest.raises(ValueError):
-            root_polynomial(4, 3, 2)
+            z_root(4, 3, 2)
 
 
 class TestZRoot:

@@ -8,9 +8,9 @@ import specrig
 from specrig.exceptional import corollary_check, is_exceptional, multiplicity_profile
 from specrig.generators import h_coeff, sl2_generators, snu2_generators
 from specrig.linalg import (DimensionMismatchError, EigenvalueNotFoundError,
-                            MatrixFlags, NotHermitianError, _is_normal, _is_unitary,
-                            as_matrix, classify, cluster_values,
-                            commutator, hermitian_eig, hs_norm, hs_norms,
+                            NotHermitianError, NotNormalError, _checked_eigh,
+                            _is_hermitian, _is_normal, _is_unitary, as_matrix,
+                            cluster_values, commutator, hs_norm, hs_norms,
                             matrix_from_json, matrix_to_json, normal_eig,
                             spectral_projection)
 from specrig.rigidity import (certify_equivalence, compression_check, sl2_rigidity,
@@ -53,51 +53,58 @@ class TestMatOp:
 
 
 class TestHermitianEig:
+    """``normal_eig`` on Hermitian input, and the checked kernel behind it."""
+
     def test_diagonal_permutation(self):
-        dec = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(dec.values, [1.0, 2.0, 3.0])
+        w, v = normal_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        assert np.allclose(w, [1.0, 2.0, 3.0])
         # columns are permuted identity columns
-        assert np.allclose(np.abs(dec.vectors), np.eye(3)[:, [1, 2, 0]])
+        assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
 
     def test_sigma_x(self):
-        dec = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(dec.values, [-1.0, 1.0])
+        w, _ = normal_eig(np.array([[0, 1], [1, 0]], dtype=complex))
+        assert np.allclose(w, [-1.0, 1.0])
 
     def test_h4_half(self):
         # diagonal of the ladder H at n=4, nu=0.5: exact values from the
         # closed form nu^2/(1-nu^2) (nu^(2(n-2k-1)) - 1)
         t = snu2_generators(4, 0.5)
-        dec = hermitian_eig(t.h)
+        w, _ = normal_eig(t.h)
         expected = sorted(h_coeff(4, k, 0.5) for k in range(4))
-        assert np.allclose(dec.values, expected, atol=1e-14)
+        assert np.allclose(w, expected, atol=1e-14)
         assert expected == pytest.approx([-21 / 64, -1 / 4, 1.0, 21.0])
 
     def test_reconstruction_and_orthogonality(self, rng):
         for n in (2, 5, 9):
             a = random_hermitian(rng, n)
-            dec = hermitian_eig(a)
-            v, w = dec.vectors, dec.values
+            w, v = normal_eig(a)
+            assert np.all(w.imag == 0.0) and np.all(np.diff(w.real) >= 0.0)
+            top = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+            assert np.all(np.abs(top.imag) <= 1e-15) and np.all(top.real > 0.0)
             assert hs_norm(a @ v - v @ np.diag(w)) <= 1e-10 * max(1, hs_norm(a))
             assert hs_norm(v @ np.diag(w) @ v.conj().T - a) <= 1e-9 * max(1, hs_norm(a))
             assert hs_norm(v.conj().T @ v - np.eye(n)) <= 1e-10
 
     def test_not_hermitian_rejected(self, rng):
+        a = random_complex(rng, 3)
         with pytest.raises(NotHermitianError):
-            hermitian_eig(random_complex(rng, 3))
+            _checked_eigh(a, 1e-9, hs_norm(a))
+        with pytest.raises(NotNormalError):
+            normal_eig(a)
 
     def test_overflowing_norm_fails_closed(self):
         # ||a|| and ||a - a*|| both overflow: comparing inf with tol * inf
         # passed this matrix
-        a = np.full((4, 4), 1e308)
+        a = as_matrix(np.full((4, 4), 1e308))
         a[0, 1] = -1e308
         with pytest.raises(NotHermitianError):
-            hermitian_eig(a)
+            _checked_eigh(a, 1e-9, hs_norm(a))
 
     def test_hermitian_matrix_of_overflowing_norm_passes(self):
-        a = np.full((4, 4), 1e308)
+        a = as_matrix(np.full((4, 4), 1e308))
         a[0, 1] = a[1, 0] = -1e308
         assert hs_norm(a) == np.inf
-        assert hermitian_eig(a).values.shape == (4,)
+        assert _checked_eigh(a, 1e-9, hs_norm(a))[0].shape == (4,)
 
 
 def _clusters_by_walk(vals, tol, scale):
@@ -181,6 +188,19 @@ class TestNormalEig:
         assert np.linalg.matrix_rank(p) == 2
         assert hs_norm(p @ a - 1j * p) <= 1e-14
 
+    def test_overflowing_anti_hermitian_part(self):
+        # ||a|| is finite but a - a* overflows: the Hermitian test warned
+        # (an error here); such an a is not Hermitian
+        a = np.diag([1e308, -1e308, 1e308j, 5.0])
+        w, _ = normal_eig(a)
+        assert np.allclose(w, [-1e308, 1e308j, 5.0, 1e308], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a NaN tol was reported as a matrix that is not normal
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            normal_eig(np.eye(2), tol)
+
 
 class TestHsNorm:
     def test_bit_identical_to_numpy_norm(self, rng):
@@ -223,55 +243,56 @@ class TestHsNorm:
         assert hs_norm([[3, 0], [0, 4]]) == 5.0
 
 
+def _flags(a, tol=1e-9):
+    """(normal, Hermitian, unitary) by the predicates rigidity relies on."""
+    a = as_matrix(a)
+    return _is_normal(a, tol), _is_hermitian(a, tol, hs_norm(a)), _is_unitary(a, tol)
+
+
 class TestClassify:
+    """Structural classification by ``_is_normal``, ``_is_hermitian`` and
+    ``_is_unitary``."""
+
     def test_identity_1x1(self):
-        flags = classify(np.eye(1))
-        assert (flags.normal and flags.hermitian and flags.unitary
-                and flags.diagonal and flags.simple_spectrum)
+        assert _flags(np.eye(1)) == (True, True, True)
 
     def test_identity_3x3_not_simple(self):
-        flags = classify(np.eye(3))
-        assert flags.normal and flags.hermitian and flags.unitary and flags.diagonal
-        assert not flags.simple_spectrum
+        assert _flags(np.eye(3)) == (True, True, True)
+        assert np.linalg.matrix_rank(spectral_projection(np.eye(3), 1.0)) == 3
 
     def test_e3_not_normal(self):
         t = sl2_generators(3)
-        assert not classify(t.e).normal
+        assert not _flags(t.e)[0]
 
     @pytest.mark.parametrize("nu", [0.3, 0.5, 0.9, -0.6])
     def test_ladder_h_flags(self, nu):
-        flags = classify(snu2_generators(5, nu).h)
-        assert flags.normal and flags.hermitian and flags.diagonal
-        assert flags.simple_spectrum
+        h = snu2_generators(5, nu).h
+        assert _flags(h)[:2] == (True, True)
+        assert len(cluster_values(normal_eig(h)[0], 1e-9, hs_norm(h))) == 5
 
     def test_huge_norm_does_not_overflow(self):
         # ||H|| is about 2.1e161 and ||E|| larger: squares overflow float64
         t = snu2_generators(64, 0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            h, e = classify(t.h), classify(t.e)
-        assert h.normal and h.hermitian and h.diagonal and not h.unitary
-        assert not e.normal and not e.unitary
+            h, e = _flags(t.h), _flags(t.e)
+        assert h == (True, True, False)
+        assert not e[0] and not e[2]
 
     def test_cyclic_permutation_flags(self):
-        p = cyclic_permutation(5)
-        flags = classify(p)
-        assert flags.normal and flags.unitary
-        assert not flags.hermitian and not flags.diagonal
+        assert _flags(cyclic_permutation(5)) == (True, False, True)
 
     def test_overflowing_norm_fails_closed(self):
-        # ||a|| overflows: a / ||a|| was the zero matrix, so a was normal,
-        # unitary and diagonal, and its spectrum step warned (an error here)
+        # ||a|| overflows: a / ||a|| was the zero matrix, so a was normal
+        # and unitary
         a = np.full((4, 4), 1e308)
         a[0, 1] = -1e308
-        assert not _is_normal(as_matrix(a), 1e-9) and not _is_unitary(as_matrix(a), 1e-9)
-        assert classify(a) == MatrixFlags(False, False, False, False, False)
+        assert _flags(a) == (False, False, False)
 
     def test_diagonal_of_overflowing_norm_keeps_its_flags(self):
-        flags = classify(np.diag([1e308, -1e308, 1e308, -1e308]))
-        assert flags.normal and flags.hermitian and flags.diagonal
-        assert not flags.unitary and not flags.simple_spectrum
-        assert classify(np.diag([1e308, -1e308, 3e307, 2.0])).simple_spectrum
+        assert _flags(np.diag([1e308, -1e308, 1e308, -1e308])) == (True, True, False)
+        w, _ = normal_eig(np.diag([1e308, -1e308, 3e307, 2.0]))
+        assert np.array_equal(w, [-1e308, 2.0, 3e307, 1e308])
 
 
 class TestMatrixJson:
@@ -311,9 +332,7 @@ _SL2 = sl2_generators(4)
 _DIAG = np.diag([1.0, 2.0]).astype(complex)
 # every exported function that takes a tolerance, on inputs it accepts at tol 1e-9
 TOL_CALLS = {
-    "hermitian_eig": lambda tol: hermitian_eig(_SL2.h, tol),
     "spectral_projection": lambda tol: spectral_projection(_DIAG, 1.0, tol),
-    "classify": lambda tol: classify(_SL2.e, tol),
     "lines_of_pair": lambda tol: lines_of_pair(_SL2.h, _SL2.e @ _SL2.f, tol),
     "spectra_equal": lambda tol: spectra_equal(_SL2, _SL2, ["A1, A2 A3"], tol),
     "compression_check": lambda tol: compression_check(_DIAG, 3.0 * _DIAG, 1.0, 3.0, tol),
@@ -334,11 +353,35 @@ def test_tol_registry_lists_every_export_with_a_tol():
     assert set(TOL_CALLS) == exported
 
 
+# the public names of ``specrig``, by the module that defines them
+PUBLIC_NAMES = {
+    "CorollaryCheck", "ExceptionalRoot", "corollary_check", "exceptional_set",  # exceptional
+    "is_exceptional", "multiplicity_profile", "z_root",
+    "GeneratorTuple", "RelationResidual", "c_coeff", "counterexample_tuple",  # generators
+    "fundamental_generators", "h_coeff", "one_dim_rep", "relation_residuals",
+    "sl2_generators", "snu2_generators", "tuple_from_json", "tuple_to_json",
+    "DEFAULT_TOL", "as_matrix", "commutator", "hs_norm", "matrix_from_json",  # linalg
+    "matrix_to_json", "spectral_projection",
+    "MultiPoly", "poly_to_json",  # poly
+    "EQUIVALENT", "HYPOTHESIS_FAILED", "RECONSTRUCTION_FAILED", "RigidityReport",  # rigidity
+    "certify_equivalence", "compression_check", "sl2_rigidity", "snu2_rigidity",
+    "Line", "LineArrangement", "det_pencil", "lines_of_pair", "parse_pencil",  # spectrum
+    "spectra_equal", "x2_dependence",
+}
+
+
+def test_public_names_are_pinned():
+    # an export added or deleted shows up here as a one-line diff
+    exported = {name for name, obj in vars(specrig).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert exported == PUBLIC_NAMES
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
 @pytest.mark.parametrize("name", list(TOL_CALLS))
 def test_tol_must_be_finite_and_positive(name, tol):
-    # a NaN or infinite tol silently changed answers, e.g. hermitian_eig
-    # accepted a non-Hermitian matrix and is_exceptional(12, 0.5, inf) held
+    # a NaN or infinite tol silently changed answers, e.g. the Hermitian
+    # test accepted a non-Hermitian matrix and is_exceptional(12, 0.5, inf) held
     TOL_CALLS[name](1e-9)
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         TOL_CALLS[name](tol)
