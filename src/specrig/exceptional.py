@@ -77,9 +77,10 @@ answers are those of the full bisection, bit for bit:
   monotone, so the floats z of [0, 1] with |fl(nu - fl(sqrt z))| <= tol
   form a band [z_a, z_b] (``_band``; likewise for -nu), whose ends
   ``_edge`` finds by testing that condition beside fl((nu -+ tol)^2); an
-  end not within 8 floats (nu +- tol nearly cancels) leaves every pair
-  undecided.  f~ = S_(n-j) - (S_n - S_(n-i)) from running sums of running
-  powers (``_power_sums``) is within 4E of f: each S_m is within
+  end not within 8 floats (nu +- tol nearly cancels) is bisected over
+  the floats' bit patterns, in at most 63 more tests.  f~ = S_(n-j) -
+  (S_n - S_(n-i)) from running sums of running powers
+  (``_power_sums``) is within 4E of f: each S_m is within
   gamma_(2n-3) S_m <= E of its value, and the two subtractions add at
   most 3nu(1 + 2 gamma_2n)(1 + u) <= E (underflow aside).  The
   bisection keeps f^ > 0 at lo and f^ <= 0 at hi, and its root is lo or
@@ -115,6 +116,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -334,7 +336,9 @@ def _edge(holds, z, toward):
     """For a predicate that holds on the floats of [0, 1] from the end
     1 - ``toward`` up to one edge, the last float from ``z`` toward
     ``toward`` (0.0 or 1.0) at which it holds: +inf (toward 0) or -inf
-    (toward 1) if it holds nowhere, None if that is not within 8 floats."""
+    (toward 1) if it holds nowhere.  The 8 floats after ``z`` are tested
+    in turn; an edge beyond them is bisected over the bit patterns, which
+    order the floats of [0, 1] as their values do."""
     inside = holds(z)
     end = toward if inside else 1.0 - toward
     for _ in range(8):
@@ -343,7 +347,27 @@ def _edge(holds, z, toward):
         if holds(nxt := math.nextafter(z, end)) != inside:
             return z if inside else nxt
         z = nxt
-    return None
+    # bisect between z, where holds(z) == inside, and the bit pattern one
+    # past end, taken as the first where it is not
+    last, stop = _bits(z), _bits(end)
+    first = stop + (1 if stop >= last else -1)
+    while abs(first - last) > 1:
+        mid = (last + first) // 2
+        if holds(_float(mid)) == inside:
+            last = mid
+        else:
+            first = mid
+    if last == stop:
+        return end if inside else math.copysign(math.inf, end - toward)
+    return _float(last if inside else first)
+
+
+def _bits(z):
+    return struct.unpack("<q", struct.pack("<d", z))[0]
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def _band(m, tol):
@@ -376,20 +400,18 @@ def is_exceptional(n: int, nu: float, tol: float = DEFAULT_TOL) -> bool:
     if math.isnan(nu):
         return False
     nu = float(nu)
-    bands = [_band(m, tol) for m in (nu, -nu)]
-    undecided = np.ones(i.size, dtype=bool)
-    if None not in bands[0] + bands[1]:
-        x = [z for a, b in bands if a <= b
-             for z in (math.nextafter(a, -1.0), a, b, math.nextafter(b, 2.0))]
-        s, bound = _power_sums(n, x), _error_bound(n)
-        for blk in _blocks(n, i.size):
-            f = s[:, n - j[blk]] - (s[:, n:] - s[:, n - i[blk]])  # f~ at each x
-            f, above = f.reshape(-1, 4, f.shape[1]), (n - j[blk] + 4) * bound
-            if ((f[:, 1] > above) & (f[:, 2] < -5.0 * bound)).any():
-                return True
-            undecided[blk] = ~((f[:, 0] < -5.0 * bound) | (f[:, 3] > above)).all(axis=0)
-        if not undecided.any():
-            return False
+    x = [z for a, b in (_band(m, tol) for m in (nu, -nu)) if a <= b
+         for z in (math.nextafter(a, -1.0), a, b, math.nextafter(b, 2.0))]
+    s, bound = _power_sums(n, x), _error_bound(n)
+    undecided = np.empty(i.size, dtype=bool)
+    for blk in _blocks(n, i.size):
+        f = s[:, n - j[blk]] - (s[:, n:] - s[:, n - i[blk]])  # f~ at each x
+        f, above = f.reshape(-1, 4, f.shape[1]), (n - j[blk] + 4) * bound
+        if ((f[:, 1] > above) & (f[:, 2] < -5.0 * bound)).any():
+            return True
+        undecided[blk] = ~((f[:, 0] < -5.0 * bound) | (f[:, 3] > above)).all(axis=0)
+    if not undecided.any():
+        return False
     s = np.sqrt(_bisect(n, i[undecided], j[undecided]))
     return bool(np.any(np.abs(nu - s) <= tol) or np.any(np.abs(nu + s) <= tol))
 

@@ -203,12 +203,8 @@ def sl2_generators(n: int) -> GeneratorTuple:
     if n < 2:
         raise ValueError("dimension must be >= 2")
     h = np.diag([complex(n - 1 - 2 * j) for j in range(n)])
-    e = np.zeros((n, n), dtype=np.complex128)
-    f = np.zeros((n, n), dtype=np.complex128)
-    for j in range(1, n):
-        e[j - 1, j] = j * (n - j)
-    for j in range(n - 1):
-        f[j + 1, j] = 1.0
+    e = np.diag(np.array([j * (n - j) for j in range(1, n)], dtype=np.complex128), 1)
+    f = np.diag(np.ones(n - 1, dtype=np.complex128), -1)
     return GeneratorTuple(h=h, e=e, f=f, n=n, nu=None, family="sl2")
 
 

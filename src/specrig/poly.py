@@ -19,16 +19,14 @@ import numpy as np
 PRUNE_REL = 1e-14
 
 
-def _prune(coeffs, stacked=False):
-    """A copy of ``coeffs`` with every entry of modulus at most
-    ``PRUNE_REL`` times the largest set to zero (all of them when the
-    largest is 0); -0.0 parts become 0.0.  ``stacked`` prunes each
-    ``coeffs[i]`` against its own largest entry."""
+def _prune(coeffs):
+    """A copy of the stack ``coeffs`` with every entry of each ``coeffs[i]``
+    of modulus at most ``PRUNE_REL`` times that array's largest set to
+    zero (all of them when the largest is 0); -0.0 parts become 0.0."""
     mags = np.abs(coeffs)
     out = coeffs + 0j
-    top = (mags.max(axis=tuple(range(1, mags.ndim)), keepdims=True, initial=0.0) if stacked
-           else mags.max(initial=0.0))
-    out[mags <= PRUNE_REL * top] = 0
+    out[mags <= PRUNE_REL * mags.max(axis=tuple(range(1, mags.ndim)), keepdims=True,
+                                     initial=0.0)] = 0
     return out
 
 
@@ -55,7 +53,7 @@ class MultiPoly:
         if coeffs.ndim != len(self.vars):
             raise ValueError(f"coefficient array has {coeffs.ndim} axes "
                              f"for {len(self.vars)} variables")
-        self.coeffs = _prune(coeffs)
+        self.coeffs = _prune(coeffs[None])[0]
 
     @property
     def terms(self) -> dict:

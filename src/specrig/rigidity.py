@@ -10,21 +10,22 @@ and assemble the diagonal unitary witness
 that conjugates the reference triple onto the candidate.
 
 Each reference (family, n, nu) is built once and cached read-only with
-the constants every call reads (``_Reference``).  Verification tests
+what a certified verdict reads (``_Reference``).  Verification tests
 A1's normality, then evaluates the family's pencils (``SNU2_PENCILS``,
 ``SL2_PENCILS``; second slots from ``_PRODUCTS``) as one coefficient
 stack, compared with the reference's in one array expression.
 Reconstruction, ``_reconstruct``, checks the dimension, runs step 1
 (A1's eigenbasis in the reference order, unresolved clusters built down
-the A2 ladder), reads the phases off A2 and certifies their witness.  A
-certified witness ends reconstruction; only when certification fails do
-the family's named steps run, in order, to name the first that fails:
+the A2 ladder), reads the phases off A2 and computes the one certificate,
+the witness's residual per slot: within tol, the ``equivalent`` report.
+Otherwise the family's named steps only explain the failure, in order;
+if none fails, the certification step is named with those residuals:
 
   snu2  step3 A2 support, step3 A3^H support, step2 adjoint products,
-        step4 phases, step5 certification;
+        step4 phases, then step5 certification;
   sl2   step3 A2 support, step2 adjoint products, step4 compressions
         and unimodular A3 subdiagonal, step4 phases, step5 HS budget,
-        step6 certification.
+        then step6 certification.
 
 sl2 has no (A1, A3* A3) pencil, so the compressions on the (A1, A2 A3)
 lines and the Hilbert-Schmidt budget pin A3.
@@ -133,12 +134,12 @@ class RigidityReport:
 
 # --- verification ---------------------------------------------------------------
 
-# a cached reference: the read-only triple and what every call reads of it (its
-# pencils' coefficient stack, largest moduli and slot scales, the product
-# diagonals, H's diagonal and its scale, the ladder diagonals with their moduli
-# and least moduli, the (3, n, n) slot stack and max(1, ||slot||) per slot)
-_Reference = namedtuple("_Reference", "ref pencils steps coeffs coeff_max s1 s2 expected "
-                        "diag diag_scale e_sd f_sd e_mod f_mod e_min f_min slots slot_norms")
+# a cached reference: the read-only triple and what a certified verdict reads of
+# it (its pencils' coefficient stack, largest moduli and slot scales, H's diagonal
+# and its scale, the ladder diagonals, from which the named steps derive what they
+# read, the (3, n, n) slot stack and max(1, ||slot||) per slot)
+_Reference = namedtuple("_Reference", "ref pencils steps coeffs coeff_max s1 s2 "
+                        "diag diag_scale e_sd f_sd slots slot_norms")
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,14 +162,10 @@ def _reference(family, n, nu) -> _Reference:
     s1, s2 = scales[0], scales[1:]
     coeffs = _line_products([np.stack([np.diag(ref.h) * s1, np.diag(b) * s], axis=1)
                              for b, s in zip(products.values(), s2)])
-    diag, sds = np.diag(ref.h).real, (ref.e.diagonal(1), ref.f.diagonal(-1))
-    return _Reference(
-        ref, pencils, steps, coeffs, np.abs(coeffs).max(axis=(1, 2)), s1, s2,
-        {name: np.diag(b).real.copy() for name, b in products.items()
-         if name != "A1, A2 A3"},
-        diag, max(1.0, float(np.max(np.abs(diag)))), *sds, *map(np.abs, sds),
-        *(float(np.abs(sd).min(initial=np.inf)) for sd in sds),
-        slots, np.maximum(1.0, hs_norms(slots)))
+    diag = np.diag(ref.h).real
+    return _Reference(ref, pencils, steps, coeffs, np.abs(coeffs).max(axis=(1, 2)), s1, s2,
+                      diag, max(1.0, float(np.max(np.abs(diag)))), ref.e.diagonal(1),
+                      ref.f.diagonal(-1), slots, np.maximum(1.0, hs_norms(slots)))
 
 
 def _verify_conditions(mats, entry, tol):
@@ -197,12 +194,9 @@ def _exceeds(value, bound):
     return not value <= bound < np.inf
 
 
-def _fail(step, message, diagnostics=None, residuals=None):
-    rep = RigidityReport(verdict=RECONSTRUCTION_FAILED)
-    rep.diagnostics.append(f"{step}: {message}")
-    rep.diagnostics.extend(diagnostics or [])
-    rep.condition_residuals.update(residuals or {})
-    return rep
+def _fail(step, message, *diagnostics, residuals=()):
+    return RigidityReport(verdict=RECONSTRUCTION_FAILED, condition_residuals=dict(residuals),
+                          diagnostics=[f"{step}: {message}", *diagnostics])
 
 
 def _eigenbasis_matched(a1, a2, entry, tol):
@@ -248,30 +242,19 @@ def _eigenbasis_matched(a1, a2, entry, tol):
     return values, vectors, gap, True
 
 
-@dataclass
-class _Frame:
-    """What the reconstruction steps read and write: the reference entry,
-    the candidate stack in A1's matched eigenbasis (``ahat``, ``basis``,
-    ``values``), the phases read off A2's superdiagonal, whether the
-    hypotheses hold (``verified()``) and the final report."""
-
-    entry: _Reference
-    tol: float
-    values: np.ndarray
-    basis: np.ndarray
-    ahat: np.ndarray
-    phases: np.ndarray
-    verified: object
-    report: RigidityReport | None = None
+# what the named steps read: the reference entry, A1's matched eigenvalues, the
+# candidate stack in that eigenbasis, the phases read off A2's superdiagonal and
+# whether the hypotheses hold (``verified()``)
+_Frame = namedtuple("_Frame", "entry tol values ahat phases verified")
 
 
 def _reconstruct(mats, entry, tol, verified) -> RigidityReport:
-    """The dimension check, step 1 and the certificate of the witness built
-    from A2's phases, whose ``equivalent`` report ends reconstruction.  If
-    it fails, each (name, step) of ``entry.steps`` runs in order to explain
-    it: None when it passes, else the arguments of ``_fail`` after the name
-    (certification reuses the certificate).  ``verified()``: do the
-    hypotheses hold?"""
+    """The dimension check, step 1 and the one certificate: the slot
+    residuals of the witness diag(1, conj(p0), conj(p0 p1), ...) built from
+    A2's superdiagonal phases p, ``equivalent`` within tol.  Otherwise the
+    named steps of ``entry.steps`` explain the failure in order (None when
+    one passes, else its diagnostics); if all pass, the certification step
+    named last fails.  ``verified()``: do the hypotheses hold?"""
     n = entry.ref.n
     if mats[0].shape != (n, n):
         return _fail("step1", f"candidate dimension {mats[0].shape[0]} != n={n}")
@@ -283,15 +266,21 @@ def _reconstruct(mats, entry, tol, verified) -> RigidityReport:
         return _fail("step1", f"spectrum of A1 does not match the reference "
                               f"diagonal (max gap {gap:.3g})")
     ahat = v.conj().T @ mats @ v
-    frame = _Frame(entry, tol, values, v, ahat,
-                   _unit_phases(ahat[1].diagonal(1), entry.e_sd), verified)
-    certificate = _certified(frame)
-    if certificate is None:
-        return frame.report
-    for name, step in entry.steps:
-        failure = certificate if step is _certified else step(frame)
-        if failure:
+    phases = _unit_phases(ahat[1].diagonal(1), entry.e_sd)
+    w = np.concatenate([[1.0 + 0j], np.conj(np.cumprod(phases))])
+    resids = _slot_residuals(ahat, entry.slots, w, entry.slot_norms)
+    per_slot = dict(zip(("certify A1", "certify A2", "certify A3"), resids.tolist()))
+    resid = float(resids.max())
+    if not _exceeds(resid, tol):
+        return RigidityReport(verdict=EQUIVALENT, witness=np.diag(w), basis=v,
+                              condition_residuals=per_slot, residual=resid)
+    frame = _Frame(entry, tol, values, ahat, phases, verified)
+    *steps, certification = entry.steps
+    for name, step in steps:
+        if failure := step(frame):
             return _fail(name, *failure)
+    return _fail(certification, f"certification residual {resid:.3g} exceeds tolerance",
+                 residuals=per_slot)
 
 
 def _superdiagonal_support(label, mat, ref_moduli, tol):
@@ -329,28 +318,30 @@ def _a2_support(fr):
     diagnostic if the hypotheses hold (``fr.verified()``).  The entrywise
     support checks run before the coarser product checks, so a bumped
     modulus is reported as the support violation it is."""
-    msg = _superdiagonal_support("A2", fr.ahat[1], fr.entry.e_mod, fr.tol)
+    msg = _superdiagonal_support("A2", fr.ahat[1], np.abs(fr.entry.e_sd), fr.tol)
     if msg and np.isfinite(hs_norm(fr.ahat[1])) and fr.verified():
         dep = x2_dependence(np.diag(fr.values).astype(np.complex128), fr.ahat[1])
-        return msg, [f"x2_dependence detected: {dep}"]
+        return msg, f"x2_dependence detected: {dep}"
     return (msg,) if msg else None
 
 
 def _a3_adjoint_support(fr):
     """Mirror of ``_a2_support`` for A3 and its subdiagonal (snu2)."""
-    msg = _superdiagonal_support("A3^H", fr.ahat[2].conj().T, fr.entry.f_mod, fr.tol)
+    msg = _superdiagonal_support("A3^H", fr.ahat[2].conj().T, np.abs(fr.entry.f_sd), fr.tol)
     return (msg,) if msg else None
 
 
 def _adjoint_products(fr):
     """The products of the pencils other than (A1, A2 A3) are diagonal in
     A1's eigenbasis with the reference values."""
-    for name, expected in fr.entry.expected.items():
+    ref = fr.entry.ref
+    for name in fr.entry.pencils[:-1]:  # the last is (A1, A2 A3)
         prod = _PRODUCTS[name](fr.ahat[1], fr.ahat[2])
         s = max(1.0, hs_norm(prod))
         label = name.removeprefix("A1, ")
         if _exceeds(hs_norm(prod - np.diag(prod.diagonal())), fr.tol * s):
             return (f"{label} is not diagonal in the A1 eigenbasis",)
+        expected = np.diag(_PRODUCTS[name](ref.e, ref.f)).real
         gaps = np.abs(prod.diagonal() - expected)
         if _exceeds(float(gaps.max()), fr.tol * s):
             j = int(np.argmax(gaps))
@@ -373,8 +364,8 @@ def _phases(fr):
     if not fr.phases.size:
         return None
     sigma = np.conj(_unit_phases(ahat[2].diagonal(-1), entry.f_sd))
-    phase_tol = fr.tol * max(1.0, hs_norm(ahat[1]) / entry.e_min,
-                             hs_norm(ahat[2]) / entry.f_min)
+    e_min, f_min = (float(np.abs(sd).min(initial=np.inf)) for sd in (entry.e_sd, entry.f_sd))
+    phase_tol = fr.tol * max(1.0, hs_norm(ahat[1]) / e_min, hs_norm(ahat[2]) / f_min)
     phase_gap = float(np.abs(fr.phases - sigma).max())
     if _exceeds(phase_gap, phase_tol):
         return (f"phase mismatch between A2 and A3 "
@@ -421,27 +412,11 @@ def _slot_residuals(mats, refs, w, norms) -> np.ndarray:
     return hs_norms(mats - images) / norms
 
 
-def _certified(fr):
-    """Certify all three slots with the witness diag(1, conj(p0),
-    conj(p0 p1), ...), the canonical diagonal unitary with first entry 1
-    built from the superdiagonal phases p."""
-    w = np.concatenate([[1.0 + 0j], np.conj(np.cumprod(fr.phases))])
-    resids = _slot_residuals(fr.ahat, fr.entry.slots, w, fr.entry.slot_norms)
-    per_slot = dict(zip(("certify A1", "certify A2", "certify A3"), resids.tolist()))
-    resid = float(resids.max())
-    if _exceeds(resid, fr.tol):
-        return f"certification residual {resid:.3g} exceeds tolerance", None, per_slot
-    fr.report = RigidityReport(verdict=EQUIVALENT, witness=np.diag(w), basis=fr.basis,
-                               condition_residuals=per_slot, residual=resid)
-    return None
-
-
+# the explaining steps, then the name of the certification step
 _SNU2_STEPS = (("step3", _a2_support), ("step3", _a3_adjoint_support),
-               ("step2", _adjoint_products), ("step4", _phases),
-               ("step5", _certified))
+               ("step2", _adjoint_products), ("step4", _phases), "step5")
 _SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products),
-              ("step4", _compressions), ("step4", _phases), ("step5", _hs_budget),
-              ("step6", _certified))
+              ("step4", _compressions), ("step4", _phases), ("step5", _hs_budget), "step6")
 
 
 # --- drivers ------------------------------------------------------------------

@@ -70,9 +70,6 @@ class Product:
     factors: tuple
 
 
-PencilExpr = Atom | Adjoint | Product
-
-
 def parse_pencil(src: str):
     """Parse a comma-separated pencil expression list.
 
@@ -191,7 +188,7 @@ def _det_stack(pencils, affine=True):
         values[p0:p0 + per, a0:a0 + run] = np.linalg.det(acc + xs[-1] * pens[:, :, -1])
     for axis in range(k, 0, -1):  # fftn's order, without its axes handling
         values = np.fft.fft(values, axis=axis)
-    return _prune(values / m ** k, stacked=True)
+    return _prune(values / m ** k)
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ def _line_products(lines):
     included) and multiplied in order."""
     lines = np.asarray(lines, dtype=np.complex128)
     count, n = lines.shape[:2]
-    factors = _prune(np.dstack([lines, -np.ones((count, n))]).reshape(-1, 3), stacked=True)
+    factors = _prune(np.dstack([lines, -np.ones((count, n))]).reshape(-1, 3))
     c = np.ones((count, 1, 1), dtype=np.complex128)
     # line by line, c <- one c + b x2 c + a x1 c, one degree more per variable
     for a, b, one in factors.reshape(count, n, 3, 1, 1).transpose(1, 2, 0, 3, 4):
@@ -222,7 +219,7 @@ def _line_products(lines):
         out[:, :-1, :-1] = one * c
         out[:, :-1, 1:] += b * c
         out[:, 1:, :-1] += a * c
-        c = _prune(out, stacked=True)
+        c = _prune(out)
     return c
 
 

@@ -390,6 +390,30 @@ class TestIsExceptionalPruned:
                         assert min(abs(roots[p] - z) for z in ends) <= 1e-14, (q, p)
         assert 0 < sum(total) <= 2 * len(total)
 
+    @pytest.mark.parametrize("n,nu,tol", [(32, -1e-8, 1e-8), (32, 0.5, 0.49),
+                                          (64, -1e-9, 1e-9)])
+    def test_cancelling_band_ends_are_exact(self, monkeypatch, n, nu, tol):
+        # nu +- tol nearly cancels, so a band end lies far beyond the 8
+        # floats beside its guess fl((nu -+ tol)^2): it is still the exact
+        # end, and only pairs with a root beside an end are bisected
+        nus, roots = exceptional_nus(n), {(r.i, r.j): r.z for r in exceptional_set(n)}
+        for m in (nu, -nu):
+            a, b = exceptional._band(m, tol)
+            assert a == math.inf or (m - math.sqrt(a) <= tol and (
+                a == 0.0 or m - math.sqrt(math.nextafter(a, -1.0)) > tol)), (m, a)
+            assert b == -math.inf or (m - math.sqrt(b) >= -tol and (
+                b == 1.0 or m - math.sqrt(math.nextafter(b, 2.0)) < -tol)), (m, b)
+        bisect, bisected = exceptional._bisect, []
+
+        def spy(n, i, j):
+            bisected.extend(zip(i.tolist(), j.tolist()))
+            return bisect(n, i, j)
+        monkeypatch.setattr(exceptional, "_bisect", spy)
+        assert is_exceptional(n, nu, tol) == _within_full_scan(nus, nu, tol)
+        ends = [z for m in (nu, -nu) for z in exceptional._band(m, tol)]
+        for p in bisected:
+            assert min(abs(roots[p] - z) for z in ends) <= 1e-14, p
+
     def test_two_blocks_one_power_table(self, monkeypatch):
         # n = 104 splits the pairs into two blocks, and the last pair's root
         # lies in the second: one table of power sums serves both

@@ -828,10 +828,12 @@ class TestArguments:
                 _rigidity(family, tuple(mats), n, nu, DEFAULT_TOL)
 
 
-def _tampered(family, n, nu, slot, i, j):
-    """The reference with 1e-6 ||slot|| added to entry (i, j) of ``slot``."""
-    mats = [m.copy() for m in _reference(family, n, nu).matrices]
-    mats[slot][i, j] += 1e-6 * hs_norm(mats[slot])
+def _tampered(family, n, nu, slot, i, j, size=1e-6, w=None):
+    """The reference, conjugated by ``w`` if given, with size ||slot||
+    added to entry (i, j) of ``slot``."""
+    ref = _reference(family, n, nu)
+    mats = [m.copy() for m in (ref.matrices if w is None else conjugated(ref, w))]
+    mats[slot][i, j] += size * hs_norm(mats[slot])
     return tuple(mats)
 
 
@@ -865,11 +867,14 @@ def _steps_then_certify(family, cand, n, nu, tol):
             rep = rigidity._reconstruct(mats, entry, tol, lambda: cond.all_passed)
         else:
             ahat = v.conj().T @ mats @ v
-            frame = rigidity._Frame(entry, tol, values, v, ahat,
+            frame = rigidity._Frame(entry, tol, values, ahat,
                                     rigidity._unit_phases(ahat[1].diagonal(1), entry.e_sd),
                                     lambda: cond.all_passed)
-            failed = next(((name, f) for name, step in entry.steps if (f := step(frame))), None)
-            rep = frame.report if failed is None else rigidity._fail(failed[0], *failed[1])
+            failed = next(((name, f) for name, step in entry.steps[:-1] if (f := step(frame))),
+                          None)
+            # with every named step passed, the certificate decides
+            rep = (rigidity._reconstruct(mats, entry, tol, lambda: cond.all_passed)
+                   if failed is None else rigidity._fail(failed[0], *failed[1]))
     if rep.verdict == EQUIVALENT:
         return rep
     if not cond.all_passed:
@@ -907,8 +912,9 @@ class TestCertificateFirst:
             with monkeypatch.context() as patch:
                 patch.setattr(rigidity, "_verify_conditions", refuse)
                 for name in ("_SNU2_STEPS", "_SL2_STEPS"):
-                    patch.setattr(rigidity, name,
-                                  tuple((label, refuse) for label, _ in getattr(rigidity, name)))
+                    *steps, certification = getattr(rigidity, name)
+                    patch.setattr(rigidity, name, (*((label, refuse) for label, _ in steps),
+                                                   certification))
                 rigidity._reference.cache_clear()  # the cached entry holds the steps
                 rep = _rigidity(family, cand, n, nu, DEFAULT_TOL)
         finally:
@@ -959,19 +965,25 @@ class TestCertificateFirst:
         assert rep.witness is None and rep.residual is None
         assert rep.condition_residuals == _verify(family, cand, n, nu).residuals()
 
-    @pytest.mark.parametrize("family,slot,i,j,diagnostics,certify", [
+    @pytest.mark.parametrize("family,slot,i,j,diagnostics,certify,size,conjugate", [
         ("snu2", 1, 2, 1, ["step3: A2: A2 support off the superdiagonal at (2,1) "
                            "(HS norm 5.46e-06 > 5.46e-09)", "x2_dependence detected: True"],
-         False),
+         False, 1e-6, False),
         ("snu2", 1, 0, 4, ["step3: A2: A2 support off the superdiagonal at (0,4) "
                            "(HS norm 5.46e-06 > 5.46e-09)", "x2_dependence detected: False"],
-         False),
-        ("sl2", 2, 0, 4, ["step6: certification residual 1e-06 exceeds tolerance"], True)])
-    def test_reconstruction_failure_keeps_pencil_residuals(self, family, slot, i, j,
-                                                           diagnostics, certify):
-        # second-order tampers: every pencil still matches at tol
+         False, 1e-6, False),
+        ("sl2", 2, 0, 4, ["step6: certification residual 1e-06 exceeds tolerance"], True,
+         1e-6, False),
+        ("snu2", 2, 2, 0, ["step5: certification residual 1e-09 exceeds tolerance"], True,
+         DEFAULT_TOL, True)])
+    def test_reconstruction_failure_keeps_pencil_residuals(self, rng, family, slot, i, j,
+                                                           diagnostics, certify, size, conjugate):
+        # tampers that every pencil still matches at tol: second-order ones
+        # of the reference, and one of tol on a conjugate whose A3 certifies
+        # just above tol, after every explaining step has passed
         n, nu = 5, (0.5 if family == "snu2" else None)
-        cand = _tampered(family, n, nu, slot, i, j)
+        w = random_unitary(rng, n) if conjugate else None
+        cand = _tampered(family, n, nu, slot, i, j, size, w)
         cond = _verify(family, cand, n, nu)
         assert cond.all_passed
         rep = _rigidity(family, cand, n, nu, DEFAULT_TOL)

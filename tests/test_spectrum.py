@@ -137,9 +137,9 @@ class TestDetPencil:
         # largest, -0.0 parts made 0.0: same terms, same values, same order
         dense, prune = [], spectrum._prune
 
-        def recording(coeffs, stacked=False):
+        def recording(coeffs):
             dense.append(np.array(coeffs))
-            return prune(coeffs, stacked)
+            return prune(coeffs)
 
         monkeypatch.setattr(spectrum, "_prune", recording)
         for n in range(1, 9):
