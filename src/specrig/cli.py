@@ -140,8 +140,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_det(args) -> int:
     t = _load_tuple(args.tuple)
-    exprs = parse_pencil(args.pencil)
-    mats = [evaluate_expr(e, t.matrices) for e in exprs]
+    mats = [evaluate_expr(e, t.matrices) for e in parse_pencil(args.pencil)]
     names = args.vars.split(",") if args.vars else None
     if names is not None and len(names) != len(mats):
         raise UsageError(f"--vars lists {len(names)} names for {len(mats)} pencil slots")
@@ -155,8 +154,7 @@ def _cmd_lines(args) -> int:
     exprs = parse_pencil(args.pencil)
     if len(exprs) != 2:
         raise UsageError("lines requires a two-slot pencil, e.g. 'A1, A2 A3'")
-    a = evaluate_expr(exprs[0], t.matrices)
-    b = evaluate_expr(exprs[1], t.matrices)
+    a, b = (evaluate_expr(e, t.matrices) for e in exprs)
     arr, certified = lines_of_pair(a, b, args.tol)
     _dump({
         "lines": [{"coeffs": [[c.real, c.imag] for c in l.coeffs], "mult": l.mult}
@@ -341,10 +339,7 @@ def main(argv=None) -> int:
         args.tol = (_default_tol() if getattr(args, "tol", None) is None
                     else _check_tol(args.tol, "--tol"))
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

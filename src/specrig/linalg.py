@@ -49,17 +49,27 @@ def _check_slot_shapes(mats) -> None:
         raise ValueError(f"the three slots must share one shape, got {shapes}")
 
 
+def _as_square(a) -> np.ndarray:
+    """``a`` coerced to complex128, if it is a non-empty square matrix."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _finite(m) -> np.ndarray:
+    """``m`` itself, if every entry is finite."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and coerce ``a`` to a square complex128 matrix.
 
     Rejects non-square shapes and non-finite entries.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _finite(_as_square(a))
 
 
 def hs_norm(a) -> float:

@@ -12,8 +12,8 @@ that conjugates the reference triple onto the candidate.
 Each reference (family, n, nu) is built once and cached read-only with
 what a certified verdict reads (``_Reference``).  Verification tests
 A1's normality, then evaluates the family's pencils (``SNU2_PENCILS``,
-``SL2_PENCILS``; second slots from ``_PRODUCTS``) as one coefficient
-stack, compared with the reference's in one array expression.
+``SL2_PENCILS``, parsed at import) as one coefficient stack, compared
+with the reference's in one array expression.
 Reconstruction, ``_reconstruct``, checks the dimension, runs step 1
 (A1's eigenbasis in the reference order, unresolved clusters built down
 the A2 ladder), reads the phases off A2 and computes the one certificate,
@@ -48,8 +48,8 @@ from .generators import sl2_generators, snu2_generators
 from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _checked_eigh,
                      _cluster_starts, _is_normal, _is_unitary, _phase_fixed, as_matrix,
                      hs_norm, hs_norms, matrix_to_json, spectral_projection)
-from .spectrum import (_compare_stacks, _det_stack, _line_products, _slot_matrices,
-                       slot_scales, x2_dependence)
+from .spectrum import (_compare_stacks, _det_stack, _line_products, _product, _slot_matrices,
+                       parse_pencil, slot_scales, x2_dependence)
 
 EQUIVALENT = "equivalent"
 HYPOTHESIS_FAILED = "hypothesis_failed"
@@ -59,14 +59,8 @@ SNU2_PENCILS = ("A1, A2 A2^H", "A1, A2^H A2", "A1, A3 A3^H", "A1, A3^H A3",
                 "A1, A2 A3")
 SL2_PENCILS = ("A1, A2 A2^H", "A1, A2^H A2", "A1, A3 A3^H", "A1, A2 A3")
 
-# the second slot of each pencil, as a product of A2, A3 and adjoints
-_PRODUCTS = {
-    "A1, A2 A2^H": lambda a2, a3: a2 @ a2.conj().T,
-    "A1, A2^H A2": lambda a2, a3: a2.conj().T @ a2,
-    "A1, A3 A3^H": lambda a2, a3: a3 @ a3.conj().T,
-    "A1, A3^H A3": lambda a2, a3: a3.conj().T @ a3,
-    "A1, A2 A3": lambda a2, a3: a2 @ a3,
-}
+# every pencil pairs A1 with its parsed second slot (SL2_PENCILS is a subset)
+_SECOND_SLOT = {name: parse_pencil(name)[1] for name in SNU2_PENCILS}
 
 
 class LineNotInSpectrumError(ValueError):
@@ -154,7 +148,7 @@ def _reference(family, n, nu) -> _Reference:
     slots = np.stack(ref.matrices)
     for m in (*ref.matrices, slots):
         m.flags.writeable = False
-    products = {name: _PRODUCTS[name](ref.e, ref.f) for name in pencils}
+    products = {name: _product(_SECOND_SLOT[name], ref.matrices) for name in pencils}
     for name, b in products.items():
         if hs_norm(b - np.diag(np.diag(b))) != 0.0:
             raise AssertionError(f"reference product for {name} is not diagonal")
@@ -172,12 +166,11 @@ def _verify_conditions(mats, entry, tol):
     """A1's normality, then all the family's pencils in one stacked pass,
     compared with the reference's coefficient stack.  The slots are
     finite, so a non-finite pencil means a product overflowed float64."""
-    a1, a2, a3 = mats
-    if not _is_normal(a1, tol):
+    if not _is_normal(mats[0], tol):
         return ConditionReport(a1_normal=False, checks=())
-    first = entry.s1 * a1
+    first = entry.s1 * mats[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        pencils = np.array([(first, s2 * _PRODUCTS[name](a2, a3))
+        pencils = np.array([(first, s2 * _product(_SECOND_SLOT[name], mats))
                             for name, s2 in zip(entry.pencils, entry.s2)])
     if not np.isfinite(pencils).all():
         raise ValueError("the candidate's pencil products overflow float64")
@@ -334,14 +327,13 @@ def _a3_adjoint_support(fr):
 def _adjoint_products(fr):
     """The products of the pencils other than (A1, A2 A3) are diagonal in
     A1's eigenbasis with the reference values."""
-    ref = fr.entry.ref
     for name in fr.entry.pencils[:-1]:  # the last is (A1, A2 A3)
-        prod = _PRODUCTS[name](fr.ahat[1], fr.ahat[2])
+        prod = _product(_SECOND_SLOT[name], fr.ahat)
         s = max(1.0, hs_norm(prod))
         label = name.removeprefix("A1, ")
         if _exceeds(hs_norm(prod - np.diag(prod.diagonal())), fr.tol * s):
             return (f"{label} is not diagonal in the A1 eigenbasis",)
-        expected = np.diag(_PRODUCTS[name](ref.e, ref.f)).real
+        expected = np.diag(_product(_SECOND_SLOT[name], fr.entry.ref.matrices)).real
         gaps = np.abs(prod.diagonal() - expected)
         if _exceeds(float(gaps.max()), fr.tol * s):
             j = int(np.argmax(gaps))

@@ -21,31 +21,32 @@ spectra, line arrangements) come as stacks of the same layout from
 A pencil expression grammar selects the slot matrices, e.g.
 ``"A1, A2 A2^H"`` denotes the pair (A1, A2 A2*).  Atoms A1/A2/A3
 and H/E/F are interchangeable names for the three tuple slots, products
-are juxtaposition, and the postfix ``^H`` takes the adjoint of the atom
-it follows (double adjoints collapse at parse time).
+are juxtaposition, and the postfix ``^H`` adjoins the atom it follows.
+With no parentheses, ``parse_pencil`` gives each slot as a flat tuple of
+(slot, adjoint) factors, and one fold, ``_product``, multiplies them; it
+also evaluates ``rigidity``'s pencils, whose names are their definitions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, NotNormalError, _check_slot_shapes, _check_tol, as_matrix,
-                     hs_norm, normal_eig)
+from .linalg import (DEFAULT_TOL, NotNormalError, _as_square, _check_slot_shapes, _check_tol,
+                     _finite, as_matrix, hs_norm, normal_eig)
 from .poly import MultiPoly, _prune, _widen
 
 MAX_PENCIL_VARS = 4
 
 _BLOCK = 2 ** 18  # matrix entries per batch of determinants (4 MB)
 
-_PAIR_VARS = ("x1", "x2")
-
 _SLOT_OF_ATOM = {"A1": 0, "H": 0, "A2": 1, "E": 1, "A3": 2, "F": 2}
 
-_TOKEN_RE = re.compile(r"A[123]|\^H|[HEF]|,|\s+")
+_TOKEN_RE = re.compile(r"(?P<token>A[123]|\^H|[HEF]|,)|\s+|(?P<bad>.)", re.DOTALL)
 
 
 class PencilSyntaxError(ValueError):
@@ -54,89 +55,74 @@ class PencilSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    slot: int
-
-
-@dataclass(frozen=True)
-class Adjoint:
-    inner: "Atom | Adjoint | Product"
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
-
-
 def parse_pencil(src: str):
-    """Parse a comma-separated pencil expression list.
-
-    Returns one expression per slot of the pencil.  Unknown atoms and
-    stray characters raise ``PencilSyntaxError`` with the byte offset.
-    """
+    """Parse a comma-separated pencil expression list into one product per
+    slot, a tuple of (slot, adjoint) factors in product order.  Errors
+    raise ``PencilSyntaxError`` with the byte offset; the whole string is
+    tokenized first, so a stray character is reported ahead of an empty
+    slot or a ``^H`` with nothing to adjoin."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise PencilSyntaxError(f"unexpected character {src[pos]!r}", pos)
-        if not m.group().isspace():
-            tokens.append((m.group(), pos))
-        pos = m.end()
-    exprs = []
-    current = []  # list of parsed primaries in the current slot
-    last_pos = 0
-
-    def close_slot(at):
-        if not current:
-            raise PencilSyntaxError("empty pencil slot", at)
-        exprs.append(current[0] if len(current) == 1 else Product(tuple(current)))
-        current.clear()
-
-    for tok, at in tokens:
-        last_pos = at
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise PencilSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup == "token":
+            tokens.append((m.group(), m.start()))
+    exprs, current = [], []
+    # a comma at the last token's offset closes the last slot
+    for tok, at in tokens + [(",", tokens[-1][1] if tokens else 0)]:
         if tok == ",":
-            close_slot(at)
+            if not current:
+                raise PencilSyntaxError("empty pencil slot", at)
+            exprs.append(tuple(current))
+            current = []
         elif tok == "^H":
             if not current:
                 raise PencilSyntaxError("'^H' with nothing to adjoin", at)
-            prev = current[-1]
-            # involution: a double adjoint collapses structurally
-            current[-1] = prev.inner if isinstance(prev, Adjoint) else Adjoint(prev)
+            slot, adjoint = current[-1]
+            current[-1] = (slot, not adjoint)  # involution: a double adjoint toggles back
         else:
-            current.append(Atom(name=tok, slot=_SLOT_OF_ATOM[tok]))
-    close_slot(last_pos)
+            current.append((_SLOT_OF_ATOM[tok], False))
     return exprs
 
 
 def _slot_matrices(t):
     """The three validated slot matrices of a tuple or a triple, as one
-    (3, n, n) stack."""
-    mats = tuple(as_matrix(m) for m in (t.matrices if hasattr(t, "matrices") else t))
+    (3, n, n) stack: each slot is coerced and checked square, the shapes
+    compared, and the stack checked finite in one pass."""
+    mats = [_as_square(m) for m in (t.matrices if hasattr(t, "matrices") else t)]
     if len(mats) != 3:
         raise ValueError("expected a triple (A1, A2, A3)")
     _check_slot_shapes(mats)
-    return np.array(mats)
+    return _finite(np.array(mats))
+
+
+def _product(expr, mats):
+    """The product of one parsed pencil slot over ``mats``, left to right,
+    unchecked: a non-finite product is the caller's to name."""
+    return functools.reduce(np.matmul, (mats[slot].conj().T if adjoint else mats[slot]
+                                        for slot, adjoint in expr))
 
 
 def evaluate_expr(expr, mats):
-    """Evaluate a pencil expression against the three slot matrices.
-    A product whose finite factors give a non-finite matrix raises."""
-    if isinstance(expr, Atom):
-        return as_matrix(mats[expr.slot])
-    if isinstance(expr, Adjoint):
-        return evaluate_expr(expr.inner, mats).conj().T
-    if isinstance(expr, Product):
-        out = evaluate_expr(expr.factors[0], mats)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for f in expr.factors[1:]:
-                out = out @ evaluate_expr(f, mats)
-        if not np.isfinite(out).all():
-            raise ValueError("a pencil product of finite slots overflows float64")
-        return out
-    raise TypeError(f"not a pencil expression: {expr!r}")
+    """Evaluate a parsed pencil slot against the three slot matrices,
+    validating only the slots it references.  A product whose finite
+    factors give a non-finite matrix raises."""
+    checked = {slot: as_matrix(mats[slot]) for slot, _ in expr}
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _product(expr, checked)
+    if not np.isfinite(out).all():
+        raise ValueError("a pencil product of finite slots overflows float64")
+    return out
+
+
+def _check_pencil(mats) -> None:
+    """Raise ``ValueError`` unless ``mats`` is 1 to ``MAX_PENCIL_VARS`` matrices of one shape."""
+    if not mats:
+        raise ValueError("pencil needs at least one matrix")
+    if len(mats) > MAX_PENCIL_VARS:
+        raise ValueError(f"pencils in more than {MAX_PENCIL_VARS} variables are unsupported")
+    if any(m.shape != mats[0].shape for m in mats):
+        raise ValueError("pencil matrices must share one dimension")
 
 
 def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
@@ -148,13 +134,8 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
     At most 4 variables are supported.
     """
     mats = [as_matrix(m) for m in mats]
+    _check_pencil(mats)
     k = len(mats)
-    if k == 0:
-        raise ValueError("pencil needs at least one matrix")
-    if k > MAX_PENCIL_VARS:
-        raise ValueError(f"pencils in more than {MAX_PENCIL_VARS} variables are unsupported")
-    if any(m.shape != mats[0].shape for m in mats):
-        raise ValueError("pencil matrices must share one dimension")
     var_names = tuple(var_names) if var_names is not None else tuple(f"x{i + 1}" for i in range(k))
     if len(var_names) != k:
         raise ValueError("need one variable name per pencil matrix")
@@ -314,10 +295,10 @@ def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
     out = []
     for src in pencils:
         exprs = parse_pencil(src)
-        g1 = [evaluate_expr(e, m1) for e in exprs]
-        g2 = [evaluate_expr(e, m2) for e in exprs]
+        g1, g2 = ([evaluate_expr(e, m) for e in exprs] for m in (m1, m2))
+        _check_pencil(g1)
         ss = slot_scales(g1, g2)
-        p, q = (det_pencil([s * m for s, m in zip(ss, g)]).coeffs[None] for g in (g1, g2))
+        p, q = (_det_stack([[s * m for s, m in zip(ss, g)]]) for g in (g1, g2))
         out += _compare_stacks([src], p, q, tol)
     return out
 
@@ -329,7 +310,9 @@ def x2_dependence(a1, a2) -> bool:
     exponents occur); coefficients below 1e-10 times the largest one are
     discarded before reading off the x2-degree.
     """
-    s1, s2 = slot_scales((as_matrix(a1), as_matrix(a2)))
-    p = det_pencil([s1 * as_matrix(a1), s2 * as_matrix(a2)], _PAIR_VARS)
-    cut = 1e-10 * max(1.0, np.abs(p.coeffs).max(initial=0.0))
-    return bool(np.any(np.abs(p.coeffs[:, 1:]) > cut))
+    a1, a2 = as_matrix(a1), as_matrix(a2)
+    _check_pencil((a1, a2))
+    s1, s2 = slot_scales((a1, a2))
+    (coeffs,) = _det_stack([[s1 * a1, s2 * a2]])
+    cut = 1e-10 * max(1.0, np.abs(coeffs).max(initial=0.0))
+    return bool(np.any(np.abs(coeffs[:, 1:]) > cut))

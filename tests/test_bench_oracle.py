@@ -1,10 +1,11 @@
 """The benchmark's correctness oracles, run once in this process: every
-operation of one rigidity-grid pass and one exceptional-scan pass passes
-its check, so a change that breaks one fails here before a benchmark run.
-``bench/workloads.py`` is loaded read-only: no bytecode is written next
-to it."""
+operation of one rigidity-grid pass, one exceptional-scan pass and one
+cli-clean pass passes its check, so a change that breaks one fails here
+before a benchmark run.  ``bench/workloads.py`` is loaded read-only: no
+bytecode is written next to it."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -34,3 +35,17 @@ def test_one_pass_passes_every_check(workloads, tmp_path, plan):
     outcomes = [(op.kind, *op.run()) for op in ops]
     assert [o for o in outcomes if o[2] is not None] == []
     assert len(outcomes) == len(ops) > 0
+
+
+def test_cli_clean_pass_passes_every_check(workloads, tmp_path, monkeypatch):
+    # set-up writes the fixtures with ``specrig gen`` child processes, which
+    # import specrig from src; the pass (det, lines, compare, rigidity and
+    # exceptional) is then replayed through ``cli.main`` in this process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    plan = workloads.cli_clean(1, tmp_path)
+    outcomes = [(op.kind, *op.run()) for op in plan.replay]
+    assert [o for o in outcomes if o[2] is not None] == []
+    assert sorted(kind for kind, *_ in outcomes) == sorted(op.kind for op in plan.ops)
+    assert {"det", "lines", "compare", "rigidity"} <= {kind for kind, *_ in outcomes}

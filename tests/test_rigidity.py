@@ -24,6 +24,16 @@ from conftest import random_complex, random_phases, random_unitary
 
 PAIR = ("x1", "x2")
 
+# the second slot of each rigidity pencil as an explicit product: the
+# reference against which the parsed pencil names are checked
+PRODUCTS = {
+    "A1, A2 A2^H": lambda a2, a3: a2 @ a2.conj().T,
+    "A1, A2^H A2": lambda a2, a3: a2.conj().T @ a2,
+    "A1, A3 A3^H": lambda a2, a3: a3 @ a3.conj().T,
+    "A1, A3^H A3": lambda a2, a3: a3.conj().T @ a3,
+    "A1, A2 A3": lambda a2, a3: a2 @ a3,
+}
+
 
 def conjugated(t, w):
     return tuple(w @ m @ w.conj().T for m in t.matrices)
@@ -566,6 +576,21 @@ class TestStackedVerification:
     """Verification evaluates all pencils of the family in one stacked
     determinant pass, a block of matrices at a time."""
 
+    def test_pencil_names_evaluate_to_their_products(self, rng):
+        # each name means (A1, its product), bit for bit, through the
+        # public evaluator and through the fold that verification,
+        # reference building and step2 use
+        assert set(rigidity.SL2_PENCILS) <= set(rigidity.SNU2_PENCILS) == set(PRODUCTS)
+        for n in (1, 3, 6):
+            mats = np.array([random_complex(rng, n) for _ in range(3)])
+            for name in rigidity.SNU2_PENCILS:
+                want = PRODUCTS[name](mats[1], mats[2])
+                first, second = spectrum.parse_pencil(name)
+                assert np.array_equal(spectrum.evaluate_expr(first, mats), mats[0])
+                for got in (spectrum.evaluate_expr(second, mats),
+                            spectrum._product(rigidity._SECOND_SLOT[name], mats)):
+                    assert got.tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("family,nu", [("snu2", 0.5), ("sl2", None)])
     @pytest.mark.parametrize("n", [*range(2, 11), 16, 24, 40])
     def test_polynomials_match_det_pencil(self, monkeypatch, rng, n, family, nu):
@@ -586,7 +611,7 @@ class TestStackedVerification:
         assert len(stack) == len(entry.pencils)
         a1, a2, a3 = cand
         for name, s2, coeffs in zip(entry.pencils, entry.s2, stack):
-            alone = det_pencil([entry.s1 * a1, s2 * rigidity._PRODUCTS[name](a2, a3)], PAIR)
+            alone = det_pencil([entry.s1 * a1, s2 * PRODUCTS[name](a2, a3)], PAIR)
             assert json.dumps(poly_to_json(MultiPoly(PAIR, coeffs))) \
                 == json.dumps(poly_to_json(alone))
 
@@ -609,7 +634,7 @@ class TestStackedVerification:
         want = []
         for name, s2, coeffs in zip(pencils, entry.s2, entry.coeffs):
             q = MultiPoly(PAIR, coeffs).coeffs
-            p = det_pencil([entry.s1 * a1, s2 * rigidity._PRODUCTS[name](a2, a3)], PAIR).coeffs
+            p = det_pencil([entry.s1 * a1, s2 * PRODUCTS[name](a2, a3)], PAIR).coeffs
             scale = max(1.0, np.abs(p).max(), np.abs(q).max())
             shape = tuple(map(max, p.shape, q.shape))
             p, q = (np.pad(c, [(0, s - d) for s, d in zip(shape, c.shape)]) for c in (p, q))
@@ -627,7 +652,7 @@ class TestStackedVerification:
         entry = rigidity._reference(family, n, nu)
         h, e, f = entry.ref.matrices
         for name, s2, coeffs in zip(entry.pencils, entry.s2, entry.coeffs):
-            alone = det_pencil([entry.s1 * h, s2 * rigidity._PRODUCTS[name](e, f)]).coeffs
+            alone = det_pencil([entry.s1 * h, s2 * PRODUCTS[name](e, f)]).coeffs
             assert np.abs(coeffs - alone).max() <= 1e-13 * np.abs(coeffs).max(), name
 
     def test_memory_stays_within_blocks(self, rng):

@@ -6,28 +6,27 @@ from specrig.generators import (c_coeff, counterexample_tuple, h_coeff,
                                 sl2_generators, snu2_generators)
 from specrig.linalg import NotNormalError
 from specrig.poly import PRUNE_REL, MultiPoly
-from specrig.spectrum import (Adjoint, Atom, PencilSyntaxError, Product,
-                              det_pencil, evaluate_expr, lines_of_pair,
-                              parse_pencil, slot_scales, spectra_equal,
-                              x2_dependence)
+from specrig.spectrum import (PencilSyntaxError, det_pencil, evaluate_expr, lines_of_pair,
+                              parse_pencil, slot_scales, spectra_equal, x2_dependence)
 
 from conftest import (coeff_gap, cofactor_det, poly_value, random_complex, random_hermitian,
                       random_unitary, showcase_coeffs)
 
 
 class TestParsePencil:
+    """Each pencil slot parses to its (slot, adjoint) factors in product
+    order."""
+
     def test_pair_with_adjoint(self):
-        exprs = parse_pencil("A1, A2 A2^H")
-        assert exprs[0] == Atom("A1", 0)
-        assert exprs[1] == Product((Atom("A2", 1), Adjoint(Atom("A2", 1))))
+        assert parse_pencil("A1, A2 A2^H") == [((0, False),), ((1, False), (1, True))]
 
     def test_product(self):
-        exprs = parse_pencil("A2 A3")
-        assert exprs == [Product((Atom("A2", 1), Atom("A3", 2)))]
+        assert parse_pencil("A2 A3") == [((1, False), (2, False))]
+        assert parse_pencil("E^H F ^H H") == [((1, True), (2, True), (0, False))]
 
     def test_double_adjoint_collapses(self):
-        exprs = parse_pencil("A2 ^H ^H")
-        assert exprs == [Atom("A2", 1)]
+        assert parse_pencil("A2 ^H ^H") == [((1, False),)]
+        assert parse_pencil("A2^H^H^H") == [((1, True),)]
 
     def test_letter_atoms_alias_slots(self):
         t = sl2_generators(3)
@@ -48,6 +47,17 @@ class TestParsePencil:
         with pytest.raises(PencilSyntaxError, match="^'\\^H' with nothing to adjoin") as err:
             parse_pencil("^H")
         assert err.value.offset == 0
+
+    @pytest.mark.parametrize("src,message,offset", [
+        # the whole string is tokenized first: a stray character later in
+        # the string is reported ahead of the misplaced ^H or empty slot
+        ("^Hx", "unexpected character 'x'", 2),
+        ("A1,,A5", "unexpected character 'A'", 4)])
+    def test_lex_error_precedes_parse_error(self, src, message, offset):
+        with pytest.raises(PencilSyntaxError) as err:
+            parse_pencil(src)
+        assert str(err.value) == f"{message} at byte offset {offset}"
+        assert err.value.offset == offset
 
     def test_adjoint_evaluates(self):
         t = sl2_generators(4)
