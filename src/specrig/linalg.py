@@ -131,31 +131,38 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _is_hermitian(a, tol, norm) -> bool:
+def _is_hermitian(a, tol, norm, halves=None) -> bool:
     """||a - a*|| <= tol * max(1, norm) for the finite ``a`` of HS norm
-    ``norm``.  If ``norm`` overflows, the test runs on a / max|a_ij|, so it
-    cannot compare inf with inf; a NaN or infinite residual fails."""
-    a, s = _finite_scale(a, max(1.0, norm))
-    with np.errstate(over="ignore"):  # an a - a* that overflows is not Hermitian
-        d = a - a.conj().T
-    return hs_norm(d) <= tol * s
+    ``norm``, tested as 2 ||h - h*|| with h = a / 2, which cannot overflow;
+    ``halves`` is (h, h*), if the caller formed them.  If ``norm``
+    overflows, the test runs on a / max|a_ij|, so it cannot compare inf
+    with inf; a NaN or infinite residual fails."""
+    b, s = _finite_scale(a, max(1.0, norm))
+    if halves is None or b is not a:
+        h = b * 0.5
+        halves = h, h.conj().T
+    return 2.0 * hs_norm(halves[0] - halves[1]) <= tol * s
 
 
 def _checked_eigh(a, tol, norm):
     """Eigenvalues (ascending) and eigenvectors of the Hermitian part of a
     validated ``a`` of HS norm ``norm``, each column's largest-modulus
     entry made real positive; ``NotHermitianError`` unless
-    ``||a - a*|| <= tol * max(1, norm)``."""
-    if not _is_hermitian(a, tol, norm):
+    ``||a - a*|| <= tol * max(1, norm)``.  One adjoint of a / 2 serves the
+    test and the Hermitian part (halves first: the sum cannot overflow)."""
+    h = a * 0.5
+    halves = h, h.conj().T
+    if not _is_hermitian(a, tol, norm, halves):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)  # halves first: the sum cannot overflow
+    w, v = np.linalg.eigh(halves[0] + halves[1])
     return w, _phase_fixed(v)
 
 
 def _phase_fixed(v) -> np.ndarray:
     """``v`` with each nonzero column's largest-modulus entry made real positive."""
-    ph = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return v * np.array([abs(p) / p if p != 0 else 1.0 for p in ph])
+    ph = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    ph[ph == 0] = 1.0
+    return v * (np.abs(ph) / ph)
 
 
 def _cluster_starts(values, bound) -> np.ndarray:

@@ -39,6 +39,7 @@ witness proves the equivalence); the verdicts are ``equivalent``,
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -54,6 +55,8 @@ from .spectrum import (_compare_stacks, _det_stack, _line_products, _product, _s
 EQUIVALENT = "equivalent"
 HYPOTHESIS_FAILED = "hypothesis_failed"
 RECONSTRUCTION_FAILED = "reconstruction_failed"
+
+_EPS = float(np.finfo(np.float64).eps)
 
 SNU2_PENCILS = ("A1, A2 A2^H", "A1, A2^H A2", "A1, A3 A3^H", "A1, A3^H A3",
                 "A1, A2 A3")
@@ -172,10 +175,12 @@ def _verify_conditions(mats, entry, tol):
     with np.errstate(over="ignore", invalid="ignore"):
         pencils = np.array([(first, s2 * _product(_SECOND_SLOT[name], mats))
                             for name, s2 in zip(entry.pencils, entry.s2)])
-    if not np.isfinite(pencils).all():
-        raise ValueError("the candidate's pencil products overflow float64")
+        if not np.isfinite(pencils).all():
+            raise ValueError("the candidate's pencil products overflow float64")
+        # a determinant that overflows leaves its pencil non-finite, and unequal
+        coeffs = _det_stack(pencils)
     return ConditionReport(a1_normal=True, checks=_compare_stacks(
-        entry.pencils, _det_stack(pencils), entry.coeffs, tol, entry.coeff_max))
+        entry.pencils, coeffs, entry.coeffs, tol, entry.coeff_max))
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -200,14 +205,11 @@ def _eigenbasis_matched(a1, a2, entry, tol):
     At small |nu| the ladder diagonal clusters exponentially, so A1's
     eigenvectors are ill-determined inside a cluster of eigenvalues closer
     than max(tol, eps/tol) * max(1, ||A1||).  A cluster below a column is
-    built down the ladder, as in the proof: the next column is A2 times
-    the one above, twice orthogonalized against the columns built so far
-    and projected onto the cluster's span (each pass projects: A2 amplifies
-    rounding), normalized and phase-fixed as in ``_checked_eigh``.  If a
-    step vanishes (or is NaN), the cluster keeps A1's columns.  The
-    certificate still has to pass, so the basis cannot manufacture a
-    witness that is not there.  One HS norm of A1 serves both the
-    Hermitian test and the cluster threshold.
+    built down the ladder, as in the proof (``_ladder_block``), in the
+    cluster's coordinates; the split is skipped when no gap of the sorted
+    eigenvalues is within the threshold.  The certificate still has to
+    pass, so the basis cannot manufacture a witness that is not there.
+    One HS norm of A1 serves both the Hermitian test and the threshold.
     """
     norm = hs_norm(a1)
     values, vectors = _checked_eigh(a1, tol, norm)
@@ -217,22 +219,49 @@ def _eigenbasis_matched(a1, a2, entry, tol):
     if _exceeds(gap, tol * entry.diag_scale):
         return values, vectors, gap, False
 
-    theta = max(tol, float(np.finfo(np.float64).eps) / tol) * max(1.0, norm)
+    theta = max(tol, _EPS / tol) * max(1.0, norm)
+    if not np.abs(values[1:] - values[:-1]).min(initial=np.inf) <= theta:
+        return values, vectors, gap, True
     cuts = _cluster_starts(values, theta).tolist()
     for start, stop in reversed(list(zip([0, *cuts], cuts))):  # each cluster below a column
         if stop - start > 1:
-            q, cols = vectors[:, start:stop], vectors[:, start:stop + 1].copy()
-            for k in range(stop - start - 1, -1, -1):
-                w, built = a2 @ cols[:, k + 1:k + 2], cols[:, k + 1:-1]
-                for _ in range(2):
-                    w = q @ (q.conj().T @ (w - built @ (built.conj().T @ w)))
-                norm = hs_norm(w)
-                if not norm > 0:
-                    break
-                cols[:, k:k + 1] = _phase_fixed((w.view(np.float64) / norm).view(np.complex128))
-            else:
-                vectors[:, start:stop] = cols[:, :-1]
+            block = _ladder_block(vectors[:, start:stop], a2, vectors[:, stop])
+            if block is not None:
+                vectors[:, start:stop] = block
     return values, vectors, gap, True
+
+
+def _ladder_block(q, a2, top):
+    """The cluster of A1's eigenvectors ``q`` rebuilt down the A2 ladder
+    from the column ``top`` above it, or None if a step vanishes or is not
+    finite: the cluster then keeps A1's columns.
+
+    The built columns lie in span(q), so the ladder runs in q's
+    coordinates, on N = q* A2 q: each m-vector is N times the one above
+    (the first is q* A2 top), orthogonalized twice against those built so
+    far (by the projector I - Y Y* onto their complement) and normalized.
+    In exact arithmetic these are the n-vectors A2 maps down the cluster
+    and projects onto it.  The block q Y is phase-fixed as in
+    ``_checked_eigh``, once.
+    """
+    qh = q.conj().T
+    ladder = qh @ a2 @ q
+    m = q.shape[1]
+    ys, proj = np.empty((m, m), dtype=np.complex128), np.eye(m, dtype=np.complex128)
+    y = qh @ (a2 @ top)
+    for k in range(m - 1, -1, -1):
+        y = proj @ (proj @ y)
+        re_im = y.view(np.float64)
+        norm = math.sqrt(re_im @ re_im)
+        if not norm < math.inf:  # NaN, or a sum of squares that overflowed
+            norm = hs_norm(y)
+        if not 0 < norm < math.inf:
+            return None
+        # the parts divided by the norm: numpy divides by a complex's reciprocal
+        ys[:, k] = y = (re_im / norm).view(np.complex128)
+        proj -= y[:, None] * y.conj()
+        y = ladder @ y
+    return _phase_fixed(q @ ys)
 
 
 # what the named steps read: the reference entry, A1's matched eigenvalues, the
@@ -260,9 +289,13 @@ def _reconstruct(mats, entry, tol, verified) -> RigidityReport:
                               f"diagonal (max gap {gap:.3g})")
     ahat = v.conj().T @ mats @ v
     phases = _unit_phases(ahat[1].diagonal(1), entry.e_sd)
-    w = np.concatenate([[1.0 + 0j], np.conj(np.cumprod(phases))])
+    w = np.empty(n, dtype=np.complex128)
+    w[0] = 1.0
+    np.cumprod(phases, out=w[1:])
+    np.conjugate(w, out=w)
     resids = _slot_residuals(ahat, entry.slots, w, entry.slot_norms)
-    per_slot = dict(zip(("certify A1", "certify A2", "certify A3"), resids.tolist()))
+    r1, r2, r3 = resids.tolist()
+    per_slot = {"certify A1": r1, "certify A2": r2, "certify A3": r3}
     resid = float(resids.max())
     if not _exceeds(resid, tol):
         return RigidityReport(verdict=EQUIVALENT, witness=np.diag(w), basis=v,
@@ -419,7 +452,13 @@ def _drive(t, tol, family, n, nu=None) -> RigidityReport:
     certification fails (a certified witness proves the equivalence)."""
     _check_tol(tol)
     entry, mats = _reference(family, n, nu), _slot_matrices(t)
-    verify = functools.cache(lambda: _verify_conditions(mats, entry, tol))
+    memo = []  # the verification, run at most once: by a named step, or below
+
+    def verify():
+        if not memo:
+            memo.append(_verify_conditions(mats, entry, tol))
+        return memo[0]
+
     with np.errstate(over="ignore", invalid="ignore"):  # unverified products fail closed
         rep = _reconstruct(mats, entry, tol, lambda: verify().all_passed)
     if rep.verdict == EQUIVALENT:

@@ -87,9 +87,19 @@ def parse_pencil(src: str):
 
 def _slot_matrices(t):
     """The three validated slot matrices of a tuple or a triple, as one
-    (3, n, n) stack: each slot is coerced and checked square, the shapes
-    compared, and the stack checked finite in one pass."""
-    mats = [_as_square(m) for m in (t.matrices if hasattr(t, "matrices") else t)]
+    (3, n, n) complex128 stack, coerced in one pass and checked square and
+    finite.  A triple that fails is checked slot by slot, so the fault is
+    named: a slot that is not a square matrix, a count other than three,
+    mixed shapes, then a non-finite entry."""
+    triple = t.matrices if hasattr(t, "matrices") else t
+    try:
+        mats = np.asarray(triple, dtype=np.complex128)
+    except Exception:  # the checks below name the fault, or accept the slots
+        mats = None
+    if (mats is not None and mats.ndim == 3 and mats.shape[0] == 3
+            and mats.shape[1] == mats.shape[2] > 0 and np.isfinite(mats).all()):
+        return mats
+    mats = [_as_square(m) for m in triple]
     if len(mats) != 3:
         raise ValueError("expected a triple (A1, A2, A3)")
     _check_slot_shapes(mats)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from specrig import rigidity, spectrum
 from specrig.generators import (counterexample_tuple, sl2_generators,
                                 snu2_generators)
-from specrig.linalg import DEFAULT_TOL, NotHermitianError, hs_norm
+from specrig.linalg import DEFAULT_TOL, DimensionMismatchError, NotHermitianError, hs_norm
 from specrig.rigidity import (EQUIVALENT, HYPOTHESIS_FAILED,
                               RECONSTRUCTION_FAILED, ConditionReport, LineNotInSpectrumError,
                               MultiplicityError, NotUnitaryError,
@@ -154,13 +154,27 @@ class TestReconstructSnu2:
         assert any("x2_dependence detected: True" in d for d in rep.diagnostics)
 
     def test_non_finite_scale_fails_closed(self, rng):
-        # with 1e307 on every A2 entry, ||A2|| overflows: a bound of tol * inf
-        # let the A2 support checks pass and step3 blamed A3^H instead
+        # with 2e307 on every A2 entry, ||A2|| = 2e308 overflows: a bound of
+        # tol * inf let the A2 support checks pass and step3 blamed A3^H instead
         n, nu = 10, 0.05
         a1, a2, a3 = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
         with np.errstate(all="ignore"):
-            rep = _reconstruct("snu2", (a1, a2 + 1e307, a3), n, nu, 1e-9)
+            rep = _reconstruct("snu2", (a1, a2 + 2e307, a3), n, nu, 1e-9)
         assert rep.diagnostics == ["step3: A2: the scale of A2 is not finite"]
+
+    def test_finite_scale_near_overflow_keeps_a_unitary_basis(self, rng):
+        # 1e307 on every A2 entry gives ||A2|| = 1e308, finite: no ladder
+        # step may overflow into a zero column, so the basis stays unitary
+        # and step3 names A2's support, not its scale
+        n, nu = 10, 0.05
+        a1, a2, a3 = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
+        mats = spectrum._slot_matrices((a1, a2 + 1e307, a3))
+        entry = rigidity._reference("snu2", n, nu)
+        with np.errstate(all="ignore"):
+            _, v, _, ok = rigidity._eigenbasis_matched(mats[0], mats[1], entry, 1e-9)
+            rep = _reconstruct("snu2", mats, n, nu, 1e-9)
+        assert ok and hs_norm(v.conj().T @ v - np.eye(n)) <= 1e-13
+        assert rep.diagnostics[0] == "step3: A2: first column or last row of A2 is not zero"
 
     @pytest.mark.parametrize("value,bound,fails", [
         (1.0, 2.0, False), (2.0, 2.0, False), (3.0, 2.0, True), (np.nan, 2.0, True),
@@ -572,6 +586,29 @@ class TestLargeDimension:
         assert _rigidity(family, tuple(tampered), n, nu, tol).verdict != EQUIVALENT
 
 
+class TestLadderBasis:
+    """Step 1's basis is unitary where the ladder builds it, though the
+    certificate does not test that: it measures the slots only."""
+
+    @pytest.mark.parametrize("n,nu,built", [(20, 0.05, 18), (15, -0.0229, 13),
+                                            (24, -0.7, 13), (40, 0.3, 36)])
+    def test_ladder_built_basis_is_unitary(self, rng, n, nu, built):
+        ref = snu2_generators(n, nu)
+        entry = rigidity._reference("snu2", n, nu)
+        theta = max(DEFAULT_TOL, np.finfo(float).eps / DEFAULT_TOL) * max(1.0, hs_norm(ref.h))
+        gaps = np.abs(np.diff(np.sort(entry.diag)))
+        # the clusters of the reference diagonal below a column, as step 1 splits A1's
+        sizes = np.diff(np.flatnonzero(np.r_[True, gaps > theta, True]))[:-1]
+        assert int(sizes[sizes > 1].sum()) == built
+        for _ in range(3):
+            cand = conjugated(ref, random_unitary(rng, n))
+            rep = snu2_rigidity(cand, n, nu)
+            assert rep.verdict == EQUIVALENT, rep.diagnostics
+            v = rep.basis
+            assert hs_norm(v.conj().T @ v - np.eye(n)) <= 1e-13
+            assert certify_equivalence(cand, ref, rep.global_witness) <= DEFAULT_TOL
+
+
 class TestStackedVerification:
     """Verification evaluates all pencils of the family in one stacked
     determinant pass, a block of matrices at a time."""
@@ -670,6 +707,18 @@ class TestStackedVerification:
 
 
 class TestOverflowSafeScales:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_determinant_fails_its_pencil_without_warnings(self):
+        # the product pencils are finite, but a determinant of the stack
+        # overflows: its pencil fails, and nothing warns
+        t = snu2_generators(16, 0.05)
+        rep = sl2_rigidity((t.h, t.e, 1001 * t.f), 16)
+        assert rep.verdict == HYPOTHESIS_FAILED
+        residuals = rep.condition_residuals
+        failed = [k for k in rigidity.SL2_PENCILS if not residuals[k] <= DEFAULT_TOL]
+        assert "A1, A3 A3^H" in failed and not np.isfinite(residuals["A1, A3 A3^H"])
+        assert rep.diagnostics == [f"pencil equality failed: {k}" for k in failed]
+
     def test_small_nu_conjugate_is_normal_without_warnings(self, rng):
         # ||A1|| is about 7.6e98 here: the sum of squares of A1 A1* - A1* A1
         # overflows float64 unless it is rescaled
@@ -1068,3 +1117,29 @@ class TestSlotShapes:
             with pytest.raises(ValueError,
                                match=f"^the three slots must share one shape, got {shapes}$"):
                 call()
+
+    @pytest.mark.parametrize("fault,error,message", [
+        ("non-square", DimensionMismatchError, "expected a square matrix, got shape (3, 2)"),
+        ("two slots", ValueError, "expected a triple (A1, A2, A3)"),
+        ("four slots", ValueError, "expected a triple (A1, A2, A3)"),
+        ("3-D slot", DimensionMismatchError, "expected a square matrix, got shape (1, 3, 3)"),
+        ("NaN entry", ValueError, "matrix entries must be finite"),
+        ("string entry", ValueError, "complex() arg is a malformed string")])
+    def test_malformed_triple_named_at_every_entry_point(self, fault, error, message):
+        # the triple is coerced in one pass; a fault is named slot by slot
+        t = snu2_generators(3, 0.5)
+        h, e, f = t.matrices
+        nan = h.copy()
+        nan[1, 2] = np.nan
+        triple = {"non-square": (h, e[:, :2], f), "two slots": (h, e),
+                  "four slots": (h, e, f, h), "3-D slot": (h, e[None], f),
+                  "NaN entry": (h, nan, f), "string entry": (h, e, [["a", "b", "c"]] * 3)}[fault]
+        calls = (lambda: snu2_rigidity(triple, 3, 0.5), lambda: sl2_rigidity(triple, 3),
+                 lambda: certify_equivalence(triple, t, np.eye(3)),
+                 lambda: certify_equivalence(t, triple, np.eye(3)),
+                 lambda: spectra_equal(triple, t, ["A1, A2"]),
+                 lambda: spectra_equal(t, triple, ["A1, A2"]))
+        for call in calls:
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == message
