@@ -113,11 +113,11 @@ def _is_normal(a, tol: float, scale=None) -> bool:
     return hs_norm(b @ b.conj().T - b.conj().T @ b) <= tol
 
 
-def _is_unitary(a, tol: float, scale=None) -> bool:
-    """||a a* - I|| <= tol * scale^2, tested on a / scale as ``_is_normal``
-    is, so nothing can overflow; ``scale`` as in ``_is_normal``, and
-    never inf: a matrix whose norm overflows is not unitary."""
-    s = max(1.0, hs_norm(a)) if scale is None else scale
+def _is_unitary(a, tol: float) -> bool:
+    """||a a* - I|| <= tol * s^2, s = max(1, ||a||), tested on a / s as
+    ``_is_normal`` is, so nothing can overflow; a matrix whose norm
+    overflows is not unitary."""
+    s = max(1.0, hs_norm(a))
     u = a / s
     return s < math.inf and hs_norm(u @ u.conj().T - np.eye(a.shape[0]) / (s * s)) <= tol
 

@@ -18,8 +18,12 @@ Reconstruction, ``_reconstruct``, checks the dimension, runs step 1
 (A1's eigenbasis in the reference order, unresolved clusters built down
 the A2 ladder), reads the phases off A2 and computes the one certificate,
 the witness's residual per slot: within tol, the ``equivalent`` report.
-Otherwise the family's named steps only explain the failure, in order;
-if none fails, the certification step is named with those residuals:
+
+``snu2_rigidity`` / ``sl2_rigidity`` run the stages in the proof's order:
+reconstruct and certify; verify the hypotheses only when certification
+fails (a certified witness proves the equivalence); only where they hold,
+the family's named steps explain the failure in order (``_explain``); if
+none fails, the certification step is named with the per-slot residuals:
 
   snu2  step3 A2 support, step3 A3^H support, step2 adjoint products,
         step4 phases, then step5 certification;
@@ -28,12 +32,8 @@ if none fails, the certification step is named with those residuals:
         then step6 certification.
 
 sl2 has no (A1, A3* A3) pencil, so the compressions on the (A1, A2 A3)
-lines and the Hilbert-Schmidt budget pin A3.
-
-``snu2_rigidity`` / ``sl2_rigidity`` reconstruct and certify first and
-verify the hypotheses only when certification fails (a certified
-witness proves the equivalence); the verdicts are ``equivalent``,
-``hypothesis_failed`` and ``reconstruction_failed``.
+lines and the Hilbert-Schmidt budget pin A3.  The verdicts are
+``equivalent``, ``hypothesis_failed`` and ``reconstruction_failed``.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import sl2_generators, snu2_generators
-from .linalg import (DEFAULT_TOL, NotHermitianError, _check_tol, _checked_eigh,
-                     _cluster_starts, _is_normal, _is_unitary, _phase_fixed, as_matrix,
-                     hs_norm, hs_norms, matrix_to_json, spectral_projection)
+from .linalg import (DEFAULT_TOL, DimensionMismatchError, NotHermitianError, _check_tol,
+                     _checked_eigh, _cluster_starts, _is_normal, _is_unitary, _phase_fixed,
+                     as_matrix, hs_norm, hs_norms, matrix_to_json, spectral_projection)
 from .spectrum import (_compare_stacks, _det_stack, _line_products, _product, _slot_matrices,
                        parse_pencil, slot_scales, x2_dependence)
 
@@ -265,28 +265,25 @@ def _ladder_block(q, a2, top):
 
 
 # what the named steps read: the reference entry, A1's matched eigenvalues, the
-# candidate stack in that eigenbasis, the phases read off A2's superdiagonal and
-# whether the hypotheses hold (``verified()``)
-_Frame = namedtuple("_Frame", "entry tol values ahat phases verified")
+# candidate stack in that eigenbasis and the phases read off A2's superdiagonal
+_Frame = namedtuple("_Frame", "entry tol values ahat phases")
 
 
-def _reconstruct(mats, entry, tol, verified) -> RigidityReport:
+def _reconstruct(mats, entry, tol):
     """The dimension check, step 1 and the one certificate: the slot
     residuals of the witness diag(1, conj(p0), conj(p0 p1), ...) built from
-    A2's superdiagonal phases p, ``equivalent`` within tol.  Otherwise the
-    named steps of ``entry.steps`` explain the failure in order (None when
-    one passes, else its diagnostics); if all pass, the certification step
-    named last fails.  ``verified()``: do the hypotheses hold?"""
+    A2's superdiagonal phases p, ``equivalent`` within tol.  Returns the
+    report and, if the certificate fails, the ``_Frame`` of the steps."""
     n = entry.ref.n
     if mats[0].shape != (n, n):
-        return _fail("step1", f"candidate dimension {mats[0].shape[0]} != n={n}")
+        return _fail("step1", f"candidate dimension {mats[0].shape[0]} != n={n}"), None
     try:
         values, v, gap, ok = _eigenbasis_matched(mats[0], mats[1], entry, tol)
     except NotHermitianError:
-        return _fail("step1", "A1 is not Hermitian/normal within tolerance")
+        return _fail("step1", "A1 is not Hermitian/normal within tolerance"), None
     if not ok:
         return _fail("step1", f"spectrum of A1 does not match the reference "
-                              f"diagonal (max gap {gap:.3g})")
+                              f"diagonal (max gap {gap:.3g})"), None
     ahat = v.conj().T @ mats @ v
     phases = _unit_phases(ahat[1].diagonal(1), entry.e_sd)
     w = np.empty(n, dtype=np.complex128)
@@ -299,14 +296,20 @@ def _reconstruct(mats, entry, tol, verified) -> RigidityReport:
     resid = float(resids.max())
     if not _exceeds(resid, tol):
         return RigidityReport(verdict=EQUIVALENT, witness=np.diag(w), basis=v,
-                              condition_residuals=per_slot, residual=resid)
-    frame = _Frame(entry, tol, values, ahat, phases, verified)
-    *steps, certification = entry.steps
-    for name, step in steps:
-        if failure := step(frame):
-            return _fail(name, *failure)
-    return _fail(certification, f"certification residual {resid:.3g} exceeds tolerance",
-                 residuals=per_slot)
+                              condition_residuals=per_slot, residual=resid), None
+    return (_fail(entry.steps[-1], f"certification residual {resid:.3g} exceeds tolerance",
+                  residuals=per_slot), _Frame(entry, tol, values, ahat, phases))
+
+
+def _explain(fr):
+    """The report of the first of ``fr.entry.steps`` that fails, or None:
+    the named steps explain a failed certificate where the hypotheses
+    hold."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, step in fr.entry.steps[:-1]:
+            if failure := step(fr):
+                return _fail(name, *failure)
+    return None
 
 
 def _superdiagonal_support(label, mat, ref_moduli, tol):
@@ -341,11 +344,11 @@ def _superdiagonal_support(label, mat, ref_moduli, tol):
 def _a2_support(fr):
     """A2 is supported on the superdiagonal with the reference moduli;
     off-diagonal mass of finite scale triggers the x2-dependence
-    diagnostic if the hypotheses hold (``fr.verified()``).  The entrywise
+    diagnostic (the hypotheses hold wherever a step runs).  The entrywise
     support checks run before the coarser product checks, so a bumped
     modulus is reported as the support violation it is."""
     msg = _superdiagonal_support("A2", fr.ahat[1], np.abs(fr.entry.e_sd), fr.tol)
-    if msg and np.isfinite(hs_norm(fr.ahat[1])) and fr.verified():
+    if msg and np.isfinite(hs_norm(fr.ahat[1])):
         dep = x2_dependence(np.diag(fr.values).astype(np.complex128), fr.ahat[1])
         return msg, f"x2_dependence detected: {dep}"
     return (msg,) if msg else None
@@ -447,29 +450,24 @@ _SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products),
 # --- drivers ------------------------------------------------------------------
 
 def _drive(t, tol, family, n, nu=None) -> RigidityReport:
-    """Both stages on one reference lookup and one validation of the
-    slots: reconstruct and certify first; verify the hypotheses only when
-    certification fails (a certified witness proves the equivalence)."""
+    """The stages in the proof's order (certify, verify, explain), each
+    run only where its output is read, on one reference lookup and one
+    validation of the slots."""
     _check_tol(tol)
     entry, mats = _reference(family, n, nu), _slot_matrices(t)
-    memo = []  # the verification, run at most once: by a named step, or below
-
-    def verify():
-        if not memo:
-            memo.append(_verify_conditions(mats, entry, tol))
-        return memo[0]
-
     with np.errstate(over="ignore", invalid="ignore"):  # unverified products fail closed
-        rep = _reconstruct(mats, entry, tol, lambda: verify().all_passed)
+        rep, frame = _reconstruct(mats, entry, tol)
     if rep.verdict == EQUIVALENT:
         return rep
-    cond = verify()
+    cond = _verify_conditions(mats, entry, tol)
     if not cond.all_passed:
         rep = RigidityReport(verdict=HYPOTHESIS_FAILED)
         if not cond.a1_normal:
             rep.diagnostics.append("A1 is not normal")
         rep.diagnostics.extend(f"pencil equality failed: {c.pencil}"
                                for c in cond.checks if not c.equal)
+    elif frame is not None:
+        rep = _explain(frame) or rep
     rep.condition_residuals.update(cond.residuals())
     return rep
 
@@ -547,9 +545,10 @@ def certify_equivalence(t, ref, w, tol: float = DEFAULT_TOL) -> float:
     test).  The result is NaN when a slot's product overflows float64, so
     it never compares <= tol."""
     _check_tol(tol)
-    mats = _slot_matrices(t)
-    refs = _slot_matrices(ref)
-    w = as_matrix(w)
+    mats, refs, w = _slot_matrices(t), _slot_matrices(ref), as_matrix(w)
+    if not mats.shape[1] == refs.shape[1] == w.shape[0]:
+        raise DimensionMismatchError(f"candidate, reference and witness sizes differ: "
+                                     f"{mats.shape[1]}, {refs.shape[1]}, {w.shape[0]}")
     if not _is_unitary(w, tol):
         raise NotUnitaryError("witness is not unitary within tolerance")
     return float(_slot_residuals(mats, refs, w, np.maximum(1.0, hs_norms(refs))).max())

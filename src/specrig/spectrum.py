@@ -149,6 +149,8 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
     var_names = tuple(var_names) if var_names is not None else tuple(f"x{i + 1}" for i in range(k))
     if len(var_names) != k:
         raise ValueError("need one variable name per pencil matrix")
+    if not all(var_names) or len(set(var_names)) != k:
+        raise ValueError(f"variable names must be distinct and non-empty, got {list(var_names)}")
     return MultiPoly(var_names, _det_stack([mats], affine)[0])
 
 

@@ -90,6 +90,17 @@ class TestDet:
                              "--vars", "x")
         assert (code, out, err) == (1, "", "error: --vars lists 1 names for 2 pencil slots\n")
 
+    @pytest.mark.parametrize("names", ["x,x", "x,"])
+    def test_vars_distinct_and_non_empty(self, capsys, tmp_path, names):
+        # both exited 0 and wrote the names as given
+        path = tmp_path / "t.json"
+        run(capsys, "gen", "--family", "sl2", "--n", "3", "-o", str(path))
+        code, out, err = run(capsys, "det", "--tuple", str(path), "--pencil", "A1, A2 A3",
+                             "--vars", names)
+        second = names.split(",")[1]
+        assert (code, out, err) == (1, "", "error: variable names must be distinct and "
+                                           f"non-empty, got ['x', '{second}']\n")
+
     def test_missing_file_reported(self, capsys):
         code, _, err = run(capsys, "det", "--tuple", "/nonexistent.json",
                            "--pencil", "A1")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specrig import rigidity, spectrum
-from specrig.generators import (counterexample_tuple, sl2_generators,
+from specrig.generators import (counterexample_tuple, one_dim_rep, sl2_generators,
                                 snu2_generators)
 from specrig.linalg import DEFAULT_TOL, DimensionMismatchError, NotHermitianError, hs_norm
 from specrig.rigidity import (EQUIVALENT, HYPOTHESIS_FAILED,
@@ -46,10 +46,11 @@ def _verify(family, cand, n, nu=None, tol=DEFAULT_TOL):
 
 
 def _reconstruct(family, cand, n, nu=None, tol=DEFAULT_TOL):
-    """The reconstruction stage, entered as the drivers enter it once the
-    hypotheses hold, so every diagnostic is computed."""
-    return rigidity._reconstruct(spectrum._slot_matrices(cand),
-                                 rigidity._reference(family, n, nu), tol, lambda: True)
+    """The reconstruction stage, then the named steps, as the drivers run
+    them once the hypotheses hold, so every diagnostic is computed."""
+    rep, frame = rigidity._reconstruct(spectrum._slot_matrices(cand),
+                                       rigidity._reference(family, n, nu), tol)
+    return (rigidity._explain(frame) or rep) if frame else rep
 
 
 class TestVerifyConditionsSnu2:
@@ -464,6 +465,17 @@ class TestCertifyEquivalence:
         t = counterexample_tuple(1.0, 2.0, 2.0, 1.0)
         ref = sl2_generators(3)
         assert certify_equivalence(t, ref, np.eye(3)) >= 1.0
+
+    @pytest.mark.parametrize("sizes", [(2, 1, 1), (4, 5, 4), (4, 5, 5), (4, 4, 3)])
+    def test_sizes_must_agree(self, sizes):
+        # (2, 1, 1) broadcast to a residual of 2.03; the others raised
+        # numpy's "operands could not be broadcast" or "matmul: Input
+        # operand 1 has a mismatch ..."
+        cand, ref, w = sizes
+        refs = one_dim_rep(1, 0.5) if ref == 1 else snu2_generators(ref, 0.5)
+        with pytest.raises(DimensionMismatchError, match="^candidate, reference and witness "
+                           f"sizes differ: {cand}, {ref}, {w}$"):
+            certify_equivalence(snu2_generators(cand, 0.5), refs, np.eye(w))
 
     def test_non_unitary_rejected(self, rng):
         t = snu2_generators(3, 0.5)
@@ -917,7 +929,7 @@ def _verify_then_reconstruct(family, cand, n, nu, tol):
     mats, entry = spectrum._slot_matrices(cand), rigidity._reference(family, n, nu)
     cond = rigidity._verify_conditions(mats, entry, tol)
     if cond.all_passed:
-        rep = rigidity._reconstruct(mats, entry, tol, lambda: True)
+        rep = _reconstruct(family, cand, n, nu, tol)
         return rep.verdict, rep.diagnostics[:1]
     if not cond.a1_normal:
         return HYPOTHESIS_FAILED, ["A1 is not normal"]
@@ -938,16 +950,15 @@ def _steps_then_certify(family, cand, n, nu, tol):
         except NotHermitianError:
             ok = False
         if not ok:
-            rep = rigidity._reconstruct(mats, entry, tol, lambda: cond.all_passed)
+            rep, _ = rigidity._reconstruct(mats, entry, tol)
         else:
             ahat = v.conj().T @ mats @ v
             frame = rigidity._Frame(entry, tol, values, ahat,
-                                    rigidity._unit_phases(ahat[1].diagonal(1), entry.e_sd),
-                                    lambda: cond.all_passed)
+                                    rigidity._unit_phases(ahat[1].diagonal(1), entry.e_sd))
             failed = next(((name, f) for name, step in entry.steps[:-1] if (f := step(frame))),
                           None)
             # with every named step passed, the certificate decides
-            rep = (rigidity._reconstruct(mats, entry, tol, lambda: cond.all_passed)
+            rep = (rigidity._reconstruct(mats, entry, tol)[0]
                    if failed is None else rigidity._fail(failed[0], *failed[1]))
     if rep.verdict == EQUIVALENT:
         return rep
@@ -962,16 +973,37 @@ def _steps_then_certify(family, cand, n, nu, tol):
 
 
 class TestCertificateFirst:
-    """The drivers reconstruct and certify first and verify the
-    hypotheses only when certification fails.  Inside reconstruction a
-    certified witness ends it, and the named steps run only to explain a
-    failed certificate."""
+    """The drivers reconstruct and certify first, verify the hypotheses
+    only when certification fails, and run the named steps only to
+    explain a failed certificate where the hypotheses hold."""
 
     @pytest.fixture
     def no_diagnostic(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("x2_dependence computed for a dropped diagnostic")
         monkeypatch.setattr(rigidity, "x2_dependence", refuse)
+
+    @pytest.fixture
+    def stages(self, monkeypatch):
+        """The log of the verification ("verify") and the named steps (by
+        function name), in the order the drivers call them."""
+        log = []
+
+        def logged(name, f):
+            def call(*args):
+                log.append(name)
+                return f(*args)
+            return call
+        monkeypatch.setattr(rigidity, "_verify_conditions",
+                            logged("verify", rigidity._verify_conditions))
+        for name in ("_SNU2_STEPS", "_SL2_STEPS"):
+            *steps, certification = getattr(rigidity, name)
+            monkeypatch.setattr(rigidity, name, (*((label, logged(step.__name__, step))
+                                                   for label, step in steps), certification))
+        rigidity._reference.cache_clear()  # the cached entry holds the steps
+        yield log
+        monkeypatch.undo()
+        rigidity._reference.cache_clear()
 
     @pytest.mark.parametrize("family,n,nu", [("snu2", 6, -0.7), ("snu2", 10, 0.3),
                                              ("sl2", 7, None)])
@@ -1028,12 +1060,14 @@ class TestCertificateFirst:
                           "pencil equality failed: A1, A2 A3"]),
         ("sl2", 2, 2, 1, ["pencil equality failed: A1, A3 A3^H",
                           "pencil equality failed: A1, A2 A3"])])
-    def test_failing_hypothesis_decides(self, no_diagnostic, family, slot, i, j, diagnostics):
-        # the (1, 2) A2 tamper fails step3 first, whose x2-dependence
-        # diagnostic the hypothesis_failed verdict would drop
+    def test_failing_hypothesis_decides(self, no_diagnostic, stages, family, slot, i, j,
+                                        diagnostics):
+        # no named step runs: the (1, 2) A2 tamper would fail step3 first,
+        # whose x2-dependence diagnostic the hypothesis_failed verdict drops
         n, nu = 5, (0.5 if family == "snu2" else None)
         cand = _tampered(family, n, nu, slot, i, j)
         rep = _rigidity(family, cand, n, nu, DEFAULT_TOL)
+        assert stages == ["verify"]
         assert rep.verdict == HYPOTHESIS_FAILED
         assert rep.diagnostics == diagnostics
         assert rep.witness is None and rep.residual is None
@@ -1066,6 +1100,18 @@ class TestCertificateFirst:
         slots = ["certify A1", "certify A2", "certify A3"] if certify else []
         assert list(rep.condition_residuals) == slots + list(cond.residuals())
         assert {k: rep.condition_residuals[k] for k in cond.residuals()} == cond.residuals()
+
+    @pytest.mark.parametrize("family,slot,i,j,steps", [
+        ("snu2", 1, 2, 1, ["_a2_support"]),
+        ("sl2", 2, 0, 4, ["_a2_support", "_adjoint_products", "_compressions", "_phases",
+                          "_hs_budget"])])
+    def test_verification_runs_once_before_the_steps(self, stages, family, slot, i, j, steps):
+        # a reconstruction_failed verdict: step3, and sl2's certification
+        # step after every explaining step has passed
+        n, nu = 5, (0.5 if family == "snu2" else None)
+        rep = _rigidity(family, _tampered(family, n, nu, slot, i, j), n, nu, DEFAULT_TOL)
+        assert rep.verdict == RECONSTRUCTION_FAILED
+        assert stages == ["verify", *steps]
 
     def test_a1_of_overflowing_norm_falls_back_to_verification(self):
         # ||A1|| overflows: (A1 + A1*) / 2 would hold inf, and eigh would

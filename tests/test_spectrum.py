@@ -141,6 +141,13 @@ class TestDetPencil:
         with pytest.raises(ValueError, match="^need one variable name per pencil matrix$"):
             det_pencil([np.eye(2), np.eye(2)], ("x",))
 
+    @pytest.mark.parametrize("names", [("x", "x"), ("x", "")])
+    def test_names_distinct_and_non_empty(self, names):
+        # both were accepted and written out as the polynomial's variables
+        with pytest.raises(ValueError, match=r"^variable names must be distinct and "
+                           rf"non-empty, got \['x', '{names[1]}'\]$"):
+            det_pencil([np.eye(2), np.eye(2)], names)
+
     def test_array_prune_matches_dict_prune(self, rng, monkeypatch):
         # det_pencil prunes the interpolated coefficient array; the result
         # must be the dict of every coefficient above PRUNE_REL times the
