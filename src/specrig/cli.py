@@ -9,7 +9,8 @@ produce byte-identical output.
 Exit codes: 0 success (for ``rigidity``: verdict equivalent), 1 usage or
 input error, 2 hypothesis failed, 3 reconstruction failed.
 
-The environment variable SPECRIG_TOL overrides the default tolerance.
+SPECRIG_TOL overrides the default tolerance; ``--tol`` (lines, compare,
+rigidity, counterexample) overrides both.
 """
 
 from __future__ import annotations
@@ -247,10 +248,11 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_output(p, tol=False):
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (default 1e-9, or SPECRIG_TOL)")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="tolerance (default 1e-9, or SPECRIG_TOL)")
 
     p = sub.add_parser("gen", help="construct a generator tuple")
     p.add_argument("--family", required=True,
@@ -268,25 +270,25 @@ def _build_parser() -> _Parser:
                    help="base family for random-conjugate")
     p.add_argument("--mode", default="unitary", choices=["phase", "unitary"])
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_output(p)
 
     p = sub.add_parser("det", help="determinant polynomial of a pencil")
     p.add_argument("--tuple", required=True)
     p.add_argument("--pencil", required=True, help="e.g. \"A1, A2 A2^H\"")
     p.add_argument("--vars", default=None, help="comma-separated variable names")
-    add_common(p)
+    add_output(p)
 
     p = sub.add_parser("lines", help="line decomposition of a pair spectrum")
     p.add_argument("--tuple", required=True)
     p.add_argument("--pencil", required=True)
-    add_common(p)
+    add_output(p, tol=True)
 
     p = sub.add_parser("compare", help="compare joint spectra of two tuples")
     p.add_argument("--tuple", required=True)
     p.add_argument("--tuple2", required=True)
     p.add_argument("--pencil", action="append", required=True,
                    help="repeatable; one comparison per pencil")
-    add_common(p)
+    add_output(p, tol=True)
 
     p = sub.add_parser("rigidity", help="verify hypotheses and reconstruct the witness")
     p.add_argument("--tuple", required=True)
@@ -294,20 +296,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nu", type=float)
     p.add_argument("--json", action="store_true", help="full JSON report")
-    add_common(p)
+    add_output(p, tol=True)
 
     p = sub.add_parser("exceptional", help="exceptional deformation parameters")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    add_common(p)
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
+    add_output(p)
 
     p = sub.add_parser("relations", help="deformed commutation relation residuals")
     p.add_argument("--family", default="snu2", choices=["snu2", "limit", "fundamental"])
     p.add_argument("--n", type=int)
     p.add_argument("--nu", type=float)
     p.add_argument("--orientation", default="paper", choices=["paper", "swapped"])
-    add_common(p)
+    add_output(p)
 
     p = sub.add_parser("counterexample", help="the 3x3 non-rigidity family demo")
     p.set_defaults(family="counterexample")
@@ -315,7 +318,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", default="2")
     p.add_argument("--gamma", default="2")
     p.add_argument("--delta", default="1")
-    add_common(p)
+    add_output(p, tol=True)
 
     return parser
 

@@ -276,6 +276,12 @@ class TestExceptional:
                     for i, j, z in ((i, j, float(z)) for i, j, z, _ in rows))
         assert worst <= 1e-11
 
+    def test_json_and_csv_exclusive(self, capsys):
+        # one output format per run: neither flag is dropped silently
+        code, out, err = run(capsys, "exceptional", "--n", "3", "--json", "--csv")
+        assert (code, out, err) == (1, "", "error: argument --csv: not allowed with "
+                                           "argument --json\n")
+
 
 class TestRelations:
     def test_snu2_swapped(self, capsys):
@@ -365,6 +371,17 @@ class TestArgumentChecks:
         path = tmp_path / "random.json"
         path.write_text(json.dumps({"family": "snu2", "n": 4, "nu": 0.5, "matrices": mats}))
         return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "sl2", "--n", "3"),
+        ("det", "--tuple", "unread.json", "--pencil", "A1, A2"),
+        ("exceptional", "--n", "3"),
+        ("relations", "--family", "snu2", "--n", "4", "--nu", "0.5"),
+    ], ids=["gen", "det", "exceptional", "relations"])
+    def test_tol_only_where_read(self, capsys, argv):
+        # these commands read no tolerance, so --tol is not theirs to accept
+        code, out, err = run(capsys, *argv, "--tol", "5")
+        assert (code, out, err) == (1, "", "error: unrecognized arguments: --tol 5\n")
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_option_exits_one(self, capsys, random_triple, tol):
