@@ -807,7 +807,28 @@ class TestReconstructionBranches:
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert rep.diagnostics[0] == "step1: A1 is not Hermitian/normal within tolerance"
 
-    def test_sl2_a3_turned_off_subdiagonal(self):
+    @pytest.mark.parametrize("n,drop,message", [
+        (5, 2e-9, "step4: A3 subdiagonal entry (1,0) is not unimodular"),
+        (3, 1e-9, "step5: hs-budget violation: trace(A3 A3*) = 2 "
+                  "carries 2e-09 off the subdiagonal")])
+    def test_sl2_a3_turned_off_subdiagonal(self, n, drop, message):
+        # row 1 of A3 turns toward the unused last column:
+        # A3[1,0] = cos(theta), A3[1,n-1] = sin(theta), 1 - cos(theta) = drop.
+        # `message` is what the deleted steps said of this case; certification
+        # now names it, with a residual bounding the quantity they tested
+        t = sl2_generators(n)
+        a3 = t.f.copy()
+        a3[1, 0] = 1.0 - drop
+        a3[1, n - 1] = np.sqrt(1.0 - (1.0 - drop) ** 2)
+        rep = sl2_rigidity((t.h, t.e, a3), n)
+        assert rep.verdict == RECONSTRUCTION_FAILED
+        assert message not in rep.diagnostics
+        assert rep.diagnostics[0].startswith("step6: ")
+        bound = rep.condition_residuals["certify A3"] * max(1.0, hs_norm(t.f))
+        assert bound >= hs_norm(a3 - np.diag(a3.diagonal(-1), -1))
+        assert bound >= np.abs(np.abs(a3.diagonal(-1)) - 1.0).max()
+
+    def test_sl2_a3_turned_off_subdiagonal_probe(self):
         # row r of A3 turns toward the unused last column:
         # A3[r,r-1] = cos(theta), A3[r,n-1] = sin(theta), 1 - cos(theta) = eps.
         # W F W* is subdiagonal with unimodular entries, so the certificate
