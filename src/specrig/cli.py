@@ -10,7 +10,8 @@ Exit codes: 0 success (for ``rigidity``: verdict equivalent), 1 usage or
 input error, 2 hypothesis failed, 3 reconstruction failed.
 
 SPECRIG_TOL overrides the default tolerance; ``--tol`` (lines, compare,
-rigidity, counterexample) overrides both.
+rigidity, counterexample) overrides both.  A family parameter the family
+never reads is a usage error.
 """
 
 from __future__ import annotations
@@ -102,37 +103,48 @@ def _random_conjugate(base: GeneratorTuple, mode: str, seed: int) -> GeneratorTu
                           nu=base.nu, family=base.family)
 
 
-def _build_base(args) -> GeneratorTuple:
-    fam = args.family
+# the family parameters each family reads, and their defaults; any other one
+# given is an error (``limit`` takes only nu = 1 or -1, and 1 by default)
+_READS = {"snu2": ("n", "nu"), "limit": ("n", "nu"), "sl2": ("n",), "fundamental": ("nu",),
+          "onedim": ("nu", "c"), "counterexample": ("alpha", "beta", "gamma", "delta")}
+_DEFAULTS = {"c": "1", "alpha": "1", "beta": "2", "gamma": "2", "delta": "1"}
+
+
+def _family_args(args, fam, flag="--family") -> dict:
+    """The parameters ``fam`` reads, defaults filled in; one it never
+    reads, or one it needs and lacks, is a usage error that names it."""
+    given = {name: getattr(args, name, None) for name in ("n", "nu", *_DEFAULTS)}
+    for name, value in given.items():
+        if value is not None and name not in _READS[fam]:
+            raise UsageError(f"{flag} {fam} does not read --{name}")
+    if fam == "limit":
+        if given["nu"] not in (None, 1.0, -1.0):
+            raise UsageError(f"{flag} limit reads only --nu 1 or -1, got {given['nu']!r}")
+        given["nu"] = given["nu"] or 1.0
+    vals = {name: _DEFAULTS.get(name) if given[name] is None else given[name]
+            for name in _READS[fam]}
+    if missing := [name for name, value in vals.items() if value is None]:
+        raise UsageError(f"{flag} {fam} requires --{missing[0]}")
+    return vals
+
+
+def _build_base(args, fam=None, flag="--family") -> GeneratorTuple:
+    fam = fam or args.family
+    v = _family_args(args, fam, flag)
     if fam in ("snu2", "limit"):
-        if args.n is None:
-            raise UsageError(f"--family {fam} requires --n")
-        nu = 1.0 if (fam == "limit" and args.nu is None) else args.nu
-        if nu is None:
-            raise UsageError("--family snu2 requires --nu")
-        return snu2_generators(args.n, nu)
+        return snu2_generators(v["n"], v["nu"])
     if fam == "sl2":
-        if args.n is None:
-            raise UsageError("--family sl2 requires --n")
-        return sl2_generators(args.n)
+        return sl2_generators(v["n"])
     if fam == "fundamental":
-        if args.nu is None:
-            raise UsageError("--family fundamental requires --nu")
-        return fundamental_generators(args.nu)
+        return fundamental_generators(v["nu"])
     if fam == "onedim":
-        if args.nu is None:
-            raise UsageError("--family onedim requires --nu")
-        return one_dim_rep(_parse_complex(args.c), args.nu)
-    if fam == "counterexample":
-        return counterexample_tuple(_parse_complex(args.alpha), _parse_complex(args.beta),
-                                    _parse_complex(args.gamma), _parse_complex(args.delta))
-    raise UsageError(f"unknown family {fam!r}")
+        return one_dim_rep(_parse_complex(v["c"]), v["nu"])
+    return counterexample_tuple(*(_parse_complex(v[k]) for k in _READS[fam]))
 
 
 def _cmd_gen(args) -> int:
     if args.family == "random-conjugate":
-        args.family = args.base
-        t = _random_conjugate(_build_base(args), args.mode, args.seed)
+        t = _random_conjugate(_build_base(args, args.base, "--base"), args.mode, args.seed)
     else:
         t = _build_base(args)
     _dump(tuple_to_json(t), args.output)
@@ -178,10 +190,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
+    _family_args(args, args.family)
     t = _load_tuple(args.tuple)
     if args.family == "snu2":
-        if args.nu is None:
-            raise UsageError("--family snu2 requires --nu")
         rep = snu2_rigidity(t, args.n, args.nu, args.tol)
     else:
         rep = sl2_rigidity(t, args.n, args.tol)
@@ -260,11 +271,9 @@ def _build_parser() -> _Parser:
                             "counterexample", "random-conjugate"])
     p.add_argument("--n", type=int)
     p.add_argument("--nu", type=float)
-    p.add_argument("--c", default="1", help="scalar parameter of the 1-dim family")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", default="2")
-    p.add_argument("--gamma", default="2")
-    p.add_argument("--delta", default="1")
+    p.add_argument("--c", help="scalar parameter of the 1-dim family (default 1)")
+    for name in ("alpha", "beta", "gamma", "delta"):
+        p.add_argument(f"--{name}", help=f"default {_DEFAULTS[name]}")
     p.add_argument("--base", default="snu2",
                    choices=["snu2", "sl2", "limit", "fundamental"],
                    help="base family for random-conjugate")
@@ -314,10 +323,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("counterexample", help="the 3x3 non-rigidity family demo")
     p.set_defaults(family="counterexample")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", default="2")
-    p.add_argument("--gamma", default="2")
-    p.add_argument("--delta", default="1")
+    for name in ("alpha", "beta", "gamma", "delta"):
+        p.add_argument(f"--{name}", help=f"default {_DEFAULTS[name]}")
     add_output(p, tol=True)
 
     return parser

@@ -27,15 +27,26 @@ none fails, the certification step is named with the per-slot residuals:
 
   snu2  step3 A2 support, step3 A3^H support, step2 adjoint products,
         step4 phases, then step5 certification;
-  sl2   step3 A2 support, step2 adjoint products, step4 compressions,
-        step4 phases, then step6 certification.
+  sl2   step3 A2 support, step2 adjoint products, step4 phases, then
+        step6 certification.
 
-sl2 has no (A1, A3* A3) pencil, so the compressions on the (A1, A2 A3)
-lines and the Hilbert-Schmidt budget pin A3.  Only the compressions are
-a step: W F W* is subdiagonal with unimodular entries, so the A3
-certificate bounds A3's mass off the subdiagonal and its modulus gaps
-on it.  sl2 names no step5; certification keeps "step6".  The verdicts
-are ``equivalent``, ``hypothesis_failed`` and ``reconstruction_failed``.
+sl2 has no (A1, A3* A3) pencil: the proof pins A3 by the compressions
+on the (A1, A2 A3) lines and the Hilbert-Schmidt budget, which no step
+checks: each of their terms is checked before them or by the
+certificate.  W F W* is
+subdiagonal with unimodular entries, so c3 = ``certify A3`` max(1, ||F||)
+bounds A3's mass off the subdiagonal and its modulus gaps on it.  With
+a_j = |A2_(j,j+1)|, b_j = |A3_(j+1,j)| and the phases p_j, s_j of
+``_phases`` (hats dropped; e, f the reference's ladder diagonals),
+
+  (A2 A3)_jj - e_j f_j = sign(e_j f_j) [|e_j f_j| (p_j s_j* - 1)
+      + ((a_j - |e_j|) b_j + |e_j| (b_j - |f_j|)) p_j s_j*]
+      + sum_(k != j+1) A2_jk A3_kj,
+
+bounded by |e_j f_j| |p_j - s_j| (the phase gap) + |a_j - |e_j|| b_j
+(step 3's moduli) + |e_j| c3 + (A2's mass off the superdiagonal) c3.
+sl2 names no step5; certification keeps "step6".  The verdicts are
+``equivalent``, ``hypothesis_failed`` and ``reconstruction_failed``.
 """
 
 from __future__ import annotations
@@ -403,25 +414,6 @@ def _phases(fr):
     return None
 
 
-def _compressions(fr):
-    """sl2: the spectral compressions on the lines
-    (n-1-2j) x1 + (j+1)(n-1-j) x2 = 1 of (A1, A2 A3), with (j+1)(n-1-j)
-    the reference's (E F)_jj, pin the subdiagonal of A3.  W F W* is
-    subdiagonal with unimodular entries, so ||ahat[2] - W F W*|| =
-    ``certify A3`` max(1, ||F||) bounds A3's HS mass off the subdiagonal
-    (the budget trace(A3 A3*) = n-1) and every ||ahat[2]_(j+1,j)| - 1|:
-    the certificate names what checks of these would."""
-    entry, ahat, tol = fr.entry, fr.ahat, fr.tol
-    prod23 = ahat[1] @ ahat[2]
-    mus = (entry.e_sd * entry.f_sd).real
-    comp_gap = np.abs(prod23.diagonal()[:-1] - mus)
-    if _exceeds(float(comp_gap.max()), tol * max(1.0, hs_norm(prod23))):
-        j = int(np.argmax(comp_gap))
-        return (f"compression mismatch on line {j}: "
-                f"(A2 A3)_{j}{j} = {complex(prod23[j, j]):.6g} vs {mus[j]:.6g}",)
-    return None
-
-
 def _slot_residuals(mats, refs, w, norms) -> np.ndarray:
     """||a_i - w r_i w*||_HS / norms_i over the slot stacks, ``w`` a unitary
     or its diagonal; NaN where a product overflows, so the maximum over
@@ -433,8 +425,8 @@ def _slot_residuals(mats, refs, w, norms) -> np.ndarray:
 # the explaining steps, then the name of the certification step
 _SNU2_STEPS = (("step3", _a2_support), ("step3", _a3_adjoint_support),
                ("step2", _adjoint_products), ("step4", _phases), "step5")
-_SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products),
-              ("step4", _compressions), ("step4", _phases), "step6")
+_SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products), ("step4", _phases),
+              "step6")
 
 
 # --- drivers ------------------------------------------------------------------

@@ -383,6 +383,41 @@ class TestArgumentChecks:
         code, out, err = run(capsys, *argv, "--tol", "5")
         assert (code, out, err) == (1, "", "error: unrecognized arguments: --tol 5\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (("gen", "--family", "limit", "--n", "3", "--nu", "0.5"),
+         "--family limit reads only --nu 1 or -1, got 0.5"),
+        (("gen", "--family", "sl2", "--n", "3", "--nu", "0.5"), "--family sl2 does not read --nu"),
+        (("gen", "--family", "fundamental", "--n", "7", "--nu", "0.5"),
+         "--family fundamental does not read --n"),
+        (("relations", "--family", "fundamental", "--n", "9", "--nu", "0.5"),
+         "--family fundamental does not read --n"),
+        (("gen", "--family", "snu2", "--n", "3", "--nu", "0.5", "--c", "2"),
+         "--family snu2 does not read --c"),
+        (("gen", "--family", "random-conjugate", "--base", "limit", "--n", "3", "--nu", "0.5"),
+         "--base limit reads only --nu 1 or -1, got 0.5"),
+        (("gen", "--family", "random-conjugate", "--base", "sl2", "--n", "3", "--nu", "0.5"),
+         "--base sl2 does not read --nu"),
+        (("gen", "--family", "random-conjugate", "--base", "fundamental", "--n", "7",
+          "--nu", "0.5"), "--base fundamental does not read --n"),
+    ], ids=["gen-limit-nu", "gen-sl2-nu", "gen-fundamental-n", "relations-fundamental-n",
+            "gen-snu2-c", "base-limit-nu", "base-sl2-nu", "base-fundamental-n"])
+    def test_flag_a_family_never_reads(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_rigidity_sl2_reads_no_nu(self, capsys, tmp_path):
+        path = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", "sl2", "--n", "3", "-o", str(path))
+        code, out, err = run(capsys, "rigidity", "--tuple", str(path), "--family", "sl2",
+                             "--n", "3", "--nu", "0.5")
+        assert (code, out, err) == (1, "", "error: --family sl2 does not read --nu\n")
+
+    @pytest.mark.parametrize("nu", ["1", "-1"])
+    def test_limit_reads_unit_nu(self, capsys, nu):
+        code, out, _ = run(capsys, "gen", "--family", "limit", "--n", "3", "--nu", nu)
+        assert code == 0
+        assert tuple_from_json(json.loads(out)).nu == float(nu)
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_option_exits_one(self, capsys, random_triple, tol):
         code, out, err = run(capsys, "rigidity", "--tuple", random_triple, "--family", "snu2",
@@ -423,7 +458,8 @@ class TestArgumentChecks:
     def test_overflowing_products_print_one_line(self, capsys, tmp_path, family, n, key):
         # a child process, so numpy's warnings would reach its stderr
         path = tmp_path / "fix.json"
-        run(capsys, "gen", "--family", family, "--n", str(n), "--nu", "0.5", "-o", str(path))
+        nu = ("--nu", "0.5") if family == "snu2" else ()
+        assert run(capsys, "gen", "--family", family, "--n", str(n), *nu, "-o", str(path))[0] == 0
         blob = json.loads(path.read_text())
         for row in blob["matrices"][key]["entries"]:
             for pair in row:
@@ -433,7 +469,7 @@ class TestArgumentChecks:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.run([sys.executable, "-m", "specrig.cli", "rigidity", "--tuple",
-                               str(path), "--family", family, "--n", str(n), "--nu", "0.5"],
+                               str(path), "--family", family, "--n", str(n), *nu],
                               capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "error: the candidate's pencil products overflow float64\n")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specrig import rigidity, spectrum
+from specrig.exceptional import exceptional_set
 from specrig.generators import (counterexample_tuple, one_dim_rep, sl2_generators,
                                 snu2_generators)
 from specrig.linalg import DEFAULT_TOL, DimensionMismatchError, NotHermitianError, hs_norm
@@ -241,7 +242,7 @@ FAILING_STEPS = [
      "step3: A2: A2 support off the superdiagonal at (1,3)"),
     (_a3_phase,
      "step4: phase mismatch between A2 and A3",
-     "step4: compression mismatch on line 1"),
+     "step4: phase mismatch between A2 and A3"),
     (_double_a1,
      "step1: spectrum of A1 does not match the reference diagonal",
      "step1: spectrum of A1 does not match the reference diagonal"),
@@ -762,6 +763,36 @@ def test_conjugate_equivalent_at_default_tol(nu, n):
     assert rep.verdict == EQUIVALENT, rep.diagnostics
 
 
+def test_equivalent_reports_pass_mpmath_oracle():
+    # the certificate recomputed at 40 digits from the returned global
+    # witness G = basis @ witness, independently of float64 and of the
+    # eigenbasis the certificate was computed in: max_i ||A_i - G R_i G*||
+    # / max(1, ||R_i||) within tol, and G unitary to 1e-12 n
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    tol = DEFAULT_TOL
+    cases = [("sl2", n, None) for n in (2, 3, 5, 8)]
+    for n in (2, 3, 5, 8):
+        roots = exceptional_set(n)
+        cases += [("snu2", n, nu) for nu in (0.05, 0.3, -0.7, 1.0)]
+        cases += [("snu2", n, roots[len(roots) // 2].nu)] if roots else []
+    with mp.workdps(40):
+        def exact(a):
+            return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in a])
+
+        for family, n, nu in cases:
+            ref = _reference(family, n, nu)
+            for _ in range(2):
+                cand = conjugated(ref, random_unitary(rng, n))
+                rep = _rigidity(family, cand, n, nu, tol)
+                assert rep.verdict == EQUIVALENT, (family, n, nu, rep.diagnostics)
+                g = exact(rep.global_witness)
+                assert mp.mnorm(g.H * g - mp.eye(n), "f") <= 1e-12 * n
+                resid = max(mp.mnorm(exact(a) - g * exact(r) * g.H, "f") / max(1.0, hs_norm(r))
+                            for a, r in zip(cand, ref.matrices))
+                assert resid <= tol * (1 + 1e-6), (family, n, nu, float(resid))
+
+
 @pytest.mark.parametrize("n,nu", [(10, 0.05), (12, 0.1), (20, 0.3)])
 def test_vanishing_ladder_step_fails_without_warnings(n, nu):
     # step 1 builds A1's clustered eigenvectors down the A2 ladder; a zero
@@ -834,6 +865,7 @@ class TestReconstructionBranches:
         # W F W* is subdiagonal with unimodular entries, so the certificate
         # bounds A3's HS mass off the subdiagonal and every subdiagonal
         # modulus gap: no step checks either, and certification names them
+        # (the 181 other cases fail the (A1, A2 A3) pencil)
         step6 = 0
         for n in range(2, 9):
             t = sl2_generators(n)
@@ -853,7 +885,48 @@ class TestReconstructionBranches:
                     bound = rep.condition_residuals["certify A3"] * scale
                     assert bound >= hs_norm(a3 - np.diag(a3.diagonal(-1), -1))
                     assert bound >= np.abs(np.abs(a3.diagonal(-1)) - 1.0).max()
-        assert step6 == 120
+        assert step6 == 155
+
+    def test_sl2_phase_turn_probe(self):
+        # one A2 superdiagonal or A3 subdiagonal entry turned, then
+        # conjugated.  No step checks the compressions on the (A1, A2 A3)
+        # lines: where certification names the failure, each gap
+        # |(A2 A3)_jj - e_j f_j| is within the module docstring's bound by
+        # the phase gap and step 3's moduli and support mass, which passed,
+        # and c3 = certify A3 max(1, ||F||)
+        rng = np.random.default_rng(27)
+        step6 = 0
+        for n in range(2, 9):
+            ref, entry = sl2_generators(n), rigidity._reference("sl2", n, None)
+            e, f = entry.e_sd, entry.f_sd
+            for tol in (1e-9, 1e-6):
+                for slot, entries in ((1, [(j, j + 1) for j in range(n - 1)]),
+                                      (2, [(j + 1, j) for j in range(n - 1)])):
+                    for i, j in entries:
+                        for turn in (0.3, *(k * tol for k in (0.5, 0.9, 1.1, 1.5, 3, 10))):
+                            mats = [m.copy() for m in ref.matrices]
+                            mats[slot][i, j] *= np.exp(1j * turn)
+                            w = random_unitary(rng, n)
+                            cand = tuple(w @ m @ w.conj().T for m in mats)
+                            rep = _reconstruct("sl2", cand, n, tol=tol)
+                            assert not any("compression" in d for d in rep.diagnostics)
+                            if not rep.diagnostics or not rep.diagnostics[0].startswith("step6"):
+                                continue
+                            step6 += 1
+                            _, fr = rigidity._reconstruct(spectrum._slot_matrices(cand), entry,
+                                                          tol)
+                            a2, a3 = fr.ahat[1], fr.ahat[2]
+                            s2 = tol * max(1.0, hs_norm(a2))
+                            sigma = np.conj(rigidity._unit_phases(a3.diagonal(-1), f))
+                            a, b = np.abs(a2.diagonal(1)), np.abs(a3.diagonal(-1))
+                            m2 = hs_norm(a2 - np.diag(a2.diagonal(1), 1))
+                            assert np.abs(a - np.abs(e)).max() <= s2 and m2 <= s2
+                            c3 = rep.condition_residuals["certify A3"] * max(1.0, hs_norm(ref.f))
+                            bound = (np.abs(e * f) * np.abs(fr.phases - sigma)
+                                     + np.abs(a - np.abs(e)) * b + np.abs(e) * c3 + m2 * c3)
+                            gap = np.abs((a2 @ a3).diagonal()[:-1] - e * f)
+                            assert (gap <= bound).all(), (n, tol, slot, i, j, turn)
+        assert step6 > 0
 
     def test_snu2_adjoint_product_off_diagonal_names_step2(self):
         # a conjugate with A3[0,0] bumped by tol ||A3||: the pencils match and
@@ -1149,7 +1222,7 @@ class TestCertificateFirst:
 
     @pytest.mark.parametrize("family,slot,i,j,steps", [
         ("snu2", 1, 2, 1, ["_a2_support"]),
-        ("sl2", 2, 0, 4, ["_a2_support", "_adjoint_products", "_compressions", "_phases"])])
+        ("sl2", 2, 0, 4, ["_a2_support", "_adjoint_products", "_phases"])])
     def test_verification_runs_once_before_the_steps(self, stages, family, slot, i, j, steps):
         # a reconstruction_failed verdict: step3, and sl2's certification
         # step after every explaining step has passed
