@@ -12,6 +12,9 @@ input error, 2 hypothesis failed, 3 reconstruction failed.
 SPECRIG_TOL overrides the default tolerance; ``--tol`` (lines, compare,
 rigidity, counterexample) overrides both.  A family parameter the family
 never reads is a usage error.
+
+Each command imports the modules it runs inside its handler, so no command
+compiles a module it does not run and ``--version`` loads no other one.
 """
 
 from __future__ import annotations
@@ -20,21 +23,12 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .exceptional import exceptional_set
-from .generators import (GeneratorTuple, counterexample_tuple,
-                         fundamental_generators, one_dim_rep,
-                         relation_residuals, sl2_generators, snu2_generators,
-                         tuple_from_json, tuple_to_json)
-from .linalg import DEFAULT_TOL, _check_tol, commutator, hs_norm, matrix_to_json
-from .poly import poly_to_json
-from .rigidity import (EQUIVALENT, HYPOTHESIS_FAILED, sl2_rigidity,
-                       snu2_rigidity)
-from .spectrum import (det_pencil, evaluate_expr, lines_of_pair, parse_pencil,
-                       spectra_equal)
+
+if TYPE_CHECKING:
+    from .generators import GeneratorTuple
 
 
 class UsageError(Exception):
@@ -46,7 +40,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_tol() -> float:
+def _tol(given) -> float:
+    """``--tol`` if given, else SPECRIG_TOL, else the default; checked."""
+    from .linalg import DEFAULT_TOL, _check_tol
+    if given is not None:
+        return _check_tol(given, "--tol")
     raw = os.environ.get("SPECRIG_TOL")
     if raw is None:
         return DEFAULT_TOL
@@ -59,8 +57,11 @@ def _default_tol() -> float:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"{out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -70,6 +71,7 @@ def _dump(obj, out_path):
 
 
 def _load_tuple(path) -> GeneratorTuple:
+    from .generators import tuple_from_json
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -88,6 +90,9 @@ def _parse_complex(raw: str) -> complex:
 
 
 def _random_conjugate(base: GeneratorTuple, mode: str, seed: int) -> GeneratorTuple:
+    import numpy as np
+
+    from .generators import GeneratorTuple
     rng = np.random.default_rng(seed)
     n = base.n
     if mode == "phase":
@@ -104,33 +109,39 @@ def _random_conjugate(base: GeneratorTuple, mode: str, seed: int) -> GeneratorTu
 
 
 # the family parameters each family reads, and their defaults; any other one
-# given is an error (``limit`` takes only nu = 1 or -1, and 1 by default)
+# given is an error (``limit`` takes only nu = 1 or -1, and 1 by default;
+# ``random-conjugate`` also reads those of its base)
 _READS = {"snu2": ("n", "nu"), "limit": ("n", "nu"), "sl2": ("n",), "fundamental": ("nu",),
-          "onedim": ("nu", "c"), "counterexample": ("alpha", "beta", "gamma", "delta")}
-_DEFAULTS = {"c": "1", "alpha": "1", "beta": "2", "gamma": "2", "delta": "1"}
+          "onedim": ("nu", "c"), "counterexample": ("alpha", "beta", "gamma", "delta"),
+          "random-conjugate": ("base", "mode", "seed")}
+_DEFAULTS = {"c": "1", "alpha": "1", "beta": "2", "gamma": "2", "delta": "1",
+             "base": "snu2", "mode": "unitary", "seed": 0}
 
 
-def _family_args(args, fam, flag="--family") -> dict:
-    """The parameters ``fam`` reads, defaults filled in; one it never
-    reads, or one it needs and lacks, is a usage error that names it."""
+def _family_args(args, fam, flag="--family", also=()) -> dict:
+    """The parameters ``fam`` reads (and ``also`` those), defaults filled
+    in; one it never reads, or one it needs and lacks, is a usage error
+    that names it."""
+    reads = _READS[fam] + also
     given = {name: getattr(args, name, None) for name in ("n", "nu", *_DEFAULTS)}
     for name, value in given.items():
-        if value is not None and name not in _READS[fam]:
+        if value is not None and name not in reads:
             raise UsageError(f"{flag} {fam} does not read --{name}")
     if fam == "limit":
         if given["nu"] not in (None, 1.0, -1.0):
             raise UsageError(f"{flag} limit reads only --nu 1 or -1, got {given['nu']!r}")
         given["nu"] = given["nu"] or 1.0
     vals = {name: _DEFAULTS.get(name) if given[name] is None else given[name]
-            for name in _READS[fam]}
+            for name in reads}
     if missing := [name for name, value in vals.items() if value is None]:
         raise UsageError(f"{flag} {fam} requires --{missing[0]}")
     return vals
 
 
-def _build_base(args, fam=None, flag="--family") -> GeneratorTuple:
-    fam = fam or args.family
-    v = _family_args(args, fam, flag)
+def _build_base(fam, v) -> GeneratorTuple:
+    """The tuple of family ``fam`` from its ``_family_args`` values ``v``."""
+    from .generators import (counterexample_tuple, fundamental_generators, one_dim_rep,
+                             sl2_generators, snu2_generators)
     if fam in ("snu2", "limit"):
         return snu2_generators(v["n"], v["nu"])
     if fam == "sl2":
@@ -139,19 +150,24 @@ def _build_base(args, fam=None, flag="--family") -> GeneratorTuple:
         return fundamental_generators(v["nu"])
     if fam == "onedim":
         return one_dim_rep(_parse_complex(v["c"]), v["nu"])
-    return counterexample_tuple(*(_parse_complex(v[k]) for k in _READS[fam]))
+    return counterexample_tuple(*(_parse_complex(v[k]) for k in _READS["counterexample"]))
 
 
 def _cmd_gen(args) -> int:
+    from .generators import tuple_to_json
     if args.family == "random-conjugate":
-        t = _random_conjugate(_build_base(args, args.base, "--base"), args.mode, args.seed)
+        base = args.base or _DEFAULTS["base"]
+        v = _family_args(args, base, "--base", _READS["random-conjugate"])
+        t = _random_conjugate(_build_base(base, v), v["mode"], v["seed"])
     else:
-        t = _build_base(args)
+        t = _build_base(args.family, _family_args(args, args.family))
     _dump(tuple_to_json(t), args.output)
     return 0
 
 
 def _cmd_det(args) -> int:
+    from .poly import poly_to_json
+    from .spectrum import det_pencil, evaluate_expr, parse_pencil
     t = _load_tuple(args.tuple)
     mats = [evaluate_expr(e, t.matrices) for e in parse_pencil(args.pencil)]
     names = args.vars.split(",") if args.vars else None
@@ -163,6 +179,7 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_lines(args) -> int:
+    from .spectrum import evaluate_expr, lines_of_pair, parse_pencil
     t = _load_tuple(args.tuple)
     exprs = parse_pencil(args.pencil)
     if len(exprs) != 2:
@@ -178,6 +195,7 @@ def _cmd_lines(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .spectrum import spectra_equal
     t1 = _load_tuple(args.tuple)
     t2 = _load_tuple(args.tuple2)
     results = spectra_equal(t1, t2, args.pencil, args.tol)
@@ -190,6 +208,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
+    from .rigidity import EQUIVALENT, HYPOTHESIS_FAILED, sl2_rigidity, snu2_rigidity
     _family_args(args, args.family)
     t = _load_tuple(args.tuple)
     if args.family == "snu2":
@@ -210,6 +229,7 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_exceptional(args) -> int:
+    from .exceptional import exceptional_set
     roots = exceptional_set(args.n)
     if args.csv:
         rows = ["i,j,z,nu"]
@@ -227,7 +247,8 @@ def _cmd_exceptional(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    t = _build_base(args)
+    from .generators import relation_residuals
+    t = _build_base(args.family, _family_args(args, args.family))
     res = relation_residuals(t, args.orientation)
     _dump({
         "family": t.family, "n": t.n, "nu": t.nu,
@@ -240,7 +261,10 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    t = _build_base(args)
+    from .generators import sl2_generators, tuple_to_json
+    from .linalg import commutator, hs_norm, matrix_to_json
+    from .spectrum import spectra_equal
+    t = _build_base(args.family, _family_args(args, args.family))
     ref = sl2_generators(3)
     comm = commutator(t.e, t.f)
     same = spectra_equal(t, ref, ["A1, A2, A3"], args.tol)[0]
@@ -274,11 +298,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--c", help="scalar parameter of the 1-dim family (default 1)")
     for name in ("alpha", "beta", "gamma", "delta"):
         p.add_argument(f"--{name}", help=f"default {_DEFAULTS[name]}")
-    p.add_argument("--base", default="snu2",
-                   choices=["snu2", "sl2", "limit", "fundamental"],
-                   help="base family for random-conjugate")
-    p.add_argument("--mode", default="unitary", choices=["phase", "unitary"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--base", choices=["snu2", "sl2", "limit", "fundamental"],
+                   help="base family for random-conjugate (default snu2)")
+    p.add_argument("--mode", choices=["phase", "unitary"], help="default unitary")
+    p.add_argument("--seed", type=int, help="default 0")
     add_output(p)
 
     p = sub.add_parser("det", help="determinant polynomial of a pencil")
@@ -346,8 +369,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.tol = (_default_tol() if getattr(args, "tol", None) is None
-                    else _check_tol(args.tol, "--tol"))
+        args.tol = _tol(getattr(args, "tol", None))
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _child_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 class TestGen:
     def test_sl2_n3_matrices(self, capsys):
         code, out, _ = run(capsys, "gen", "--family", "sl2", "--n", "3")
@@ -412,6 +419,34 @@ class TestArgumentChecks:
                              "--n", "3", "--nu", "0.5")
         assert (code, out, err) == (1, "", "error: --family sl2 does not read --nu\n")
 
+    @pytest.mark.parametrize("family,flag,value", [
+        ("sl2", "seed", "5"), ("sl2", "seed", "0"), ("snu2", "mode", "phase"),
+        ("fundamental", "base", "snu2"), ("counterexample", "seed", "1")])
+    def test_conjugation_flags_only_for_random_conjugate(self, capsys, family, flag, value):
+        # --base, --mode and --seed were silently dropped outside random-conjugate
+        reads = {"sl2": ("--n", "2"), "snu2": ("--n", "2", "--nu", "0.5"),
+                 "fundamental": ("--nu", "0.5"), "counterexample": ()}[family]
+        code, out, err = run(capsys, "gen", "--family", family, *reads, f"--{flag}", value)
+        assert (code, out, err) == (1, "", f"error: --family {family} does not read --{flag}\n")
+
+    def test_random_conjugate_defaults(self, capsys):
+        base = ("gen", "--family", "random-conjugate", "--n", "3", "--nu", "0.5")
+        code, out, _ = run(capsys, *base)
+        explicit = run(capsys, *base, "--base", "snu2", "--mode", "unitary", "--seed", "0")
+        assert code == 0 and explicit == (0, out, "")
+
+    @pytest.mark.parametrize("argv", [("gen", "--family", "sl2", "--n", "3"),
+                                      ("det", "--pencil", "A1, A2")], ids=["gen", "det"])
+    def test_unwritable_output_exits_one(self, capsys, tmp_path, argv):
+        # the OSError was a traceback; it is now a one-line usage error
+        fix = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", "sl2", "--n", "2", "-o", str(fix))
+        if argv[0] == "det":
+            argv = (*argv, "--tuple", str(fix))
+        bad = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "-o", str(bad))
+        assert (code, out, err) == (1, "", f"error: {bad}: No such file or directory\n")
+
     @pytest.mark.parametrize("nu", ["1", "-1"])
     def test_limit_reads_unit_nu(self, capsys, nu):
         code, out, _ = run(capsys, "gen", "--family", "limit", "--n", "3", "--nu", nu)
@@ -465,12 +500,9 @@ class TestArgumentChecks:
             for pair in row:
                 pair[0] += 1e300
         path.write_text(json.dumps(blob))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.run([sys.executable, "-m", "specrig.cli", "rigidity", "--tuple",
                                str(path), "--family", family, "--n", str(n), *nu],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=_child_env(), timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "error: the candidate's pencil products overflow float64\n")
 
@@ -534,3 +566,60 @@ class TestConsoleEntry:
         code, out, _ = run(capsys, "compare", "--tuple", str(path),
                            "--tuple2", str(path2), "--pencil", "A1, A2 A2^H")
         assert json.loads(out)["equal"] == [False]
+
+
+# a ``python -c`` prefix that prints, at exit, the specrig submodules imported
+_REPORT = ("import atexit, json, sys; atexit.register(lambda: print(json.dumps(sorted("
+           "m for m in sys.modules if m.startswith('specrig.'))), file=sys.stderr)); ")
+# ``python -m specrig.cli``, run as ``-m`` runs it
+_RUN_CLI = _REPORT + ("import runpy; "
+                      "runpy.run_module('specrig.cli', run_name='__main__', alter_sys=True)")
+
+
+def _loaded_modules(code, *argv):
+    """Exit code of ``python -c code *argv`` and the specrig submodules
+    it imported, by short name."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    names = json.loads(proc.stderr.splitlines()[-1])
+    return proc.returncode, {name.split(".", 1)[1] for name in names}
+
+
+class TestLazyImports:
+    """Each command compiles and imports only the modules it runs; cli
+    itself runs as ``__main__``, so it is not in the sets."""
+
+    BASE = {"generators", "linalg"}
+    SPECTRUM = BASE | {"spectrum", "poly"}
+
+    @pytest.fixture(scope="class")
+    def fixture_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("lazy") / "fix.json"
+        assert main(["gen", "--family", "snu2", "--n", "3", "--nu", "0.5", "-o", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("argv,modules", [
+        (("--version",), set()),
+        (("gen", "--family", "sl2", "--n", "3"), BASE),
+        (("gen", "--family", "random-conjugate", "--n", "3", "--nu", "0.5"), BASE),
+        (("relations", "--family", "snu2", "--n", "3", "--nu", "0.5"), BASE),
+        (("det", "--tuple", "FIX", "--pencil", "A1, A2 A2^H"), SPECTRUM),
+        (("lines", "--tuple", "FIX", "--pencil", "A1, A2 A2^H"), SPECTRUM),
+        (("compare", "--tuple", "FIX", "--tuple2", "FIX", "--pencil", "A1, A2, A3"), SPECTRUM),
+        (("counterexample",), SPECTRUM),
+        (("rigidity", "--tuple", "FIX", "--family", "snu2", "--n", "3", "--nu", "0.5"),
+         SPECTRUM | {"rigidity"}),
+        (("exceptional", "--n", "6", "--csv"), BASE | {"exceptional"}),
+    ], ids=["version", "gen", "gen-random-conjugate", "relations", "det", "lines", "compare",
+            "counterexample", "rigidity", "exceptional"])
+    def test_command_loads_only_its_modules(self, fixture_file, argv, modules):
+        argv = [fixture_file if a == "FIX" else a for a in argv]
+        code, loaded = _loaded_modules(_RUN_CLI, *argv)
+        assert (code, loaded) == (0, modules)
+
+    def test_package_import_loads_no_submodule(self):
+        assert _loaded_modules(_REPORT + "import specrig") == (0, set())
+
+    def test_export_loads_its_module(self):
+        code, loaded = _loaded_modules(_REPORT + "import specrig; specrig.det_pencil")
+        assert (code, loaded) == (0, {"linalg", "poly", "spectrum"})

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import warnings
 
@@ -345,36 +346,50 @@ TOL_CALLS = {
 }
 
 
+def _exports():
+    """The public names of ``specrig`` and their objects, each read
+    through ``getattr``: the package binds an export on first use."""
+    return {name: getattr(specrig, name) for name in dir(specrig)
+            if not name.startswith("_") and not inspect.ismodule(getattr(specrig, name))}
+
+
 def test_tol_registry_lists_every_export_with_a_tol():
     # an export added or deleted cannot drift out of the check below
-    exported = {name for name, obj in vars(specrig).items()
-                if not name.startswith("_") and callable(obj)
-                and "tol" in inspect.signature(obj).parameters}
+    exported = {name for name, obj in _exports().items()
+                if callable(obj) and "tol" in inspect.signature(obj).parameters}
     assert set(TOL_CALLS) == exported
 
 
 # the public names of ``specrig``, by the module that defines them
-PUBLIC_NAMES = {
-    "CorollaryCheck", "ExceptionalRoot", "corollary_check", "exceptional_set",  # exceptional
-    "is_exceptional", "multiplicity_profile", "z_root",
-    "GeneratorTuple", "RelationResidual", "c_coeff", "counterexample_tuple",  # generators
-    "fundamental_generators", "h_coeff", "one_dim_rep", "relation_residuals",
-    "sl2_generators", "snu2_generators", "tuple_from_json", "tuple_to_json",
-    "DEFAULT_TOL", "as_matrix", "commutator", "hs_norm", "matrix_from_json",  # linalg
-    "matrix_to_json", "spectral_projection",
-    "MultiPoly", "poly_to_json",  # poly
-    "EQUIVALENT", "HYPOTHESIS_FAILED", "RECONSTRUCTION_FAILED", "RigidityReport",  # rigidity
-    "certify_equivalence", "compression_check", "sl2_rigidity", "snu2_rigidity",
-    "Line", "LineArrangement", "det_pencil", "lines_of_pair", "parse_pencil",  # spectrum
-    "spectra_equal", "x2_dependence",
+DEFINED_IN = {
+    "exceptional": {"CorollaryCheck", "ExceptionalRoot", "corollary_check", "exceptional_set",
+                    "is_exceptional", "multiplicity_profile", "z_root"},
+    "generators": {"GeneratorTuple", "RelationResidual", "c_coeff", "counterexample_tuple",
+                   "fundamental_generators", "h_coeff", "one_dim_rep", "relation_residuals",
+                   "sl2_generators", "snu2_generators", "tuple_from_json", "tuple_to_json"},
+    "linalg": {"DEFAULT_TOL", "as_matrix", "commutator", "hs_norm", "matrix_from_json",
+               "matrix_to_json", "spectral_projection"},
+    "poly": {"MultiPoly", "poly_to_json"},
+    "rigidity": {"EQUIVALENT", "HYPOTHESIS_FAILED", "RECONSTRUCTION_FAILED", "RigidityReport",
+                 "certify_equivalence", "compression_check", "sl2_rigidity", "snu2_rigidity"},
+    "spectrum": {"Line", "LineArrangement", "det_pencil", "lines_of_pair", "parse_pencil",
+                 "spectra_equal", "x2_dependence"},
 }
+PUBLIC_NAMES = set().union(*DEFINED_IN.values())
 
 
 def test_public_names_are_pinned():
     # an export added or deleted shows up here as a one-line diff
-    exported = {name for name, obj in vars(specrig).items()
-                if not name.startswith("_") and not inspect.ismodule(obj)}
-    assert exported == PUBLIC_NAMES
+    exported = _exports()
+    assert exported.keys() == PUBLIC_NAMES
+    assert sorted(specrig.__all__) == sorted(PUBLIC_NAMES)
+    for module, names in DEFINED_IN.items():
+        defining = importlib.import_module(f"specrig.{module}")
+        for name in names:
+            obj = exported[name]
+            assert obj is getattr(defining, name), name
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == defining.__name__, name
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])

@@ -9,9 +9,12 @@ family, verdict, first diagnostic and the sha256 of
 ``json.dumps(rep.to_json())`` (of ``type: message`` when the call
 raises; the verdict is then ``error``, the CLI's exit 1).  It prints
 the count of each first diagnostic, numbers cut off, per class and
-family.  ``--compare OLD.jsonl`` then lists the cases whose digest
-changed as transitions between those labels, and exits 1 if a verdict
-changed or a case is in one file only.
+family.  It then checks the census's own invariants and exits 1,
+printing the offending case ids, if a plain conjugate is not
+``equivalent``, or if a grid tamper of 1e-3 or 1e-6 * max(1, ||slot||_HS)
+or a phase-class turn of 0.3 rad is.  ``--compare OLD.jsonl`` then lists
+the cases whose digest changed as transitions between those labels, and
+exits 1 if a verdict changed or a case is in one file only.
 
 Classes (``--classes``, comma-separated, default both):
 
@@ -45,15 +48,17 @@ import numpy as np
 
 from specrig.generators import sl2_generators, snu2_generators
 from specrig.linalg import hs_norm
-from specrig.rigidity import sl2_rigidity, snu2_rigidity
+from specrig.rigidity import EQUIVALENT, sl2_rigidity, snu2_rigidity
 
 GRID_N = (2, 3, 4, 5, 6, 8, 10, 16)
 GRID_NU = (0.05, 0.3, 0.5, -0.7, 0.95, 1.0)
 GRID_SIZES = (1e-3, 1e-6, 1e-8, 3e-9, 1e-9)
+GRID_FLIPS = (1e-3, 1e-6)  # tamper sizes that must not be equivalent
 GRID_TOL = 1e-9
 PHASE_N = (2, 3, 4, 5, 6, 8, 10, 16, 24)
 PHASE_TOLS = (1e-10, 1e-9, 1e-8, 1e-6, 1e-4)
 PHASE_TURNS = (0.5, 0.9, 1.1, 1.5, 3.0, 10.0)  # times tol; 0.3 rad besides
+PHASE_FLIP = 0.3  # the turn, in rad, that must not be equivalent
 SEED = 20261020
 
 
@@ -67,8 +72,9 @@ def _conjugated(mats, w):
 
 
 def _grid(seed):
-    """(id, seed, family, n, nu, tol, candidate) of the grid class: one
-    seed per conjugate, its tampers drawn after the unitary."""
+    """(id, seed, family, n, nu, tol, candidate, expected) of the grid
+    class: one seed per conjugate, its tampers drawn after the unitary.
+    ``expected`` is whether the case must be equivalent, or None."""
     points = [("snu2", n, nu) for n in GRID_N for nu in GRID_NU]
     points += [("sl2", n, None) for n in GRID_N]
     k = seed
@@ -79,7 +85,7 @@ def _grid(seed):
             mats = _conjugated(ref.matrices, _unitary(rng, n))
             phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (len(GRID_SIZES), 3, n, n)))
             head = f"grid/{family}/n{n}/nu{nu}/c{conj}"
-            yield f"{head}/plain", k, family, n, nu, GRID_TOL, mats
+            yield f"{head}/plain", k, family, n, nu, GRID_TOL, mats, True
             for s, size in enumerate(GRID_SIZES):
                 for slot in range(3):
                     step = size * max(1.0, hs_norm(mats[slot]))
@@ -89,7 +95,7 @@ def _grid(seed):
                             cand[slot] = mats[slot].copy()
                             cand[slot][i, j] += step * phases[s, slot, i, j]
                             yield (f"{head}/{size:g}/A{slot + 1}[{i},{j}]", k, family, n, nu,
-                                   GRID_TOL, cand)
+                                   GRID_TOL, cand, False if size in GRID_FLIPS else None)
             k += 1
 
 
@@ -102,12 +108,12 @@ def _phase(seed):
             for slot, entries in ((1, [(j, j + 1) for j in range(n - 1)]),
                                   (2, [(j + 1, j) for j in range(n - 1)])):
                 for i, j in entries:
-                    for turn in (0.3, *(t * tol for t in PHASE_TURNS)):
+                    for turn in (PHASE_FLIP, *(t * tol for t in PHASE_TURNS)):
                         mats = [m.copy() for m in ref.matrices]
                         mats[slot][i, j] *= np.exp(1j * turn)
                         cand = _conjugated(mats, _unitary(np.random.default_rng(k), n))
                         yield (f"phase/n{n}/tol{tol:g}/A{slot + 1}[{i},{j}]/{turn:g}", k,
-                               "sl2", n, None, tol, cand)
+                               "sl2", n, None, tol, cand, False if turn == PHASE_FLIP else None)
                         k += 1
 
 
@@ -140,17 +146,21 @@ def run_case(family, n, nu, tol, cand):
 
 
 def census(classes, seed, out):
-    records = []
+    """The records, and the ids of the cases whose verdict breaks their
+    expectation."""
+    records, offending = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name in classes:
-            for case_id, case_seed, family, n, nu, tol, cand in CLASSES[name](seed):
+            for case_id, case_seed, family, n, nu, tol, cand, expected in CLASSES[name](seed):
                 verdict, first, digest = run_case(family, n, nu, tol, cand)
+                if expected is not None and (verdict == EQUIVALENT) != expected:
+                    offending.append(case_id)
                 rec = {"id": case_id, "seed": case_seed, "class": name, "family": family,
                        "verdict": verdict, "first": first, "sha256": digest}
                 records.append(rec)
                 out.write(json.dumps(rec) + "\n")
-    return records
+    return records, offending
 
 
 def _table(records):
@@ -204,14 +214,18 @@ def main(argv=None):
     if unknown := set(classes) - CLASSES.keys():
         parser.error(f"unknown classes: {', '.join(sorted(unknown))}")
     with open(args.output, "w", encoding="utf-8") as out:
-        records = census(classes, SEED, out)
+        records, offending = census(classes, SEED, out)
     print(_table(records))
-    if args.compare is None:
-        return 0
-    with open(args.compare, encoding="utf-8") as fh:
-        old = [rec for line in fh if (rec := json.loads(line))["class"] in classes]
-    report, ok = compare(old, records)
-    print(report)
+    print(f"invariants: {len(offending)} offending cases")
+    for case_id in offending:
+        print(f"  {case_id}")
+    ok = not offending
+    if args.compare is not None:
+        with open(args.compare, encoding="utf-8") as fh:
+            old = [rec for line in fh if (rec := json.loads(line))["class"] in classes]
+        report, same = compare(old, records)
+        print(report)
+        ok = ok and same
     return 0 if ok else 1
 
 
