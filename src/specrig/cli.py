@@ -67,7 +67,13 @@ def _emit(text: str, out_path):
 
 
 def _dump(obj, out_path):
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
+    """``obj`` as JSON, which has no NaN or infinity: a non-finite float
+    (an overflowed residual or coefficient) is written as null."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(json.loads(json.dumps(obj), parse_constant=lambda _: None), indent=2)
+    _emit(text + "\n", out_path)
 
 
 def _load_tuple(path) -> GeneratorTuple:
@@ -170,7 +176,7 @@ def _cmd_det(args) -> int:
     from .spectrum import det_pencil, evaluate_expr, parse_pencil
     t = _load_tuple(args.tuple)
     mats = [evaluate_expr(e, t.matrices) for e in parse_pencil(args.pencil)]
-    names = args.vars.split(",") if args.vars else None
+    names = None if args.vars is None else args.vars.split(",")
     if names is not None and len(names) != len(mats):
         raise UsageError(f"--vars lists {len(names)} names for {len(mats)} pencil slots")
     p = det_pencil(mats, names)

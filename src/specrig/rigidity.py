@@ -91,19 +91,6 @@ class NotUnitaryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    a1_normal: bool
-    checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return self.a1_normal and all(c.equal for c in self.checks)
-
-    def residuals(self) -> dict:
-        return {c.pencil: c.residual for c in self.checks}
-
-
 @dataclass
 class RigidityReport:
     """Outcome of a rigidity run.
@@ -180,10 +167,12 @@ def _reference(family, n, nu) -> _Reference:
 
 def _verify_conditions(mats, entry, tol):
     """A1's normality, then all the family's pencils in one stacked pass,
-    compared with the reference's coefficient stack.  The slots are
-    finite, so a non-finite pencil means a product overflowed float64."""
+    compared with the reference's coefficient stack.  Returns the failed
+    hypotheses as diagnostics (none when they hold) and each pencil's
+    residual (none when A1 is not normal).  The slots are finite, so a
+    non-finite pencil means a product overflowed float64."""
     if not _is_normal(mats[0], tol):
-        return ConditionReport(a1_normal=False, checks=())
+        return ["A1 is not normal"], {}
     first = entry.s1 * mats[0]
     with np.errstate(over="ignore", invalid="ignore"):
         pencils = np.array([(first, s2 * _product(_SECOND_SLOT[name], mats))
@@ -192,8 +181,9 @@ def _verify_conditions(mats, entry, tol):
             raise ValueError("the candidate's pencil products overflow float64")
         # a determinant that overflows leaves its pencil non-finite, and unequal
         coeffs = _det_stack(pencils)
-    return ConditionReport(a1_normal=True, checks=_compare_stacks(
-        entry.pencils, coeffs, entry.coeffs, tol, entry.coeff_max))
+    checks = _compare_stacks(entry.pencils, coeffs, entry.coeffs, tol, entry.coeff_max)
+    return ([f"pencil equality failed: {c.pencil}" for c in checks if not c.equal],
+            {c.pencil: c.residual for c in checks})
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -441,16 +431,12 @@ def _drive(t, tol, family, n, nu=None) -> RigidityReport:
         rep, frame = _reconstruct(mats, entry, tol)
     if rep.verdict == EQUIVALENT:
         return rep
-    cond = _verify_conditions(mats, entry, tol)
-    if not cond.all_passed:
-        rep = RigidityReport(verdict=HYPOTHESIS_FAILED)
-        if not cond.a1_normal:
-            rep.diagnostics.append("A1 is not normal")
-        rep.diagnostics.extend(f"pencil equality failed: {c.pencil}"
-                               for c in cond.checks if not c.equal)
+    failures, residuals = _verify_conditions(mats, entry, tol)
+    if failures:
+        rep = RigidityReport(verdict=HYPOTHESIS_FAILED, diagnostics=failures)
     elif frame is not None:
         rep = _explain(frame) or rep
-    rep.condition_residuals.update(cond.residuals())
+    rep.condition_residuals.update(residuals)
     return rep
 
 

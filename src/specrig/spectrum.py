@@ -302,6 +302,9 @@ def spectra_equal(t1, t2, pencils, tol: float = DEFAULT_TOL):
     ``slot_scales``) determinant polynomials at the given tolerance; the
     residual is the max coefficient gap relative to the largest one.
     """
+    if isinstance(pencils, str):
+        raise TypeError(f"pencils must be a list of pencil strings, "
+                        f"e.g. [{pencils!r}], not a str")
     _check_tol(tol)
     m1, m2 = _slot_matrices(t1), _slot_matrices(t2)
     out = []

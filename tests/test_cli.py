@@ -9,7 +9,7 @@ import pytest
 
 from specrig.cli import main
 from specrig.exceptional import exceptional_set
-from specrig.generators import snu2_generators, tuple_from_json, tuple_to_json
+from specrig.generators import GeneratorTuple, snu2_generators, tuple_from_json, tuple_to_json
 from specrig.linalg import hs_norm
 
 
@@ -107,6 +107,17 @@ class TestDet:
         second = names.split(",")[1]
         assert (code, out, err) == (1, "", "error: variable names must be distinct and "
                                            f"non-empty, got ['x', '{second}']\n")
+
+    @pytest.mark.parametrize("pencil,message", [
+        ("A1, A2", "--vars lists 1 names for 2 pencil slots"),
+        ("A1", "variable names must be distinct and non-empty, got ['']")])
+    def test_empty_vars_exits_one(self, capsys, tmp_path, pencil, message):
+        # an empty --vars counted as not given: exit 0, the names x1, x2
+        path = tmp_path / "t.json"
+        run(capsys, "gen", "--family", "sl2", "--n", "3", "-o", str(path))
+        code, out, err = run(capsys, "det", "--tuple", str(path), "--pencil", pencil,
+                             "--vars", "")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_file_reported(self, capsys):
         code, _, err = run(capsys, "det", "--tuple", "/nonexistent.json",
@@ -239,6 +250,26 @@ class TestRigidity:
         blob = json.loads(out)
         assert blob["verdict"] == "equivalent"
         assert blob["residual"] == 0.0
+
+
+    def test_non_finite_residual_written_as_null(self, capsys, tmp_path):
+        # a determinant of the (A1, A3 A3^H) pencil overflows: its residual
+        # is NaN, which the JSON output wrote as the non-JSON token NaN
+        t = snu2_generators(16, 0.05)
+        path = tmp_path / "fix.json"
+        path.write_text(json.dumps(tuple_to_json(
+            GeneratorTuple(h=t.h, e=t.e, f=1001 * t.f, n=16, nu=0.05, family="snu2"))))
+        code, out, err = run(capsys, "rigidity", "--tuple", str(path),
+                             "--family", "sl2", "--n", "16", "--json")
+        assert (code, err) == (2, "")
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+        blob = json.loads(out, parse_constant=refuse)
+        assert blob["verdict"] == "hypothesis_failed"
+        assert blob["condition_residuals"] == {"A1, A2 A2^H": 1.0, "A1, A2^H A2": 1.0,
+                                               "A1, A3 A3^H": None, "A1, A2 A3": 1.0}
+        assert blob["residual"] is None and blob["witness"] is None
 
 
 class TestExceptional:

@@ -13,7 +13,7 @@ from specrig.generators import (counterexample_tuple, one_dim_rep, sl2_generator
                                 snu2_generators)
 from specrig.linalg import DEFAULT_TOL, DimensionMismatchError, NotHermitianError, hs_norm
 from specrig.rigidity import (EQUIVALENT, HYPOTHESIS_FAILED,
-                              RECONSTRUCTION_FAILED, ConditionReport, LineNotInSpectrumError,
+                              RECONSTRUCTION_FAILED, LineNotInSpectrumError,
                               MultiplicityError, NotUnitaryError,
                               _superdiagonal_support, certify_equivalence, compression_check,
                               sl2_rigidity, snu2_rigidity)
@@ -41,7 +41,8 @@ def conjugated(t, w):
 
 
 def _verify(family, cand, n, nu=None, tol=DEFAULT_TOL):
-    """The verification stage, entered as the drivers enter it."""
+    """The verification stage, entered as the drivers enter it: the
+    failed hypotheses and the pencils' residuals."""
     return rigidity._verify_conditions(spectrum._slot_matrices(cand),
                                        rigidity._reference(family, n, nu), tol)
 
@@ -57,27 +58,26 @@ def _reconstruct(family, cand, n, nu=None, tol=DEFAULT_TOL):
 class TestVerifyConditionsSnu2:
     def test_reference_passes(self):
         t = snu2_generators(5, 0.5)
-        cond = _verify("snu2", t, 5, 0.5)
-        assert cond.all_passed
-        assert len(cond.checks) == 5
+        failures, residuals = _verify("snu2", t, 5, 0.5)
+        assert failures == []
+        assert list(residuals) == list(rigidity.SNU2_PENCILS)
 
     def test_unitary_conjugate_passes(self, rng):
         n, nu = 6, -0.7
         t = snu2_generators(n, nu)
-        cond = _verify("snu2", conjugated(t, random_unitary(rng, n)), n, nu)
-        assert cond.all_passed
+        failures, _ = _verify("snu2", conjugated(t, random_unitary(rng, n)), n, nu)
+        assert failures == []
 
     def test_scaled_a2_fails_first_pencil(self):
         t = snu2_generators(4, 0.5)
-        cond = _verify("snu2", (t.h, 2.0 * t.e, t.f), 4, 0.5)
-        failed = [c.pencil for c in cond.checks if not c.equal]
-        assert "A1, A2 A2^H" in failed
+        failures, _ = _verify("snu2", (t.h, 2.0 * t.e, t.f), 4, 0.5)
+        assert "pencil equality failed: A1, A2 A2^H" in failures
 
     def test_non_normal_a1_short_circuits(self, rng):
         t = snu2_generators(3, 0.5)
-        cond = _verify("snu2", (random_complex(rng, 3), t.e, t.f), 3, 0.5)
-        assert not cond.a1_normal
-        assert not cond.all_passed
+        # no pencil is evaluated, so none has a residual
+        assert _verify("snu2", (random_complex(rng, 3), t.e, t.f), 3, 0.5) \
+            == (["A1 is not normal"], {})
 
 
 class TestReconstructSnu2:
@@ -508,9 +508,9 @@ class TestCertifyEquivalence:
 class TestVerifySl2:
     def test_reference_passes(self):
         t = sl2_generators(6)
-        cond = _verify("sl2", t, 6)
-        assert cond.all_passed
-        assert len(cond.checks) == 4
+        failures, residuals = _verify("sl2", t, 6)
+        assert failures == []
+        assert list(residuals) == list(rigidity.SL2_PENCILS)
 
     def test_report_json_shape(self, rng):
         n = 4
@@ -653,11 +653,10 @@ class TestStackedVerification:
             stacks.append(det_stack(pencils))
             return stacks[-1]
         monkeypatch.setattr(rigidity, "_det_stack", spy)
-        cond = _verify(family, cand, n, nu)
-        assert cond.a1_normal
+        _, residuals = _verify(family, cand, n, nu)
         entry = rigidity._reference(family, n, nu)
         (stack,) = stacks  # one kernel call for all the family's pencils
-        assert [c.pencil for c in cond.checks] == list(entry.pencils)
+        assert list(residuals) == list(entry.pencils)  # so A1 is normal
         assert len(stack) == len(entry.pencils)
         a1, a2, a3 = cand
         for name, s2, coeffs in zip(entry.pencils, entry.s2, stack):
@@ -676,7 +675,7 @@ class TestStackedVerification:
         if tamper:
             i, j = (int(x) for x in rng.integers(dim, size=2))
             cand[1][i, j] += 1e-6 * hs_norm(cand[1])
-        cond = _verify(family, cand, n, nu)
+        failures, residuals = _verify(family, cand, n, nu)
         pencils = rigidity.SL2_PENCILS if family == "sl2" else rigidity.SNU2_PENCILS
         a1, a2, a3 = cand
         entry = rigidity._reference(family, n, nu)
@@ -690,8 +689,9 @@ class TestStackedVerification:
             p, q = (np.pad(c, [(0, s - d) for s, d in zip(shape, c.shape)]) for c in (p, q))
             dist = np.abs(p - q).max()
             want.append(PencilComparison(name, dist <= 1e-9 * scale, dist / scale))
-        assert cond == ConditionReport(a1_normal=True, checks=tuple(want))
-        assert cond.all_passed == (dim == n and not tamper)
+        assert failures == [f"pencil equality failed: {c.pencil}" for c in want if not c.equal]
+        assert list(residuals.items()) == [(c.pencil, c.residual) for c in want]
+        assert (failures == []) == (dim == n and not tamper)
 
     @pytest.mark.parametrize("family,n,nu", [
         ("sl2", 2, None), ("sl2", 10, None), ("sl2", 40, None), ("snu2", 10, 0.3),
@@ -711,11 +711,11 @@ class TestStackedVerification:
         rigidity._reference.cache_clear()  # the reference is built cold
         tracemalloc.start()
         try:
-            cond = _verify("snu2", cand, n, nu)
+            failures, _ = _verify("snu2", cand, n, nu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cond.all_passed
+        assert failures == []
         assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -739,9 +739,9 @@ class TestOverflowSafeScales:
         cand = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cond = _verify("snu2", cand, n, nu)
-        assert cond.a1_normal
-        assert cond.all_passed
+            failures, residuals = _verify("snu2", cand, n, nu)
+        assert list(residuals) == list(rigidity.SNU2_PENCILS)  # A1 is normal
+        assert failures == []
 
 
     @pytest.mark.parametrize("nu", [0.05, 0.01])
@@ -1046,14 +1046,11 @@ def _verify_then_reconstruct(family, cand, n, nu, tol):
     """Verdict and first diagnostic in the order the proof states the
     theorem: verify the hypotheses, reconstruct only if they all hold."""
     mats, entry = spectrum._slot_matrices(cand), rigidity._reference(family, n, nu)
-    cond = rigidity._verify_conditions(mats, entry, tol)
-    if cond.all_passed:
-        rep = _reconstruct(family, cand, n, nu, tol)
-        return rep.verdict, rep.diagnostics[:1]
-    if not cond.a1_normal:
-        return HYPOTHESIS_FAILED, ["A1 is not normal"]
-    return HYPOTHESIS_FAILED, [next(f"pencil equality failed: {c.pencil}"
-                                    for c in cond.checks if not c.equal)]
+    failures, _ = rigidity._verify_conditions(mats, entry, tol)
+    if failures:
+        return HYPOTHESIS_FAILED, failures[:1]
+    rep = _reconstruct(family, cand, n, nu, tol)
+    return rep.verdict, rep.diagnostics[:1]
 
 
 def _steps_then_certify(family, cand, n, nu, tol):
@@ -1062,7 +1059,7 @@ def _steps_then_certify(family, cand, n, nu, tol):
     reconstruction fails, as the drivers do.  Step 1 comes before the
     certificate in either order, so its failures are ``_reconstruct``'s."""
     mats, entry = spectrum._slot_matrices(cand), rigidity._reference(family, n, nu)
-    cond = rigidity._verify_conditions(mats, entry, tol)
+    failures, residuals = rigidity._verify_conditions(mats, entry, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             values, v, _, ok = rigidity._eigenbasis_matched(mats[0], mats[1], entry, tol)
@@ -1081,13 +1078,9 @@ def _steps_then_certify(family, cand, n, nu, tol):
                    if failed is None else rigidity._fail(failed[0], *failed[1]))
     if rep.verdict == EQUIVALENT:
         return rep
-    if not cond.all_passed:
-        rep = rigidity.RigidityReport(verdict=HYPOTHESIS_FAILED)
-        if not cond.a1_normal:
-            rep.diagnostics.append("A1 is not normal")
-        rep.diagnostics.extend(f"pencil equality failed: {c.pencil}"
-                               for c in cond.checks if not c.equal)
-    rep.condition_residuals.update(cond.residuals())
+    if failures:
+        rep = rigidity.RigidityReport(verdict=HYPOTHESIS_FAILED, diagnostics=failures)
+    rep.condition_residuals.update(residuals)
     return rep
 
 
@@ -1190,7 +1183,7 @@ class TestCertificateFirst:
         assert rep.verdict == HYPOTHESIS_FAILED
         assert rep.diagnostics == diagnostics
         assert rep.witness is None and rep.residual is None
-        assert rep.condition_residuals == _verify(family, cand, n, nu).residuals()
+        assert rep.condition_residuals == _verify(family, cand, n, nu)[1]
 
     @pytest.mark.parametrize("family,slot,i,j,diagnostics,certify,size,conjugate", [
         ("snu2", 1, 2, 1, ["step3: A2: A2 support off the superdiagonal at (2,1) "
@@ -1211,14 +1204,14 @@ class TestCertificateFirst:
         n, nu = 5, (0.5 if family == "snu2" else None)
         w = random_unitary(rng, n) if conjugate else None
         cand = _tampered(family, n, nu, slot, i, j, size, w)
-        cond = _verify(family, cand, n, nu)
-        assert cond.all_passed
+        failures, residuals = _verify(family, cand, n, nu)
+        assert failures == []
         rep = _rigidity(family, cand, n, nu, DEFAULT_TOL)
         assert rep.verdict == RECONSTRUCTION_FAILED
         assert rep.diagnostics == diagnostics
         slots = ["certify A1", "certify A2", "certify A3"] if certify else []
-        assert list(rep.condition_residuals) == slots + list(cond.residuals())
-        assert {k: rep.condition_residuals[k] for k in cond.residuals()} == cond.residuals()
+        assert list(rep.condition_residuals) == slots + list(residuals)
+        assert {k: rep.condition_residuals[k] for k in residuals} == residuals
 
     @pytest.mark.parametrize("family,slot,i,j,steps", [
         ("snu2", 1, 2, 1, ["_a2_support"]),

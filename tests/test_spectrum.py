@@ -302,6 +302,15 @@ class TestSpectraEqual:
         results = spectra_equal(t, scaled, ["A1, A2 A2^H"])
         assert not results[0].equal
 
+    @pytest.mark.parametrize("pencils", ["A1, A2 A2^H", "H"])
+    def test_bare_string_rejected(self, pencils):
+        # a string was read as its characters: "A1, A2 A2^H" raised a
+        # PencilSyntaxError at 'A', and "H" compared the pencil (H) alone
+        t = snu2_generators(4, 0.5)
+        with pytest.raises(TypeError, match=r"^pencils must be a list of pencil strings, "
+                                            r"e\.g\. \[.*\], not a str$"):
+            spectra_equal(t, t, pencils)
+
 
 class TestX2Dependence:
     def test_triangular_pencil_free(self):
