@@ -10,10 +10,12 @@ and assemble the diagonal unitary witness
 that conjugates the reference triple onto the candidate.
 
 Each reference (family, n, nu) is built once and cached read-only with
-what a certified verdict reads (``_Reference``).  Verification tests
-A1's normality, then evaluates the family's pencils (``SNU2_PENCILS``,
-``SL2_PENCILS``, parsed at import) as one coefficient stack, compared
-with the reference's in one array expression.
+what a certified verdict reads (``_Reference``); what only verification
+reads, the pencils' slot scales and coefficient stack (``_Pencils``), is
+cached apart and built on the first uncertified verdict.  Verification
+tests A1's normality, then evaluates the family's pencils
+(``SNU2_PENCILS``, ``SL2_PENCILS``, parsed at import) as one coefficient
+stack, compared with the reference's in one array expression.
 Reconstruction, ``_reconstruct``, checks the dimension, runs step 1
 (A1's eigenbasis in the reference order, unresolved clusters built down
 the A2 ladder), reads the phases off A2 and computes the one certificate,
@@ -131,57 +133,66 @@ class RigidityReport:
 
 # --- verification ---------------------------------------------------------------
 
-# a cached reference: the read-only triple and what a certified verdict reads of
-# it (its pencils' coefficient stack, largest moduli and slot scales, H's diagonal
-# and its scale, the ladder diagonals, from which the named steps derive what they
-# read, the (3, n, n) slot stack and max(1, ||slot||) per slot)
-_Reference = namedtuple("_Reference", "ref pencils steps coeffs coeff_max s1 s2 "
-                        "diag diag_scale e_sd f_sd slots slot_norms")
+# a cached reference: the read-only triple and what step 1, the certificate and
+# the named steps read of it (H's diagonal and its scale, the ladder diagonals,
+# from which the named steps derive what they read, the (3, n, n) slot stack and
+# max(1, ||slot||) per slot)
+_Reference = namedtuple("_Reference", "ref pencils steps diag diag_scale e_sd f_sd "
+                        "slots slot_norms")
+
+# what only verification reads: the pencils' slot scales, their coefficient
+# stack and its largest moduli
+_Pencils = namedtuple("_Pencils", "pencils s1 s2 coeffs coeff_max")
 
 
 @functools.lru_cache(maxsize=64)
 def _reference(family, n, nu) -> _Reference:
-    """The reference of ``family`` at (n, nu), built on first use.  Each
-    pencil pairs the diagonal H with an exactly diagonal product of ladder
-    matrices, so its polynomial at the slot scales 1 / max(1, ||slot||_HS)
-    (see ``slot_scales``) is an exact product of lines."""
+    """The reference of ``family`` at (n, nu), built on first use."""
     ref, pencils, steps = ((snu2_generators(n, nu), SNU2_PENCILS, _SNU2_STEPS)
                            if family == "snu2" else
                            (sl2_generators(n), SL2_PENCILS, _SL2_STEPS))
     slots = np.stack(ref.matrices)
     for m in (*ref.matrices, slots):
         m.flags.writeable = False
-    products = {name: _product(_SECOND_SLOT[name], ref.matrices) for name in pencils}
-    for name, b in products.items():
-        if hs_norm(b - np.diag(np.diag(b))) != 0.0:
-            raise AssertionError(f"reference product for {name} is not diagonal")
-    scales = slot_scales([ref.h, *products.values()])
+    diag = np.diag(ref.h).real
+    return _Reference(ref, pencils, steps, diag, max(1.0, float(np.max(np.abs(diag)))),
+                      ref.e.diagonal(1), ref.f.diagonal(-1), slots,
+                      np.maximum(1.0, hs_norms(slots)))
+
+
+@functools.lru_cache(maxsize=64)
+def _verification(family, n, nu) -> _Pencils:
+    """The reference's pencils at (n, nu), built on the first verification.
+    Each pairs the diagonal H with an exactly diagonal product of ladder
+    matrices, so its polynomial at the slot scales 1 / max(1, ||slot||_HS)
+    (see ``slot_scales``) is an exact product of lines."""
+    entry = _reference(family, n, nu)
+    ref = entry.ref
+    products = [_product(_SECOND_SLOT[name], ref.matrices) for name in entry.pencils]
+    scales = slot_scales([ref.h, *products])
     s1, s2 = scales[0], scales[1:]
     coeffs = _line_products([np.stack([np.diag(ref.h) * s1, np.diag(b) * s], axis=1)
-                             for b, s in zip(products.values(), s2)])
-    diag = np.diag(ref.h).real
-    return _Reference(ref, pencils, steps, coeffs, np.abs(coeffs).max(axis=(1, 2)), s1, s2,
-                      diag, max(1.0, float(np.max(np.abs(diag)))), ref.e.diagonal(1),
-                      ref.f.diagonal(-1), slots, np.maximum(1.0, hs_norms(slots)))
+                             for b, s in zip(products, s2)])
+    return _Pencils(entry.pencils, s1, s2, coeffs, np.abs(coeffs).max(axis=(1, 2)))
 
 
-def _verify_conditions(mats, entry, tol):
+def _verify_conditions(mats, pencils, tol):
     """A1's normality, then all the family's pencils in one stacked pass,
-    compared with the reference's coefficient stack.  Returns the failed
-    hypotheses as diagnostics (none when they hold) and each pencil's
-    residual (none when A1 is not normal).  The slots are finite, so a
-    non-finite pencil means a product overflowed float64."""
+    compared with the reference's coefficient stack (``_verification``).
+    Returns the failed hypotheses as diagnostics (none when they hold) and
+    each pencil's residual (none when A1 is not normal).  The slots are
+    finite, so a non-finite pencil means a product overflowed float64."""
     if not _is_normal(mats[0], tol):
         return ["A1 is not normal"], {}
-    first = entry.s1 * mats[0]
+    first = pencils.s1 * mats[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        pencils = np.array([(first, s2 * _product(_SECOND_SLOT[name], mats))
-                            for name, s2 in zip(entry.pencils, entry.s2)])
-        if not np.isfinite(pencils).all():
+        stack = np.array([(first, s2 * _product(_SECOND_SLOT[name], mats))
+                          for name, s2 in zip(pencils.pencils, pencils.s2)])
+        if not np.isfinite(stack).all():
             raise ValueError("the candidate's pencil products overflow float64")
         # a determinant that overflows leaves its pencil non-finite, and unequal
-        coeffs = _det_stack(pencils)
-    checks = _compare_stacks(entry.pencils, coeffs, entry.coeffs, tol, entry.coeff_max)
+        coeffs = _det_stack(stack)
+    checks = _compare_stacks(pencils.pencils, coeffs, pencils.coeffs, tol, pencils.coeff_max)
     return ([f"pencil equality failed: {c.pencil}" for c in checks if not c.equal],
             {c.pencil: c.residual for c in checks})
 
@@ -392,12 +403,10 @@ def _phases(fr):
     """The phases read off A2's superdiagonal and A3's subdiagonal
     agree."""
     ahat, entry = fr.ahat, fr.entry
-    if not fr.phases.size:
-        return None
     sigma = np.conj(_unit_phases(ahat[2].diagonal(-1), entry.f_sd))
     e_min, f_min = (float(np.abs(sd).min(initial=np.inf)) for sd in (entry.e_sd, entry.f_sd))
     phase_tol = fr.tol * max(1.0, hs_norm(ahat[1]) / e_min, hs_norm(ahat[2]) / f_min)
-    phase_gap = float(np.abs(fr.phases - sigma).max())
+    phase_gap = float(np.abs(fr.phases - sigma).max(initial=0.0))  # none at n = 1
     if _exceeds(phase_gap, phase_tol):
         return (f"phase mismatch between A2 and A3 "
                 f"(Lambda != Sigma, max gap {phase_gap:.3g})",)
@@ -423,15 +432,15 @@ _SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products), ("step4", _p
 
 def _drive(t, tol, family, n, nu=None) -> RigidityReport:
     """The stages in the proof's order (certify, verify, explain), each
-    run only where its output is read, on one reference lookup and one
-    validation of the slots."""
+    run only where its output is read, on one validation of the slots; the
+    pencils are looked up only when certification fails."""
     _check_tol(tol)
     entry, mats = _reference(family, n, nu), _slot_matrices(t)
     with np.errstate(over="ignore", invalid="ignore"):  # unverified products fail closed
         rep, frame = _reconstruct(mats, entry, tol)
     if rep.verdict == EQUIVALENT:
         return rep
-    failures, residuals = _verify_conditions(mats, entry, tol)
+    failures, residuals = _verify_conditions(mats, _verification(family, n, nu), tol)
     if failures:
         rep = RigidityReport(verdict=HYPOTHESIS_FAILED, diagnostics=failures)
     elif frame is not None:

@@ -141,7 +141,8 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
     ``affine=True`` (the proper joint spectrum) computes
     det(sum x_i M_i - I), whose constant term is (-1)^n; ``affine=False``
     drops the -I and yields the homogeneous pencil determinant.
-    At most 4 variables are supported.
+    At most 4 variables are supported.  A determinant that overflows
+    float64 raises ``ValueError``.
     """
     mats = [as_matrix(m) for m in mats]
     _check_pencil(mats)
@@ -151,7 +152,11 @@ def det_pencil(mats, var_names=None, affine: bool = True) -> MultiPoly:
         raise ValueError("need one variable name per pencil matrix")
     if not all(var_names) or len(set(var_names)) != k:
         raise ValueError(f"variable names must be distinct and non-empty, got {list(var_names)}")
-    return MultiPoly(var_names, _det_stack([mats], affine)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _det_stack([mats], affine)[0]
+    if not np.isfinite(coeffs).all():
+        raise ValueError("the pencil's determinant overflows float64")
+    return MultiPoly(var_names, coeffs)
 
 
 def _det_stack(pencils, affine=True):

@@ -68,9 +68,14 @@ def test_grid_slice_keeps_the_invariants(census):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for case_id, family, n, nu, cand, expected in _slice(census):
-            verdict, _, _ = census.run_case(family, n, nu, census.GRID_TOL, cand)
+            verdict, _, residual, _ = census.run_case(family, n, nu, census.GRID_TOL, cand)
             if (verdict == EQUIVALENT) != expected:
                 offending.append(case_id)
+            # the record's residual is the certified one, and only an equivalent's
+            if verdict == EQUIVALENT:
+                assert 0.0 <= residual <= census.GRID_TOL, case_id
+            else:
+                assert residual is None, case_id
             count += 1
     # 14 points x 3 conjugates, each plain and with its flip tampers
     assert count == 3 * (7 * (1 + 2 * 3 * 4) + 7 * (1 + 2 * 3 * 9))

@@ -74,6 +74,10 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--family", "onedim")
         assert (code, out, err) == (1, "", "error: --family onedim requires --nu\n")
 
+    def test_unparsable_complex_exits_one(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "onedim", "--c", "1+", "--nu", "0.5")
+        assert (code, out, err) == (1, "", "error: cannot parse complex number '1+'\n")
+
 
 class TestDet:
     def test_affine_sl2_pencil(self, capsys, tmp_path):
@@ -270,6 +274,19 @@ class TestRigidity:
         assert blob["condition_residuals"] == {"A1, A2 A2^H": 1.0, "A1, A2^H A2": 1.0,
                                                "A1, A3 A3^H": None, "A1, A2 A3": 1.0}
         assert blob["residual"] is None and blob["witness"] is None
+
+    def test_overflowing_determinant_exits_one(self, tmp_path):
+        # the pencil of the fixture above: det wrote 289 terms of null with
+        # exit 0 and four numpy warnings
+        t = snu2_generators(16, 0.05)
+        path = tmp_path / "fix.json"
+        path.write_text(json.dumps(tuple_to_json(
+            GeneratorTuple(h=t.h, e=t.e, f=1001 * t.f, n=16, nu=0.05, family="snu2"))))
+        proc = subprocess.run([sys.executable, "-m", "specrig.cli", "det", "--tuple", str(path),
+                               "--pencil", "A1, A3 A3^H"],
+                              capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: the pencil's determinant overflows float64\n")
 
 
 class TestExceptional:
@@ -554,6 +571,17 @@ class TestArgumentChecks:
         code, out, err = run(capsys, "rigidity", "--tuple", str(path), "--family", "snu2",
                              "--n", "3", "--nu", "0.5")
         assert (code, out, err) == (1, "", f"error: {path}: malformed tuple JSON ({message})\n")
+
+    def test_matrix_not_an_object_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "fix.json"
+        run(capsys, "gen", "--family", "snu2", "--n", "3", "--nu", "0.5", "-o", str(path))
+        blob = json.loads(path.read_text())
+        blob["matrices"]["H"] = blob["matrices"]["H"]["entries"]
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "rigidity", "--tuple", str(path), "--family", "snu2",
+                             "--n", "3", "--nu", "0.5")
+        assert (code, out, err) == (1, "", f"error: {path}: malformed tuple JSON (matrix JSON "
+                                           f"must be an object with 'n' and 'entries')\n")
 
     def test_overflowing_pencil_product_named(self, capsys, tmp_path):
         path = self._overflowing_fixture(capsys, tmp_path)

@@ -414,6 +414,24 @@ class TestIsExceptionalPruned:
         for p in bisected:
             assert min(abs(roots[p] - z) for z in ends) <= 1e-14, p
 
+    @pytest.mark.parametrize("toward", [0.0, 1.0])
+    def test_edge_bisected_to_an_end_of_the_unit_interval(self, toward):
+        # an edge more than 8 floats from the start, at 0 or 1 itself: the
+        # bisection over the bit patterns ends on that end, or finds that
+        # the predicate holds nowhere
+        evals = []
+
+        def everywhere(z):
+            evals.append(z)
+            return True
+        assert exceptional._edge(everywhere, 0.5, toward) == toward
+        assert len(evals) > 9 and all(0.0 <= z <= 1.0 for z in evals)
+        assert exceptional._edge(lambda z: False, 0.5, 1.0 - toward) \
+            == math.copysign(math.inf, toward - 0.5)
+        # the lower band test of |m - sqrt z| <= tol at m <= tol holds down to 0
+        m, tol = 0.5e-9, 1e-9
+        assert exceptional._edge(lambda z: m - math.sqrt(z) <= tol, 0.25, 0.0) == 0.0
+
     def test_two_blocks_one_power_table(self, monkeypatch):
         # n = 104 splits the pairs into two blocks, and the last pair's root
         # lies in the second: one table of power sums serves both

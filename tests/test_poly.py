@@ -126,6 +126,16 @@ class TestFromDense:
             MultiPoly(("x",), np.ones((2, 2)))
 
 
+class TestRepr:
+    def test_showcase(self):
+        assert repr(MultiPoly(SHOWCASE_VARS, showcase_coeffs())) == (
+            "MultiPoly(x,y,z,t: (-1+0j)*(0, 0, 0, 3) + (4+0j)*(0, 1, 1, 1) "
+            "+ (4+0j)*(2, 0, 0, 1))")
+
+    def test_zero_polynomial(self):
+        assert repr(MultiPoly(PAIR, np.zeros((2, 3)))) == "MultiPoly(x1,x2: 0)"
+
+
 class TestJson:
     def test_roundtrip_and_ordering(self):
         p = MultiPoly(SHOWCASE_VARS, showcase_coeffs())

@@ -44,7 +44,7 @@ def _verify(family, cand, n, nu=None, tol=DEFAULT_TOL):
     """The verification stage, entered as the drivers enter it: the
     failed hypotheses and the pencils' residuals."""
     return rigidity._verify_conditions(spectrum._slot_matrices(cand),
-                                       rigidity._reference(family, n, nu), tol)
+                                       rigidity._verification(family, n, nu), tol)
 
 
 def _reconstruct(family, cand, n, nu=None, tol=DEFAULT_TOL):
@@ -541,6 +541,7 @@ class TestReportInvariants:
         rep = snu2_rigidity(t.matrices, 4, 0.7)
         assert rep.verdict == HYPOTHESIS_FAILED
         assert rep.witness is None and rep.basis is None
+        assert rep.global_witness is None
 
     def test_one_dimensional_tuple(self):
         t = snu2_generators(1, 0.5)
@@ -654,7 +655,7 @@ class TestStackedVerification:
             return stacks[-1]
         monkeypatch.setattr(rigidity, "_det_stack", spy)
         _, residuals = _verify(family, cand, n, nu)
-        entry = rigidity._reference(family, n, nu)
+        entry = rigidity._verification(family, n, nu)
         (stack,) = stacks  # one kernel call for all the family's pencils
         assert list(residuals) == list(entry.pencils)  # so A1 is normal
         assert len(stack) == len(entry.pencils)
@@ -678,7 +679,7 @@ class TestStackedVerification:
         failures, residuals = _verify(family, cand, n, nu)
         pencils = rigidity.SL2_PENCILS if family == "sl2" else rigidity.SNU2_PENCILS
         a1, a2, a3 = cand
-        entry = rigidity._reference(family, n, nu)
+        entry = rigidity._verification(family, n, nu)
         assert entry.pencils == pencils
         want = []
         for name, s2, coeffs in zip(pencils, entry.s2, entry.coeffs):
@@ -699,16 +700,31 @@ class TestStackedVerification:
     def test_reference_stack_matches_det_pencil(self, family, n, nu):
         # the line products of the cached stack against the determinant
         # kernel on the reference's scaled diagonal pencils
-        entry = rigidity._reference(family, n, nu)
-        h, e, f = entry.ref.matrices
+        entry = rigidity._verification(family, n, nu)
+        h, e, f = rigidity._reference(family, n, nu).ref.matrices
         for name, s2, coeffs in zip(entry.pencils, entry.s2, entry.coeffs):
             alone = det_pencil([entry.s1 * h, s2 * PRODUCTS[name](e, f)]).coeffs
             assert np.abs(coeffs - alone).max() <= 1e-13 * np.abs(coeffs).max(), name
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 16, 24, 40, 64])
+    def test_reference_products_are_exactly_diagonal(self, n):
+        # each pencil's product of the reference ladder matrices has no
+        # off-diagonal entry at all, so the reference's polynomial is the
+        # product of the lines of its diagonal pair
+        refs = [("snu2", snu2_generators(n, nu))
+                for nu in (0.05, 0.1, 0.3, 0.5, -0.7, 0.95, 1.0, -1.0)]
+        for family, ref in [*refs, ("sl2", sl2_generators(n))]:
+            pencils = rigidity.SL2_PENCILS if family == "sl2" else rigidity.SNU2_PENCILS
+            for name in pencils:
+                b = spectrum._product(rigidity._SECOND_SLOT[name], ref.matrices)
+                assert np.isfinite(b).all(), (family, ref.nu, name)
+                assert np.array_equal(b, np.diag(np.diag(b))), (family, ref.nu, name)
+
     def test_memory_stays_within_blocks(self, rng):
         n, nu = 40, 0.9
         cand = conjugated(snu2_generators(n, nu), random_unitary(rng, n))
-        rigidity._reference.cache_clear()  # the reference is built cold
+        rigidity._reference.cache_clear()  # the reference and its pencils are built cold
+        rigidity._verification.cache_clear()
         tracemalloc.start()
         try:
             failures, _ = _verify("snu2", cand, n, nu)
@@ -807,6 +823,17 @@ def test_vanishing_ladder_step_fails_without_warnings(n, nu):
             rep = _reconstruct("snu2", (ref.h, a2, ref.f), n, nu)
         assert rep.verdict == RECONSTRUCTION_FAILED, (j, rep.diagnostics)
         assert rep.basis is None and rep.residual is None
+
+
+def test_one_dimensional_steps_read_no_phase():
+    # A1 = [x + i y]: within the Hermitian test and step 1's gap, but its
+    # certificate fails; at n = 1 there is no ladder phase, so every named
+    # step passes and certification is named
+    tol = DEFAULT_TOL
+    t = snu2_generators(1, 0.5)
+    cand = (np.array([[0.99 * tol + 0.4j * tol]]), t.e, t.f)
+    rep = _reconstruct("snu2", cand, 1, 0.5)
+    assert rep.diagnostics == ["step5: certification residual 1.07e-09 exceeds tolerance"]
 
 
 class TestReconstructionBranches:
@@ -998,6 +1025,53 @@ class TestReferenceCache:
         assert len(builds) == maxsize + 2
 
 
+class TestVerificationCache:
+    """A certified verdict reads no pencil of the reference: the first
+    uncertified verdict per (family, n, nu) builds them, once."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        rigidity._reference.cache_clear()
+        rigidity._verification.cache_clear()
+        yield
+        rigidity._verification.cache_clear()
+
+    @pytest.mark.parametrize("family,n,nu", [("snu2", 6, 0.35), ("snu2", 10, 0.3),
+                                             ("sl2", 7, None)])
+    def test_certified_verdict_builds_no_pencils(self, rng, family, n, nu):
+        for _ in range(3):
+            cand = conjugated(_reference(family, n, nu), random_unitary(rng, n))
+            assert _rigidity(family, cand, n, nu, DEFAULT_TOL).verdict == EQUIVALENT
+        assert rigidity._verification.cache_info().currsize == 0
+        assert rigidity._reference.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("family,n,nu", [("snu2", 6, 0.35), ("sl2", 7, None)])
+    def test_first_uncertified_verdict_builds_pencils_once(self, rng, family, n, nu):
+        w = random_unitary(rng, n)
+        first = _rigidity(family, _tampered(family, n, nu, 1, 0, 1, w=w), n, nu, DEFAULT_TOL)
+        assert first.verdict != EQUIVALENT
+        info = rigidity._verification.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+        # a second uncertified verdict reads the same entry; a certified one none
+        second = _rigidity(family, _tampered(family, n, nu, 2, 1, 0, w=w), n, nu, DEFAULT_TOL)
+        assert second.verdict != EQUIVALENT
+        cand = conjugated(_reference(family, n, nu), w)
+        assert _rigidity(family, cand, n, nu, DEFAULT_TOL).verdict == EQUIVALENT
+        info = rigidity._verification.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        pencils = rigidity._verification(family, n, nu).pencils
+        assert list(first.condition_residuals)[-len(pencils):] == list(pencils)
+
+    def test_one_entry_per_reference(self, rng):
+        keys = [("snu2", 4, 0.3), ("snu2", 4, 0.5), ("snu2", 5, 0.3), ("sl2", 4, None)]
+        for family, n, nu in keys:
+            cand = _tampered(family, n, nu, 1, 0, 1, w=random_unitary(rng, n))
+            assert _rigidity(family, cand, n, nu, DEFAULT_TOL).verdict != EQUIVALENT
+        info = rigidity._verification.cache_info()
+        assert (info.currsize, info.misses) == (len(keys), len(keys))
+        assert info.maxsize == rigidity._reference.cache_info().maxsize
+
+
 class TestArguments:
     def test_nan_nu_rejected(self):
         t = snu2_generators(4, 0.5)
@@ -1045,8 +1119,8 @@ def _tampered(family, n, nu, slot, i, j, size=1e-6, w=None):
 def _verify_then_reconstruct(family, cand, n, nu, tol):
     """Verdict and first diagnostic in the order the proof states the
     theorem: verify the hypotheses, reconstruct only if they all hold."""
-    mats, entry = spectrum._slot_matrices(cand), rigidity._reference(family, n, nu)
-    failures, _ = rigidity._verify_conditions(mats, entry, tol)
+    mats = spectrum._slot_matrices(cand)
+    failures, _ = rigidity._verify_conditions(mats, rigidity._verification(family, n, nu), tol)
     if failures:
         return HYPOTHESIS_FAILED, failures[:1]
     rep = _reconstruct(family, cand, n, nu, tol)
@@ -1059,7 +1133,8 @@ def _steps_then_certify(family, cand, n, nu, tol):
     reconstruction fails, as the drivers do.  Step 1 comes before the
     certificate in either order, so its failures are ``_reconstruct``'s."""
     mats, entry = spectrum._slot_matrices(cand), rigidity._reference(family, n, nu)
-    failures, residuals = rigidity._verify_conditions(mats, entry, tol)
+    failures, residuals = rigidity._verify_conditions(mats, rigidity._verification(family, n, nu),
+                                                      tol)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             values, v, _, ok = rigidity._eigenbasis_matched(mats[0], mats[1], entry, tol)

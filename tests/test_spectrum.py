@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,16 @@ class TestDetPencil:
         with pytest.raises(ValueError, match=r"^variable names must be distinct and "
                            rf"non-empty, got \['x', '{names[1]}'\]$"):
             det_pencil([np.eye(2), np.eye(2)], names)
+
+    def test_overflowing_determinant_raises(self):
+        # (H, F F^H) at F scaled by 1001: a node's determinant overflows, and
+        # every coefficient came out NaN, with four numpy warnings
+        t = snu2_generators(16, 0.05)
+        f = 1001 * t.f
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the pencil's determinant overflows float64$"):
+                det_pencil([t.h, f @ f.conj().T])
 
     def test_array_prune_matches_dict_prune(self, rng, monkeypatch):
         # det_pencil prunes the interpolated coefficient array; the result

@@ -5,7 +5,8 @@
 
 Runs each case through ``snu2_rigidity`` / ``sl2_rigidity`` with warnings
 raised as errors and writes one JSON line per case: its id, seed, class,
-family, verdict, first diagnostic and the sha256 of
+family, verdict, first diagnostic, the certified residual of an
+``equivalent`` report (else null) and the sha256 of
 ``json.dumps(rep.to_json())`` (of ``type: message`` when the call
 raises; the verdict is then ``error``, the CLI's exit 1).  It prints
 the count of each first diagnostic, numbers cut off, per class and
@@ -133,15 +134,17 @@ def _label(diagnostic):
 
 
 def run_case(family, n, nu, tol, cand):
-    """(verdict, first diagnostic, digest) of one rigidity call."""
+    """(verdict, first diagnostic, residual, digest) of one rigidity call;
+    a report holds a residual only when it is ``equivalent``."""
     try:
         rep = (snu2_rigidity(cand, n, nu, tol) if family == "snu2"
                else sl2_rigidity(cand, n, tol))
     except (ValueError, ArithmeticError, RuntimeWarning) as exc:
         text = f"{type(exc).__name__}: {exc}"
-        return "error", text, hashlib.sha256(text.encode()).hexdigest()
+        return "error", text, None, hashlib.sha256(text.encode()).hexdigest()
     blob = json.dumps(rep.to_json())
     return (rep.verdict, rep.diagnostics[0] if rep.diagnostics else "",
+            rep.residual,
             hashlib.sha256(blob.encode()).hexdigest())
 
 
@@ -153,11 +156,12 @@ def census(classes, seed, out):
         warnings.simplefilter("error")
         for name in classes:
             for case_id, case_seed, family, n, nu, tol, cand, expected in CLASSES[name](seed):
-                verdict, first, digest = run_case(family, n, nu, tol, cand)
+                verdict, first, residual, digest = run_case(family, n, nu, tol, cand)
                 if expected is not None and (verdict == EQUIVALENT) != expected:
                     offending.append(case_id)
                 rec = {"id": case_id, "seed": case_seed, "class": name, "family": family,
-                       "verdict": verdict, "first": first, "sha256": digest}
+                       "verdict": verdict, "first": first, "residual": residual,
+                       "sha256": digest}
                 records.append(rec)
                 out.write(json.dumps(rec) + "\n")
     return records, offending
