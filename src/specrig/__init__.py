@@ -21,8 +21,8 @@ _EXPORTS = {
     "poly": ("MultiPoly", "poly_to_json"),
     "rigidity": ("EQUIVALENT", "HYPOTHESIS_FAILED", "RECONSTRUCTION_FAILED", "RigidityReport",
                  "certify_equivalence", "compression_check", "sl2_rigidity", "snu2_rigidity"),
-    "spectrum": ("Line", "LineArrangement", "det_pencil", "lines_of_pair", "parse_pencil",
-                 "spectra_equal", "x2_dependence"),
+    "spectrum": ("Line", "det_pencil", "lines_of_pair", "parse_pencil", "spectra_equal",
+                 "x2_dependence"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

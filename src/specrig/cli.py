@@ -191,10 +191,10 @@ def _cmd_lines(args) -> int:
     if len(exprs) != 2:
         raise UsageError("lines requires a two-slot pencil, e.g. 'A1, A2 A3'")
     a, b = (evaluate_expr(e, t.matrices) for e in exprs)
-    arr, certified = lines_of_pair(a, b, args.tol)
+    lines, certified = lines_of_pair(a, b, args.tol)
     _dump({
         "lines": [{"coeffs": [[c.real, c.imag] for c in l.coeffs], "mult": l.mult}
-                  for l in arr.lines],
+                  for l in lines],
         "certified": certified,
     }, args.output)
     return 0

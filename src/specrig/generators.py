@@ -28,6 +28,7 @@ and h_0 .. h_(n-1) from the same g_m for ``snu2_generators``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -244,10 +245,14 @@ def counterexample_tuple(alpha, beta, gamma, delta) -> GeneratorTuple:
     constrained by alpha*gamma = beta*delta = 2.
 
     Its three-matrix joint spectrum coincides with that of the sl(2)
-    triple in dimension 3 although [A2, A3] != A1.
+    triple in dimension 3 although [A2, A3] != A1.  The parameters must
+    be finite; a product that overflows, or is NaN, fails the constraint.
     """
-    alpha, beta, gamma, delta = (complex(x) for x in (alpha, beta, gamma, delta))
-    if abs(alpha * gamma - 2) > 1e-12 or abs(beta * delta - 2) > 1e-12:
+    alpha, beta, gamma, delta = params = [complex(x) for x in (alpha, beta, gamma, delta)]
+    if not all(map(cmath.isfinite, params)):
+        raise ValueError("parameters must be finite")
+    if not all(cmath.isclose(p, 2, rel_tol=0.0, abs_tol=1e-12)
+               for p in (alpha * gamma, beta * delta)):
         raise ValueError("parameters must satisfy alpha*gamma = beta*delta = 2")
     h = np.diag([2.0 + 0j, 0j, -2.0 + 0j])
     e = np.array([[0, alpha, 0], [0, 0, 0], [0, beta, 0]], dtype=np.complex128)
@@ -265,7 +270,8 @@ def relation_residuals(t: GeneratorTuple, orientation: str = "paper") -> Relatio
 
     The explicit ladder family satisfies the swapped orientation while
     the fundamental representation satisfies the paper one; both are
-    exposed so the split itself can be asserted.
+    exposed so the split itself can be asserted.  A term that leaves
+    float64 (1/nu^2 at a nu near underflow) raises ``ValueError``.
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
@@ -274,16 +280,16 @@ def relation_residuals(t: GeneratorTuple, orientation: str = "paper") -> Relatio
     nu = t.nu
     h, e, f = (as_matrix(m) for m in t.matrices)
     mul = (lambda x, y: x @ y) if orientation == "paper" else (lambda x, y: y @ x)
-    pairs = [
-        (nu * mul(f, e), mul(e, f) / nu, h),
-        (nu**2 * mul(h, e), mul(e, h) / nu**2, (1 + nu**2) * e),
-        (nu**2 * mul(f, h), mul(h, f) / nu**2, (1 + nu**2) * f),
-    ]
-    resids = []
-    scale = 1.0
-    for a, b, c in pairs:
-        resids.append(hs_norm(a - b - c))
-        scale = max(scale, hs_norm(a), hs_norm(b), hs_norm(c))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pairs = [
+            (nu * mul(f, e), mul(e, f) / nu, h),
+            (nu**2 * mul(h, e), mul(e, h) / nu**2, (1 + nu**2) * e),
+            (nu**2 * mul(f, h), mul(h, f) / nu**2, (1 + nu**2) * f),
+        ]
+        resids = [hs_norm(a - b - c) for a, b, c in pairs]
+        scale = max(1.0, *(hs_norm(m) for pair in pairs for m in pair))
+    if not all(map(math.isfinite, [*resids, scale])):
+        raise ValueError(f"the relations at nu={nu} overflow float64")
     return RelationResidual(r1=resids[0], r2=resids[1], r3=resids[2],
                             orientation=orientation, scale=scale)
 

@@ -133,16 +133,15 @@ class RigidityReport:
 
 # --- verification ---------------------------------------------------------------
 
-# a cached reference: the read-only triple and what step 1, the certificate and
-# the named steps read of it (H's diagonal and its scale, the ladder diagonals,
-# from which the named steps derive what they read, the (3, n, n) slot stack and
-# max(1, ||slot||) per slot)
-_Reference = namedtuple("_Reference", "ref pencils steps diag diag_scale e_sd f_sd "
+# a cached reference: the read-only (3, n, n) slot stack, the one copy of the
+# triple, and what step 1, the certificate and the named steps read of it: H's
+# diagonal and its scale, the ladder diagonals (views of the stack) and
+# max(1, ||slot||) per slot
+_Reference = namedtuple("_Reference", "pencils steps diag diag_scale e_sd f_sd "
                         "slots slot_norms")
 
-# what only verification reads: the pencils' slot scales, their coefficient
-# stack and its largest moduli
-_Pencils = namedtuple("_Pencils", "pencils s1 s2 coeffs coeff_max")
+# what only verification reads: the pencils' slot scales and coefficient stack
+_Pencils = namedtuple("_Pencils", "pencils s1 s2 coeffs")
 
 
 @functools.lru_cache(maxsize=64)
@@ -152,11 +151,10 @@ def _reference(family, n, nu) -> _Reference:
                            if family == "snu2" else
                            (sl2_generators(n), SL2_PENCILS, _SL2_STEPS))
     slots = np.stack(ref.matrices)
-    for m in (*ref.matrices, slots):
-        m.flags.writeable = False
-    diag = np.diag(ref.h).real
-    return _Reference(ref, pencils, steps, diag, max(1.0, float(np.max(np.abs(diag)))),
-                      ref.e.diagonal(1), ref.f.diagonal(-1), slots,
+    slots.flags.writeable = False
+    diag = slots[0].diagonal().real
+    return _Reference(pencils, steps, diag, max(1.0, float(np.max(np.abs(diag)))),
+                      slots[1].diagonal(1), slots[2].diagonal(-1), slots,
                       np.maximum(1.0, hs_norms(slots)))
 
 
@@ -167,13 +165,13 @@ def _verification(family, n, nu) -> _Pencils:
     matrices, so its polynomial at the slot scales 1 / max(1, ||slot||_HS)
     (see ``slot_scales``) is an exact product of lines."""
     entry = _reference(family, n, nu)
-    ref = entry.ref
-    products = [_product(_SECOND_SLOT[name], ref.matrices) for name in entry.pencils]
-    scales = slot_scales([ref.h, *products])
+    h = entry.slots[0]
+    products = [_product(_SECOND_SLOT[name], entry.slots) for name in entry.pencils]
+    scales = slot_scales([h, *products])
     s1, s2 = scales[0], scales[1:]
-    coeffs = _line_products([np.stack([np.diag(ref.h) * s1, np.diag(b) * s], axis=1)
+    coeffs = _line_products([np.stack([h.diagonal() * s1, np.diag(b) * s], axis=1)
                              for b, s in zip(products, s2)])
-    return _Pencils(entry.pencils, s1, s2, coeffs, np.abs(coeffs).max(axis=(1, 2)))
+    return _Pencils(entry.pencils, s1, s2, coeffs)
 
 
 def _verify_conditions(mats, pencils, tol):
@@ -181,18 +179,16 @@ def _verify_conditions(mats, pencils, tol):
     compared with the reference's coefficient stack (``_verification``).
     Returns the failed hypotheses as diagnostics (none when they hold) and
     each pencil's residual (none when A1 is not normal).  The slots are
-    finite, so a non-finite pencil means a product overflowed float64."""
+    finite, so a non-finite pencil means a product overflowed float64; under
+    ``_drive``'s errstate a determinant that overflows fails its pencil."""
     if not _is_normal(mats[0], tol):
         return ["A1 is not normal"], {}
     first = pencils.s1 * mats[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        stack = np.array([(first, s2 * _product(_SECOND_SLOT[name], mats))
-                          for name, s2 in zip(pencils.pencils, pencils.s2)])
-        if not np.isfinite(stack).all():
-            raise ValueError("the candidate's pencil products overflow float64")
-        # a determinant that overflows leaves its pencil non-finite, and unequal
-        coeffs = _det_stack(stack)
-    checks = _compare_stacks(pencils.pencils, coeffs, pencils.coeffs, tol, pencils.coeff_max)
+    stack = np.array([(first, s2 * _product(_SECOND_SLOT[name], mats))
+                      for name, s2 in zip(pencils.pencils, pencils.s2)])
+    if not np.isfinite(stack).all():
+        raise ValueError("the candidate's pencil products overflow float64")
+    checks = _compare_stacks(pencils.pencils, _det_stack(stack), pencils.coeffs, tol)
     return ([f"pencil equality failed: {c.pencil}" for c in checks if not c.equal],
             {c.pencil: c.residual for c in checks})
 
@@ -288,7 +284,7 @@ def _reconstruct(mats, entry, tol):
     residuals of the witness diag(1, conj(p0), conj(p0 p1), ...) built from
     A2's superdiagonal phases p, ``equivalent`` within tol.  Returns the
     report and, if the certificate fails, the ``_Frame`` of the steps."""
-    n = entry.ref.n
+    n = entry.slots.shape[1]
     if mats[0].shape != (n, n):
         return _fail("step1", f"candidate dimension {mats[0].shape[0]} != n={n}"), None
     try:
@@ -318,11 +314,10 @@ def _reconstruct(mats, entry, tol):
 def _explain(fr):
     """The report of the first of ``fr.entry.steps`` that fails, or None:
     the named steps explain a failed certificate where the hypotheses
-    hold."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, step in fr.entry.steps[:-1]:
-            if failure := step(fr):
-                return _fail(name, *failure)
+    hold (under ``_drive``'s errstate)."""
+    for name, step in fr.entry.steps[:-1]:
+        if failure := step(fr):
+            return _fail(name, *failure)
     return None
 
 
@@ -383,7 +378,7 @@ def _adjoint_products(fr):
         label = name.removeprefix("A1, ")
         if _exceeds(hs_norm(prod - np.diag(prod.diagonal())), fr.tol * s):
             return (f"{label} is not diagonal in the A1 eigenbasis",)
-        expected = np.diag(_product(_SECOND_SLOT[name], fr.entry.ref.matrices)).real
+        expected = np.diag(_product(_SECOND_SLOT[name], fr.entry.slots)).real
         gaps = np.abs(prod.diagonal() - expected)
         if _exceeds(float(gaps.max()), fr.tol * s):
             j = int(np.argmax(gaps))
@@ -432,19 +427,19 @@ _SL2_STEPS = (("step3", _a2_support), ("step2", _adjoint_products), ("step4", _p
 
 def _drive(t, tol, family, n, nu=None) -> RigidityReport:
     """The stages in the proof's order (certify, verify, explain), each
-    run only where its output is read, on one validation of the slots; the
-    pencils are looked up only when certification fails."""
+    run only where its output is read, on one validation of the slots and
+    under one errstate; the pencils are looked up only when certification fails."""
     _check_tol(tol)
     entry, mats = _reference(family, n, nu), _slot_matrices(t)
     with np.errstate(over="ignore", invalid="ignore"):  # unverified products fail closed
         rep, frame = _reconstruct(mats, entry, tol)
-    if rep.verdict == EQUIVALENT:
-        return rep
-    failures, residuals = _verify_conditions(mats, _verification(family, n, nu), tol)
-    if failures:
-        rep = RigidityReport(verdict=HYPOTHESIS_FAILED, diagnostics=failures)
-    elif frame is not None:
-        rep = _explain(frame) or rep
+        if rep.verdict == EQUIVALENT:
+            return rep
+        failures, residuals = _verify_conditions(mats, _verification(family, n, nu), tol)
+        if failures:
+            rep = RigidityReport(verdict=HYPOTHESIS_FAILED, diagnostics=failures)
+        elif frame is not None:
+            rep = _explain(frame) or rep
     rep.condition_residuals.update(residuals)
     return rep
 

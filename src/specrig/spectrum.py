@@ -197,11 +197,6 @@ class Line:
     mult: int
 
 
-@dataclass(frozen=True)
-class LineArrangement:
-    lines: tuple
-
-
 def _line_products(lines):
     """The pruned coefficient arrays of products of lines a x1 + b x2 - 1:
     a (P, n, 2) array of (a, b) gives the (P, n+1, n+1) stack of the P
@@ -239,11 +234,12 @@ def slot_scales(*mat_groups):
 
 
 def lines_of_pair(a, b, tol: float = DEFAULT_TOL):
-    """Candidate line decomposition of the pair spectrum of (a, b).
+    """Candidate line decomposition of the pair spectrum of (a, b):
+    ``(lines, certified)``, with ``lines`` a tuple of ``Line``.
 
     ``a`` must be normal; candidate lines are lam_j x1 + mu_j x2 = 1 with
     lam_j the eigenvalues of ``a`` and mu_j the diagonal of ``b`` in a's
-    eigenbasis.  The arrangement is certified when the product of those
+    eigenbasis.  The lines are certified when the product of those
     lines reproduces det(x1 a + x2 b - I), i.e. when the pair spectrum is
     completely reducible; commuting normal pairs certify, and a refusal
     witnesses non-commutativity.  (The certification compares the
@@ -276,7 +272,7 @@ def lines_of_pair(a, b, tol: float = DEFAULT_TOL):
     product = _line_products([[(l.coeffs[0] * s1, l.coeffs[1] * s2)
                                for l in lines for _ in range(l.mult)]])
     (check,) = _compare_stacks([None], product, _det_stack([[s1 * a, s2 * b]]), tol)
-    return LineArrangement(lines=tuple(lines)), check.equal
+    return tuple(lines), check.equal
 
 
 @dataclass(frozen=True)
@@ -286,14 +282,13 @@ class PencilComparison:
     residual: float
 
 
-def _compare_stacks(pencils, p, q, tol, q_max=None):
+def _compare_stacks(pencils, p, q, tol):
     """Each pencil's ``PencilComparison`` of coefficients p[i] and q[i]: the
-    max gap over max(1, largest modulus); ``q_max`` is q's, if known."""
+    max gap over max(1, largest modulus)."""
     shape = tuple(map(max, p.shape, q.shape))
     axes = tuple(range(1, len(shape)))
-    q_max = np.abs(q).max(axis=axes, initial=0.0) if q_max is None else q_max
     # fmax skips a NaN, as max(1.0, ...) does
-    scale = np.fmax(1.0, np.fmax(np.abs(p).max(axis=axes, initial=0.0), q_max))
+    scale = np.fmax(1.0, np.fmax(*(np.abs(c).max(axis=axes, initial=0.0) for c in (p, q))))
     dist = np.abs(_widen(p, shape) - _widen(q, shape)).max(axis=axes, initial=0.0)
     return tuple(map(PencilComparison, pencils, (dist <= tol * scale).tolist(),
                      (dist / scale).tolist()))

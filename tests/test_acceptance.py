@@ -91,10 +91,10 @@ def test_criterion_4_spectrum_lines():
     for n in range(2, 11):
         for nu in (0.3, 0.5, -0.7):
             t = snu2_generators(n, nu)
-            arr, certified = lines_of_pair(t.h, t.e @ t.e.conj().T, tol=1e-9)
+            lines, certified = lines_of_pair(t.h, t.e @ t.e.conj().T, tol=1e-9)
             assert certified, (n, nu)
             got = sorted((l.coeffs[0].real, l.coeffs[1].real)
-                         for l in arr.lines for _ in range(l.mult))
+                         for l in lines for _ in range(l.mult))
             expected = sorted((np.diag(t.h)[j].real,
                                (nu * c_coeff(n, j + 1, nu)) ** 2)
                               for j in range(n))

@@ -364,6 +364,10 @@ class TestRelations:
         assert out == ""
         assert err == message
 
+    def test_overflowing_relations_exit_one(self, capsys):
+        code, out, err = run(capsys, "relations", "--family", "fundamental", "--nu", "1e-320")
+        assert (code, out, err) == (1, "", "error: the relations at nu=1e-320 overflow float64\n")
+
     def test_limit_defaults_to_nu_one(self, capsys):
         code, out, _ = run(capsys, "relations", "--family", "limit", "--n", "4")
         assert code == 0
@@ -383,6 +387,13 @@ class TestCounterexampleCommand:
         code, _, err = run(capsys, "counterexample", "--alpha", "1", "--beta", "1",
                            "--gamma", "1", "--delta", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("command", [("counterexample",),
+                                         ("gen", "--family", "counterexample")])
+    def test_non_finite_parameters_exit_one(self, capsys, command):
+        code, out, err = run(capsys, *command, "--alpha", "0", "--gamma", "inf",
+                             "--delta", "1e400")
+        assert (code, out, err) == (1, "", "error: parameters must be finite\n")
 
 
 class TestEnvTol:

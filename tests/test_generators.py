@@ -341,6 +341,18 @@ class TestCounterexample:
         t = counterexample_tuple(2j, 1.0, -1j, 2.0)
         assert t.n == 3
 
+    @pytest.mark.parametrize("params", [
+        (0, 2, math.inf, 1),  # 0 * inf - 2 is NaN, which no bound may accept
+        (1, 2, 2, math.nan), (complex(1, math.inf), 2, 2, 1), (1, -math.inf, 2, 1)])
+    def test_non_finite_parameters_rejected(self, params):
+        with pytest.raises(ValueError, match="^parameters must be finite$"):
+            counterexample_tuple(*params)
+
+    def test_overflowing_constraint_fails(self):
+        # finite parameters whose |alpha gamma - 2| overflows float64
+        with pytest.raises(ValueError, match="^parameters must satisfy"):
+            counterexample_tuple(1.5e308 + 1.5e308j, 2, 1, 1)
+
 
 class TestStructural:
     def test_cyclic_permutation(self):
@@ -394,6 +406,12 @@ class TestRelationResiduals:
     def test_unknown_orientation(self):
         with pytest.raises(ValueError):
             relation_residuals(snu2_generators(2, 0.5), "sideways")
+
+    @pytest.mark.parametrize("nu", [1e-320, -1e-160])
+    def test_overflowing_terms_rejected(self, nu):
+        # 1/nu (subnormal nu) or 1/nu^2 (nu^2 rounds to 0) leaves float64
+        with pytest.raises(ValueError, match=r"^the relations at nu=.* overflow float64$"):
+            relation_residuals(fundamental_generators(nu), "paper")
 
 
 class TestTupleJson:

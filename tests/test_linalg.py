@@ -372,8 +372,8 @@ DEFINED_IN = {
     "poly": {"MultiPoly", "poly_to_json"},
     "rigidity": {"EQUIVALENT", "HYPOTHESIS_FAILED", "RECONSTRUCTION_FAILED", "RigidityReport",
                  "certify_equivalence", "compression_check", "sl2_rigidity", "snu2_rigidity"},
-    "spectrum": {"Line", "LineArrangement", "det_pencil", "lines_of_pair", "parse_pencil",
-                 "spectra_equal", "x2_dependence"},
+    "spectrum": {"Line", "det_pencil", "lines_of_pair", "parse_pencil", "spectra_equal",
+                 "x2_dependence"},
 }
 PUBLIC_NAMES = set().union(*DEFINED_IN.values())
 

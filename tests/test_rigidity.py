@@ -40,19 +40,25 @@ def conjugated(t, w):
     return tuple(w @ m @ w.conj().T for m in t.matrices)
 
 
+# ``rigidity._drive``'s errstate, under which every stage runs
+_STAGES_ERRSTATE = dict(over="ignore", invalid="ignore")
+
+
 def _verify(family, cand, n, nu=None, tol=DEFAULT_TOL):
     """The verification stage, entered as the drivers enter it: the
     failed hypotheses and the pencils' residuals."""
-    return rigidity._verify_conditions(spectrum._slot_matrices(cand),
-                                       rigidity._verification(family, n, nu), tol)
+    with np.errstate(**_STAGES_ERRSTATE):
+        return rigidity._verify_conditions(spectrum._slot_matrices(cand),
+                                           rigidity._verification(family, n, nu), tol)
 
 
 def _reconstruct(family, cand, n, nu=None, tol=DEFAULT_TOL):
     """The reconstruction stage, then the named steps, as the drivers run
     them once the hypotheses hold, so every diagnostic is computed."""
-    rep, frame = rigidity._reconstruct(spectrum._slot_matrices(cand),
-                                       rigidity._reference(family, n, nu), tol)
-    return (rigidity._explain(frame) or rep) if frame else rep
+    with np.errstate(**_STAGES_ERRSTATE):
+        rep, frame = rigidity._reconstruct(spectrum._slot_matrices(cand),
+                                           rigidity._reference(family, n, nu), tol)
+        return (rigidity._explain(frame) or rep) if frame else rep
 
 
 class TestVerifyConditionsSnu2:
@@ -701,7 +707,7 @@ class TestStackedVerification:
         # the line products of the cached stack against the determinant
         # kernel on the reference's scaled diagonal pencils
         entry = rigidity._verification(family, n, nu)
-        h, e, f = rigidity._reference(family, n, nu).ref.matrices
+        h, e, f = rigidity._reference(family, n, nu).slots
         for name, s2, coeffs in zip(entry.pencils, entry.s2, entry.coeffs):
             alone = det_pencil([entry.s1 * h, s2 * PRODUCTS[name](e, f)]).coeffs
             assert np.abs(coeffs - alone).max() <= 1e-13 * np.abs(coeffs).max(), name
@@ -989,9 +995,13 @@ class TestReferenceCache:
         assert builds == [(n, nu)]
         assert snu2_rigidity(cand, n, nu).verdict == EQUIVALENT
         assert builds == [(n, nu)]
-        for m in rigidity._reference("snu2", n, nu).ref.matrices:
+        entry = rigidity._reference("snu2", n, nu)
+        for m in (entry.slots, *entry.slots, entry.diag, entry.e_sd, entry.f_sd):
             with pytest.raises(ValueError):
-                m[0, 0] = 1.0
+                m[0] = 1.0
+        # the slot stack is the one copy of the triple: the diagonals that
+        # step 1 and the named steps read are views of it
+        assert all(np.shares_memory(d, entry.slots) for d in (entry.diag, entry.e_sd, entry.f_sd))
         assert all(m.flags.writeable for m in snu2_generators(n, nu).matrices)
 
     def test_cache_is_bounded(self, builds):
@@ -1119,8 +1129,7 @@ def _tampered(family, n, nu, slot, i, j, size=1e-6, w=None):
 def _verify_then_reconstruct(family, cand, n, nu, tol):
     """Verdict and first diagnostic in the order the proof states the
     theorem: verify the hypotheses, reconstruct only if they all hold."""
-    mats = spectrum._slot_matrices(cand)
-    failures, _ = rigidity._verify_conditions(mats, rigidity._verification(family, n, nu), tol)
+    failures, _ = _verify(family, cand, n, nu, tol)
     if failures:
         return HYPOTHESIS_FAILED, failures[:1]
     rep = _reconstruct(family, cand, n, nu, tol)
@@ -1133,9 +1142,8 @@ def _steps_then_certify(family, cand, n, nu, tol):
     reconstruction fails, as the drivers do.  Step 1 comes before the
     certificate in either order, so its failures are ``_reconstruct``'s."""
     mats, entry = spectrum._slot_matrices(cand), rigidity._reference(family, n, nu)
-    failures, residuals = rigidity._verify_conditions(mats, rigidity._verification(family, n, nu),
-                                                      tol)
-    with np.errstate(over="ignore", invalid="ignore"):
+    failures, residuals = _verify(family, mats, n, nu, tol)
+    with np.errstate(**_STAGES_ERRSTATE):
         try:
             values, v, _, ok = rigidity._eigenbasis_matched(mats[0], mats[1], entry, tol)
         except NotHermitianError:

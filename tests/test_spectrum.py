@@ -222,10 +222,10 @@ class TestLinesOfPair:
     @pytest.mark.parametrize("n", [2, 4, 7, 10])
     def test_ladder_lines(self, n, nu):
         t = snu2_generators(n, nu)
-        arr, certified = lines_of_pair(t.h, t.e @ t.e.conj().T)
+        lines, certified = lines_of_pair(t.h, t.e @ t.e.conj().T)
         assert certified
-        assert sum(l.mult for l in arr.lines) == n
-        got = sorted((l.coeffs[0].real, l.coeffs[1].real) for l in arr.lines
+        assert sum(l.mult for l in lines) == n
+        got = sorted((l.coeffs[0].real, l.coeffs[1].real) for l in lines
                      for _ in range(l.mult))
         expected = sorted((h_coeff(n, j, nu), (nu * c_coeff(n, j + 1, nu)) ** 2)
                           for j in range(n))
@@ -235,23 +235,23 @@ class TestLinesOfPair:
             assert abs(mg - me) <= 1e-9 * scale
 
     def test_commuting_diagonals(self):
-        arr, certified = lines_of_pair(np.diag([1.0, 2.0]).astype(complex),
-                                       np.diag([3.0, 4.0]).astype(complex))
+        lines, certified = lines_of_pair(np.diag([1.0, 2.0]).astype(complex),
+                                         np.diag([3.0, 4.0]).astype(complex))
         assert certified
-        assert sorted((l.coeffs[0].real, l.coeffs[1].real) for l in arr.lines) \
+        assert sorted((l.coeffs[0].real, l.coeffs[1].real) for l in lines) \
             == [(1.0, 3.0), (2.0, 4.0)]
 
     def test_conic_refused(self):
         a = np.diag([1.0, -1.0]).astype(complex)
         b = np.array([[0, 1], [1, 0]], dtype=complex)
-        arr, certified = lines_of_pair(a, b)
+        _, certified = lines_of_pair(a, b)
         assert not certified
 
     def test_multiplicity_grouping(self):
-        arr, certified = lines_of_pair(np.diag([1.0, 1.0, 2.0]).astype(complex),
-                                       np.diag([5.0, 5.0, 7.0]).astype(complex))
+        lines, certified = lines_of_pair(np.diag([1.0, 1.0, 2.0]).astype(complex),
+                                         np.diag([5.0, 5.0, 7.0]).astype(complex))
         assert certified
-        mults = sorted(l.mult for l in arr.lines)
+        mults = sorted(l.mult for l in lines)
         assert mults == [1, 2]
 
     def test_random_commuting_hermitian_pair(self, rng):
