@@ -74,12 +74,15 @@ question and bisect only the pairs that a bound cannot settle, so their
 answers are those of the full bisection, bit for bit:
 
 - ``is_exceptional`` sweeps once.  Rounded sqrt and subtraction are
-  monotone, so the floats z of [0, 1] with |fl(nu - fl(sqrt z))| <= tol
-  form a band [z_a, z_b] (``_band``; likewise for -nu), whose ends
-  ``_edge`` finds by testing that condition beside fl((nu -+ tol)^2); an
-  end not within 8 floats (nu +- tol nearly cancels) is bisected over
-  the floats' bit patterns, in at most 63 more tests.  f~ = S_(n-j) -
-  (S_n - S_(n-i)) from running sums of running powers
+  monotone, so the floats z with |fl(nu - fl(sqrt z))| <= tol form a
+  band (likewise for -nu).  Every root lies in [1/2, 1]: f(1/2) =
+  2(1 - 2^-(n-j) - 2^-(n-i) + 2^-n) >= 1/2 > E, so the bisection from
+  [0, 1] keeps [1/2, 1] at its first mid.  So ``_band`` gives the
+  band's floats in [1/2, 1], [z_a, z_b]: z_a = 1/2 where the band
+  reaches below it, and otherwise ``_edge`` finds each end by testing
+  that condition beside fl((nu -+ tol)^2).  An end not within 8 floats
+  of it (nu +- tol nearly cancels) is NaN, which settles no pair.
+  f~ = S_(n-j) - (S_n - S_(n-i)) from running sums of running powers
   (``_power_sums``) is within 4E of f: each S_m is within
   gamma_(2n-3) S_m <= E of its value, and the two subtractions add at
   most 3nu(1 + 2 gamma_2n)(1 + u) <= E (underflow aside).  The
@@ -88,8 +91,9 @@ answers are those of the full bisection, bit for bit:
   (n-j+4) E puts the root at or above p, and f~(p) < -5E at or below p.
   A pair so placed in [z_a, z_b] answers True; one at or below z_a^- or
   at or above z_b^+ (the floats beside the ends) of every band is out
-  (beside an end 0 or 1, f~ is about 1 or n-i-j and rules nothing out);
-  only the rest are bisected and tested with np.sqrt.
+  (z_a^- < 1/2 lies below every root, and beside z_b = 1, f~ is about
+  n-i-j and rules nothing out); only the rest are bisected and tested
+  with np.sqrt.
 - ``corollary_check`` certifies every pair, a block at a time, prunes
   once on those brackets and bisects only the survivors (none at n = 12,
   16, 24, 40 and 64; 6 of 9801 at n = 200).  Every bracket has ends
@@ -116,7 +120,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -337,8 +340,8 @@ def _edge(holds, z, toward):
     1 - ``toward`` up to one edge, the last float from ``z`` toward
     ``toward`` (0.0 or 1.0) at which it holds: +inf (toward 0) or -inf
     (toward 1) if it holds nowhere.  The 8 floats after ``z`` are tested
-    in turn; an edge beyond them is bisected over the bit patterns, which
-    order the floats of [0, 1] as their values do."""
+    in turn: NaN if it changes at none of them and that end is more than
+    7 floats off."""
     inside = holds(z)
     end = toward if inside else 1.0 - toward
     for _ in range(8):
@@ -347,35 +350,19 @@ def _edge(holds, z, toward):
         if holds(nxt := math.nextafter(z, end)) != inside:
             return z if inside else nxt
         z = nxt
-    # bisect between z, where holds(z) == inside, and the bit pattern one
-    # past end, taken as the first where it is not
-    last, stop = _bits(z), _bits(end)
-    first = stop + (1 if stop >= last else -1)
-    while abs(first - last) > 1:
-        mid = (last + first) // 2
-        if holds(_float(mid)) == inside:
-            last = mid
-        else:
-            first = mid
-    if last == stop:
-        return end if inside else math.copysign(math.inf, end - toward)
-    return _float(last if inside else first)
-
-
-def _bits(z):
-    return struct.unpack("<q", struct.pack("<d", z))[0]
-
-
-def _float(bits):
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+    return math.nan
 
 
 def _band(m, tol):
-    """The floats z of [0, 1] with |fl(m - fl(sqrt z))| <= tol, as their
-    least and greatest (z_a, z_b), by ``_edge``: empty if z_a > z_b."""
-    lo, hi = max(0.0, m - tol), max(0.0, m + tol)
-    return (_edge(lambda z: m - math.sqrt(z) <= tol, min(1.0, lo * lo), 0.0),
-            _edge(lambda z: m - math.sqrt(z) >= -tol, min(1.0, hi * hi), 1.0))
+    """The floats z of [1/2, 1], where every root lies, with
+    |fl(m - fl(sqrt z))| <= tol, as their least and greatest (z_a, z_b):
+    empty if z_a > z_b, and an end that ``_edge`` does not reach is NaN."""
+    lower, upper = (lambda z: m - math.sqrt(z) <= tol), (lambda z: m - math.sqrt(z) >= -tol)
+    if not upper(0.5):
+        return math.inf, -math.inf
+    lo, hi = m - tol, m + tol  # each >= 0 where its walk runs
+    return (0.5 if lower(0.5) else _edge(lower, max(0.5, min(1.0, lo * lo)), 0.0),
+            _edge(upper, max(0.5, min(1.0, hi * hi)), 1.0))
 
 
 def _power_sums(n, x):
@@ -400,7 +387,8 @@ def is_exceptional(n: int, nu: float, tol: float = DEFAULT_TOL) -> bool:
     if math.isnan(nu):
         return False
     nu = float(nu)
-    x = [z for a, b in (_band(m, tol) for m in (nu, -nu)) if a <= b
+    # a NaN end keeps its band: it places no pair and rules none out
+    x = [z for a, b in (_band(m, tol) for m in (nu, -nu)) if not a > b
          for z in (math.nextafter(a, -1.0), a, b, math.nextafter(b, 2.0))]
     s, bound = _power_sums(n, x), _error_bound(n)
     undecided = np.empty(i.size, dtype=bool)
@@ -440,8 +428,11 @@ def multiplicity_profile(n: int, nu: float, tol: float = DEFAULT_TOL):
 
 @dataclass
 class CorollaryCheck:
-    ok: bool
     violations: list = field(default_factory=list)
+
+    @property
+    def ok(self):
+        return not self.violations
 
     def __bool__(self):
         return self.ok
@@ -479,7 +470,7 @@ def corollary_check(n: int, tol: float = 1e-10) -> CorollaryCheck:
     close = sorted((min(p, q), max(p, q))
                    for k, p in enumerate(order) for q in order[k + 1:ends[k]]
                    if abs(roots[p].z - roots[q].z) <= tol)
-    res = CorollaryCheck(ok=True)
+    res = CorollaryCheck()
     above, below = {}, {}
     for p, q in close:
         a, b = (roots[p], roots[q]) if roots[p].i < roots[q].i else (roots[q], roots[p])
@@ -494,5 +485,4 @@ def corollary_check(n: int, tol: float = 1e-10) -> CorollaryCheck:
         r1, r2, r3 = roots[l], roots[m], roots[u]
         res.violations.append(("triple", (r1.i, r1.j), (r2.i, r2.j),
                                (r3.i, r3.j), r1.z))
-    res.ok = not res.violations
     return res

@@ -91,6 +91,16 @@ def _check_nu(nu: float) -> float:
     return nu
 
 
+def _finite_complex(x) -> complex:
+    """``x`` as a complex of finite parts, else ``ValueError``."""
+    try:
+        if cmath.isfinite(z := complex(x)):
+            return z
+    except OverflowError:  # an int beyond float64
+        pass
+    raise ValueError("parameters must be finite")
+
+
 def _geom(m: int, u: float) -> float:
     # 1 + u + ... + u^(m-1), stable for u near 1 via expm1
     if m <= 0:
@@ -225,17 +235,18 @@ def fundamental_generators(nu: float) -> GeneratorTuple:
 
 def one_dim_rep(c: complex, nu: float) -> GeneratorTuple:
     """The 1-dimensional representation: requires |nu| < 1 (the scalar
-    formulas have poles at |nu| = 1) and c != 0."""
+    formulas have poles at |nu| = 1), finite c != 0 and finite entries."""
     nu = _check_nu(nu)
     if abs(nu) == 1.0:
         raise ValueError("the 1-dimensional family is undefined at |nu| = 1")
-    c = complex(c)
+    c = _finite_complex(c)
     if c == 0:
         raise ValueError("c must be nonzero")
     u = nu * nu
-    h = np.array([[-u / (1 - u)]], dtype=np.complex128)
-    e = np.array([[(1.0 / c) * u / (1 - u)]], dtype=np.complex128)
-    f = np.array([[c * nu / (1 - u)]], dtype=np.complex128)
+    entries = [-u / (1 - u), (1.0 / c) * u / (1 - u), c * nu / (1 - u)]
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError(f"the 1-dimensional family at c={c}, nu={nu} overflows float64")
+    h, e, f = (np.array([[x]], dtype=np.complex128) for x in entries)
     return GeneratorTuple(h=h, e=e, f=f, n=1, nu=nu, family="one_dim")
 
 
@@ -248,9 +259,7 @@ def counterexample_tuple(alpha, beta, gamma, delta) -> GeneratorTuple:
     triple in dimension 3 although [A2, A3] != A1.  The parameters must
     be finite; a product that overflows, or is NaN, fails the constraint.
     """
-    alpha, beta, gamma, delta = params = [complex(x) for x in (alpha, beta, gamma, delta)]
-    if not all(map(cmath.isfinite, params)):
-        raise ValueError("parameters must be finite")
+    alpha, beta, gamma, delta = map(_finite_complex, (alpha, beta, gamma, delta))
     if not all(cmath.isclose(p, 2, rel_tol=0.0, abs_tol=1e-12)
                for p in (alpha * gamma, beta * delta)):
         raise ValueError("parameters must satisfy alpha*gamma = beta*delta = 2")

@@ -1,10 +1,13 @@
 """A slice of ``tools/census.py``'s grid class under its own invariants:
 every plain conjugate is ``equivalent`` and no tamper of a size in
 ``GRID_FLIPS`` is.  The cases are drawn from the census's own generator
-at n in {2, 3}, so the slice cannot drift from it; ``tools/census.py``
-is loaded read-only, so no bytecode is written next to it."""
+at n in {2, 3}, so the slice cannot drift from it.  The exceptional
+class runs whole: each ``is_exceptional`` answer must be the full
+scan's.  ``tools/census.py`` is loaded read-only, so no bytecode is
+written next to it."""
 
 import importlib.util
+import io
 import sys
 import warnings
 from pathlib import Path
@@ -56,3 +59,11 @@ def test_grid_slice_keeps_the_invariants(census):
     # 14 points x 3 conjugates, each plain and with its flip tampers
     assert count == 3 * (7 * (1 + 2 * 3 * 4) + 7 * (1 + 2 * 3 * 9))
     assert offending == []
+
+
+def test_exceptional_class_matches_the_full_scan(census):
+    # the whole class: every is_exceptional answer is the full scan's
+    records, offending = census.census(["exceptional"], census.SEED, io.StringIO())
+    assert offending == []
+    assert len(records) == 19 * 5 * 43
+    assert {r["verdict"] for r in records} == {"exceptional", "not exceptional"}

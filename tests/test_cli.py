@@ -74,6 +74,11 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--family", "onedim")
         assert (code, out, err) == (1, "", "error: --family onedim requires --nu\n")
 
+    def test_onedim_overflow_names_the_parameter(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "onedim", "--c", "1e-320", "--nu", "0.5")
+        assert (code, out, err) == (
+            1, "", "error: the 1-dimensional family at c=(1e-320+0j), nu=0.5 overflows float64\n")
+
     def test_unparsable_complex_exits_one(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "onedim", "--c", "1+", "--nu", "0.5")
         assert (code, out, err) == (1, "", "error: cannot parse complex number '1+'\n")

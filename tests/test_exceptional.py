@@ -309,6 +309,13 @@ class TestCorollary:
     def test_vacuous_for_n3(self):
         assert corollary_check(3)
 
+    def test_ok_follows_the_violations(self):
+        # at tol 1e-2 the close roots of n = 8 break the ordering once
+        res = corollary_check(8, 1e-2)
+        assert not res.ok and not res and len(res.violations) == 1
+        res.violations.clear()
+        assert res.ok and res
+
 
 TOLS = (1e-9, 1e-6, 0.8)
 
@@ -391,16 +398,17 @@ class TestIsExceptionalPruned:
         assert 0 < sum(total) <= 2 * len(total)
 
     @pytest.mark.parametrize("n,nu,tol", [(32, -1e-8, 1e-8), (32, 0.5, 0.49),
-                                          (64, -1e-9, 1e-9)])
+                                          (64, -1e-9, 1e-9), (40, 0.8, 1e-6)])
     def test_cancelling_band_ends_are_exact(self, monkeypatch, n, nu, tol):
-        # nu +- tol nearly cancels, so a band end lies far beyond the 8
-        # floats beside its guess fl((nu -+ tol)^2): it is still the exact
-        # end, and only pairs with a root beside an end are bisected
+        # where nu +- tol nearly cancels, a band end lies far below 1/2 and
+        # so below every root: the band starts at 1/2 instead; every other
+        # end is exact, and only pairs with a root beside an end are bisected
         nus, roots = exceptional_nus(n), {(r.i, r.j): r.z for r in exceptional_set(n)}
         for m in (nu, -nu):
             a, b = exceptional._band(m, tol)
-            assert a == math.inf or (m - math.sqrt(a) <= tol and (
-                a == 0.0 or m - math.sqrt(math.nextafter(a, -1.0)) > tol)), (m, a)
+            lower = lambda z: m - math.sqrt(z) <= tol
+            assert a == math.inf or (a == 0.5 if lower(0.5) else
+                                     lower(a) and not lower(math.nextafter(a, -1.0))), (m, a)
             assert b == -math.inf or (m - math.sqrt(b) >= -tol and (
                 b == 1.0 or m - math.sqrt(math.nextafter(b, 2.0)) < -tol)), (m, b)
         bisect, bisected = exceptional._bisect, []
@@ -414,23 +422,39 @@ class TestIsExceptionalPruned:
         for p in bisected:
             assert min(abs(roots[p] - z) for z in ends) <= 1e-14, p
 
-    @pytest.mark.parametrize("toward", [0.0, 1.0])
-    def test_edge_bisected_to_an_end_of_the_unit_interval(self, toward):
-        # an edge more than 8 floats from the start, at 0 or 1 itself: the
-        # bisection over the bit patterns ends on that end, or finds that
-        # the predicate holds nowhere
+    def test_edge_walks_at_most_eight_floats(self):
+        # an edge more than 8 floats from the start is NaN; an end 7 floats
+        # off is still reached, giving 0 or 1, or +-inf where nothing holds
         evals = []
 
         def everywhere(z):
             evals.append(z)
             return True
-        assert exceptional._edge(everywhere, 0.5, toward) == toward
-        assert len(evals) > 9 and all(0.0 <= z <= 1.0 for z in evals)
-        assert exceptional._edge(lambda z: False, 0.5, 1.0 - toward) \
-            == math.copysign(math.inf, toward - 0.5)
-        # the lower band test of |m - sqrt z| <= tol at m <= tol holds down to 0
-        m, tol = 0.5e-9, 1e-9
-        assert exceptional._edge(lambda z: m - math.sqrt(z) <= tol, 0.25, 0.0) == 0.0
+        assert math.isnan(exceptional._edge(everywhere, 0.5, 0.0))
+        assert math.isnan(exceptional._edge(everywhere, 0.5, 1.0))
+        assert len(evals) == 2 * 9
+        start = {0.0: 7 * 5e-324, 1.0: 1.0 - 7 * 2.0 ** -53}
+        for toward, z in start.items():
+            assert exceptional._edge(everywhere, z, toward) == toward
+            assert exceptional._edge(lambda z: False, z, 1.0 - toward) \
+                == math.copysign(math.inf, toward - 0.5)
+        assert math.isnan(exceptional._edge(everywhere, 8 * 5e-324, 0.0))
+        # a change at the 8th float is found
+        assert exceptional._edge(lambda z: z <= 0.5 + 7 * 2.0 ** -53, 0.5, 1.0) \
+            == 0.5 + 7 * 2.0 ** -53
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_edges_beyond_the_walk_bisect_to_the_full_scan(self, monkeypatch, n):
+        # with every walk cut short, the NaN ends settle no pair, and the
+        # pairs bisected with the sqrt test still give the full scan's answer
+        nus = exceptional_nus(n)
+        monkeypatch.setattr(exceptional, "_edge", lambda *args: math.nan)
+        for tol in TOLS:
+            queries = [0.3, -0.9, 0.5, tol, -tol, math.nextafter(1.0, 0.0), 1e200]
+            for s in nus[::5]:
+                queries += [s, s + tol, math.nextafter(s - tol, 2.0)]
+            for q in queries:
+                assert is_exceptional(n, q, tol) == _within_full_scan(nus, q, tol), (q, tol)
 
     def test_two_blocks_one_power_table(self, monkeypatch):
         # n = 104 splits the pairs into two blocks, and the last pair's root

@@ -325,6 +325,19 @@ class TestOneDim:
         with pytest.raises(ValueError):
             one_dim_rep(0.0, 0.5)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan, complex(1, -math.inf),
+                                   pytest.param(10 ** 400, id="10**400")])
+    def test_non_finite_c_rejected(self, c):
+        # 10**400 fits no float: complex() of it raises OverflowError
+        with pytest.raises(ValueError, match="^parameters must be finite$"):
+            one_dim_rep(c, 0.5)
+
+    @pytest.mark.parametrize("c,nu", [(1e-320, 0.5), (-1e-310j, -0.3), (1e300, 1 - 1e-16)])
+    def test_overflowing_entries_rejected(self, c, nu):
+        # 1/c or c nu / (1 - nu^2) leaves float64: no NaN or inf entry is built
+        with pytest.raises(ValueError, match=r"^the 1-dimensional family at c=.* overflows"):
+            one_dim_rep(c, nu)
+
 
 class TestCounterexample:
     def test_constraint_enforced(self):
@@ -347,6 +360,10 @@ class TestCounterexample:
     def test_non_finite_parameters_rejected(self, params):
         with pytest.raises(ValueError, match="^parameters must be finite$"):
             counterexample_tuple(*params)
+
+    def test_parameter_beyond_float64_rejected(self):
+        with pytest.raises(ValueError, match="^parameters must be finite$"):
+            counterexample_tuple(10 ** 400, 2, 2, 1)
 
     def test_overflowing_constraint_fails(self):
         # finite parameters whose |alpha gamma - 2| overflows float64

@@ -1,4 +1,4 @@
-"""Seeded verdict census of the rigidity checks, with a comparison mode.
+"""Seeded census of rigidity verdicts and exceptional queries, with a comparison mode.
 
     PYTHONPATH=src python3 tools/census.py -o census.jsonl
     PYTHONPATH=src python3 tools/census.py --classes phase -o new.jsonl --compare old.jsonl
@@ -12,12 +12,13 @@ raises; the verdict is then ``error``, the CLI's exit 1).  It prints
 the count of each first diagnostic, numbers cut off, per class and
 family.  It then checks the census's own invariants and exits 1,
 printing the offending case ids, if a plain conjugate is not
-``equivalent``, or if a grid tamper of 1e-3 or 1e-6 * max(1, ||slot||_HS)
-or a phase-class turn of 0.3 rad is.  ``--compare OLD.jsonl`` then lists
+``equivalent``, if a grid tamper of 1e-3 or 1e-6 * max(1, ||slot||_HS)
+or a phase-class turn of 0.3 rad is, or if an ``is_exceptional`` answer
+is not the full scan's.  ``--compare OLD.jsonl`` then lists
 the cases whose digest changed as transitions between those labels, and
 exits 1 if a verdict changed or a case is in one file only.
 
-Classes (``--classes``, comma-separated, default both):
+Classes (``--classes``, comma-separated, default all):
 
   grid   snu2 at n in {2, 3, 4, 5, 6, 8, 10, 16} x nu in {0.05, 0.3,
          0.5, -0.7, 0.95, 1} and sl2 at the same n, at tol 1e-9; 3
@@ -28,11 +29,21 @@ Classes (``--classes``, comma-separated, default both):
          1e-9, 1e-8, 1e-6, 1e-4}: one A2 superdiagonal or A3 subdiagonal
          entry turned by 0.3 rad or by {0.5, 0.9, 1.1, 1.5, 3, 10} * tol
          rad, then unitarily conjugated (4830 cases).
+  exceptional
+         ``is_exceptional(n, nu, tol)`` at n in {2..16, 24, 32, 40, 64} x
+         tol in {1e-12, 1e-9, 1e-6, 1e-3, 0.3}, for nu uniform in
+         [-1.2, 1.2], a few floats from +-sqrt(z_ij) +- tol, from +-tol,
+         from +-1/sqrt(2) + {0, +-1, +-3} tol and from +-1 + {0, +-1,
+         +-3} tol, below 1 by 10^-16..10^-1, log-uniform in [1e-12, 1]
+         of either sign, and +-1e200, +-1e300, +-inf and NaN (4085
+         cases).  Its verdict is ``exceptional`` or ``not exceptional``
+         and its digest that of the answer; the full scan tests nu
+         against the bisected root of every pair, and +-1.
 
-The grid takes minutes and the phase class seconds, hence ``--classes``.
-Each conjugate draws from ``numpy.random.default_rng(seed)``, with one
-seed per conjugate counted up from ``SEED`` in each class, and the
-record holds it.
+The grid takes minutes and the other classes seconds, hence
+``--classes``.  Each conjugate, and each (n, tol) of the exceptional
+class, draws from ``numpy.random.default_rng(seed)``, with one seed
+each counted up from ``SEED`` in each class, and the record holds it.
 """
 
 from __future__ import annotations
@@ -41,12 +52,14 @@ import argparse
 import collections
 import hashlib
 import json
+import math
 import re
 import sys
 import warnings
 
 import numpy as np
 
+from specrig.exceptional import exceptional_set, is_exceptional
 from specrig.generators import sl2_generators, snu2_generators
 from specrig.linalg import hs_norm
 from specrig.rigidity import EQUIVALENT, sl2_rigidity, snu2_rigidity
@@ -60,6 +73,10 @@ PHASE_N = (2, 3, 4, 5, 6, 8, 10, 16, 24)
 PHASE_TOLS = (1e-10, 1e-9, 1e-8, 1e-6, 1e-4)
 PHASE_TURNS = (0.5, 0.9, 1.1, 1.5, 3.0, 10.0)  # times tol; 0.3 rad besides
 PHASE_FLIP = 0.3  # the turn, in rad, that must not be equivalent
+EXC_N = (*range(2, 17), 24, 32, 40, 64)
+EXC_TOLS = (1e-12, 1e-9, 1e-6, 1e-3, 0.3)
+EXCEPTIONAL = "exceptional"
+HOLDS = (EQUIVALENT, EXCEPTIONAL)  # the verdicts an expectation of True asks for
 SEED = 20261020
 
 
@@ -118,7 +135,45 @@ def _phase(seed):
                         k += 1
 
 
-CLASSES = {"grid": _grid, "phase": _phase}
+def _floats_off(x, rng):
+    """x moved by 0 to 3 floats either way."""
+    steps = int(rng.integers(-3, 4))
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _queries(nus, tol, rng):
+    """(kind, nu) of one (n, tol) of the exceptional class."""
+    sign = lambda: float(rng.choice([-1.0, 1.0]))
+    yield from (("wide", x) for x in rng.uniform(-1.2, 1.2, 8).tolist())
+    for s in rng.choice(nus, 6).tolist():
+        yield "root", _floats_off(s + sign() * tol, rng)
+    yield from (("tol", _floats_off(sign() * tol, rng)) for _ in range(4))
+    for kind, centre in (("half", math.sqrt(0.5)), ("one", 1.0)):
+        for d in (0.0, 1.0, -1.0, 3.0, -3.0):
+            yield kind, _floats_off(sign() * centre + d * tol, rng)
+    yield from (("subone", 1.0 - 10.0 ** x) for x in rng.uniform(-16.0, -1.0, 4).tolist())
+    yield from (("tiny", sign() * 10.0 ** x) for x in rng.uniform(-12.0, 0.0, 4).tolist())
+    yield from (("huge", x) for x in (1e200, -1e200, 1e300, -1e300, math.inf, -math.inf,
+                                       math.nan))
+
+
+def _exceptional(seed):
+    """The exceptional class: ``expected`` is the full scan's answer."""
+    k = seed
+    for n in EXC_N:
+        s = np.array([r.nu for r in exceptional_set(n)])
+        nus = np.concatenate([s, -s, [1.0, -1.0]])
+        for tol in EXC_TOLS:
+            rng = np.random.default_rng(k)
+            for q, (kind, nu) in enumerate(_queries(nus, tol, rng)):
+                yield (f"exceptional/n{n}/tol{tol:g}/{kind}{q}/{nu!r}", k, "exceptional", n, nu,
+                       tol, None, bool(np.any(np.abs(nu - nus) <= tol)))
+            k += 1
+
+
+CLASSES = {"grid": _grid, "phase": _phase, "exceptional": _exceptional}
 
 
 def _label(diagnostic):
@@ -134,9 +189,14 @@ def _label(diagnostic):
 
 
 def run_case(family, n, nu, tol, cand):
-    """(verdict, first diagnostic, residual, digest) of one rigidity call;
-    a report holds a residual only when it is ``equivalent``."""
+    """(verdict, first diagnostic, residual, digest) of one rigidity call,
+    or of one ``is_exceptional`` query for the family ``exceptional``; a
+    report holds a residual only when it is ``equivalent``."""
     try:
+        if family == "exceptional":
+            answer = is_exceptional(n, nu, tol)
+            return (EXCEPTIONAL if answer else "not exceptional", "", None,
+                    hashlib.sha256(json.dumps(answer).encode()).hexdigest())
         rep = (snu2_rigidity(cand, n, nu, tol) if family == "snu2"
                else sl2_rigidity(cand, n, tol))
     except (ValueError, ArithmeticError, RuntimeWarning) as exc:
@@ -157,7 +217,7 @@ def census(classes, seed, out):
         for name in classes:
             for case_id, case_seed, family, n, nu, tol, cand, expected in CLASSES[name](seed):
                 verdict, first, residual, digest = run_case(family, n, nu, tol, cand)
-                if expected is not None and (verdict == EQUIVALENT) != expected:
+                if expected is not None and (verdict in HOLDS) != expected:
                     offending.append(case_id)
                 rec = {"id": case_id, "seed": case_seed, "class": name, "family": family,
                        "verdict": verdict, "first": first, "residual": residual,
@@ -170,8 +230,8 @@ def census(classes, seed, out):
 def _table(records):
     counts = collections.Counter((r["class"], r["family"], r["verdict"], _label(r["first"]))
                                  for r in records)
-    lines = [f"{'class':<6} {'family':<6} {'verdict':<22} {'first diagnostic':<60} count"]
-    lines += [f"{c:<6} {f:<6} {v:<22} {label:<60} {count}"
+    lines = [f"{'class':<11} {'family':<11} {'verdict':<22} {'first diagnostic':<60} count"]
+    lines += [f"{c:<11} {f:<11} {v:<22} {label:<60} {count}"
               for (c, f, v, label), count in sorted(counts.items())]
     return "\n".join(lines)
 
@@ -209,7 +269,7 @@ def compare(old, new):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("-o", "--output", required=True, help="JSONL file to write")
-    parser.add_argument("--classes", default="grid,phase",
+    parser.add_argument("--classes", default=",".join(CLASSES),
                         help="comma-separated: " + ", ".join(CLASSES))
     parser.add_argument("--compare", metavar="OLD.jsonl",
                         help="list the transitions from an earlier census")
