@@ -423,8 +423,7 @@ class TestIsExceptionalPruned:
             assert min(abs(roots[p] - z) for z in ends) <= 1e-14, p
 
     def test_edge_walks_at_most_eight_floats(self):
-        # an edge more than 8 floats from the start is NaN; an end 7 floats
-        # off is still reached, giving 0 or 1, or +-inf where nothing holds
+        # an edge more than 8 floats from the start is NaN, after 9 tests
         evals = []
 
         def everywhere(z):
@@ -433,15 +432,20 @@ class TestIsExceptionalPruned:
         assert math.isnan(exceptional._edge(everywhere, 0.5, 0.0))
         assert math.isnan(exceptional._edge(everywhere, 0.5, 1.0))
         assert len(evals) == 2 * 9
-        start = {0.0: 7 * 5e-324, 1.0: 1.0 - 7 * 2.0 ** -53}
-        for toward, z in start.items():
-            assert exceptional._edge(everywhere, z, toward) == toward
-            assert exceptional._edge(lambda z: False, z, 1.0 - toward) \
-                == math.copysign(math.inf, toward - 0.5)
-        assert math.isnan(exceptional._edge(everywhere, 8 * 5e-324, 0.0))
         # a change at the 8th float is found
         assert exceptional._edge(lambda z: z <= 0.5 + 7 * 2.0 ** -53, 0.5, 1.0) \
             == 0.5 + 7 * 2.0 ** -53
+
+    @pytest.mark.parametrize("toward", [0.0, 1.0])
+    def test_edge_bisected_to_an_end_of_the_unit_interval(self, toward):
+        # the end 0 or 1 itself, 7 floats off, is reached by the walk, and
+        # is +-inf where the predicate holds nowhere; 8 floats off it is NaN
+        step = 5e-324 if toward == 0.0 else -(2.0 ** -53)
+        near, far = toward + 7 * step, toward + 8 * step
+        assert exceptional._edge(lambda z: True, near, toward) == toward
+        assert exceptional._edge(lambda z: False, near, 1.0 - toward) \
+            == math.copysign(math.inf, toward - 0.5)
+        assert math.isnan(exceptional._edge(lambda z: True, far, toward))
 
     @pytest.mark.parametrize("n", [12, 40])
     def test_edges_beyond_the_walk_bisect_to_the_full_scan(self, monkeypatch, n):
